@@ -13,6 +13,11 @@ rescalings is kept and realized as a product of normalized restrictions, so
 it has the right partial masses on both axes.  Whatever marginal mass the
 cells did not absorb is coupled in one block by :func:`..measure.couple_mass`
 and added on top; the final marginals then match by construction.
+
+Cell masses, of the reference and of the new coupling alike, come from one
+binning pass of :meth:`..refine.Grid.cell_masses` each: column pieces are
+pairwise disjoint and so are row pieces, so every atom falls in at most one
+cell.  No cell is evaluated by scanning all atoms against it.
 """
 
 from __future__ import annotations
@@ -101,19 +106,19 @@ def construct_preimage(
         if m.mass() != 1:
             raise MassMismatchError(f"{label} must be a probability, has mass {m.mass()}")
 
-    ref_cols = [reference.push_proj(1).eval(c) for c in grid.cols]
-    ref_rows = [reference.push_proj(2).eval(r) for r in grid.rows]
+    ref_x, ref_y = reference.push_proj(1), reference.push_proj(2)
+    ref_cols = [ref_x.eval(c) for c in grid.cols]
+    ref_rows = [ref_y.eval(r) for r in grid.rows]
     new_cols = [mu.eval(c) for c in grid.cols]
     new_rows = [nu.eval(r) for r in grid.rows]
+    # the new marginals restricted to each massive column and row, normalized
+    col_parts = [mu.restrict(c).scale(1 / m) if m else None for c, m in zip(grid.cols, new_cols)]
+    row_parts = [nu.restrict(r).scale(1 / m) if m else None for r, m in zip(grid.rows, new_rows)]
 
-    prod = ProductSpace(mu.space, nu.space)
-    grid_part = Measure.zero(prod)
+    ref_cell_mass = grid.cell_masses(reference)
     allocs: dict[CellIndex, CellAlloc] = {}
-    ref_cell_mass: dict[CellIndex, Fraction] = {}
-
-    for (q, s), cell in grid.cells():
-        ref_mass = reference.eval(cell)
-        ref_cell_mass[(q, s)] = ref_mass
+    acc: dict = {}
+    for (q, s), ref_mass in ref_cell_mass.items():
         if ref_mass == 0:
             allocs[(q, s)] = CellAlloc(Fraction(0), Fraction(0), Fraction(0))
             continue
@@ -132,11 +137,9 @@ def construct_preimage(
             raise HypothesisError(
                 f"cell ({q}, {s}) was granted mass {kept} from a massless column or row"
             )
-        piece = tensor(
-            mu.restrict(grid.cols[q]).scale(1 / new_cols[q]),
-            nu.restrict(grid.rows[s]).scale(1 / new_rows[s]),
-        ).scale(kept)
-        grid_part = grid_part + piece
+        for key, w in tensor(col_parts[q], row_parts[s]).weights.items():
+            acc[key] = acc.get(key, 0) + kept * w
+    grid_part = Measure(ProductSpace(mu.space, nu.space), acc)
 
     try:
         mu_rest = linear_combine([(1, mu), (-1, grid_part.push_proj(1))]).to_measure()
@@ -148,8 +151,5 @@ def construct_preimage(
 
     remainder = couple_mass(mu_rest, nu_rest)
     coupling = grid_part + remainder
-    drops = {
-        ix: coupling.eval(grid.cell(*ix)) - ref_cell_mass[ix]
-        for ix in sorted(ref_cell_mass)
-    }
+    drops = {ix: m - ref_cell_mass[ix] for ix, m in grid.cell_masses(coupling).items()}
     return PreimageReport(coupling, grid_part, remainder, allocs, drops)

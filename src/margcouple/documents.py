@@ -4,13 +4,16 @@ Rationals travel as strings "p/q" or "p"; decimal notation is rejected so
 no value silently passes through binary floating point.  Serialization is
 deterministic: atoms and weights follow the space's atom order, cells are
 emitted row-within-column, and the emitted JSON is stable byte for byte.
-Parsing is strict and every complaint names the offending field.
+Parsing is strict and every complaint names the offending field, including
+a key or product weight given twice and a number with more digits than the
+interpreter converts.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,14 +48,44 @@ def parse_rational(raw, path: str) -> Fraction:
         return Fraction(raw)
     except ZeroDivisionError:
         raise SchemaError(f"{path}: zero denominator in {raw!r}") from None
+    except ValueError:  # beyond the interpreter's int-string digit limit
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError(f"{path}: number too large (over {limit} digits)") from None
+
+
+class _RepeatedKey(dict):
+    """A JSON object that named one key twice; later values win, as in json."""
+
+    def __init__(self, pairs, key):
+        super().__init__(pairs)
+        self.key = key
+
+
+def _object(pairs: list) -> dict:
+    # object_pairs_hook for json.loads: marks objects with a repeated key
+    obj = dict(pairs)
+    if len(obj) == len(pairs):
+        return obj
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            return _RepeatedKey(pairs, key)
+        seen.add(key)
+
+
+def _unique(obj, path) -> None:
+    if isinstance(obj, _RepeatedKey):
+        raise SchemaError(f"{path}.{obj.key}: repeated key")
 
 
 def _field(doc, name, path, kind=None):
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected an object")
+    _unique(doc, path)
     if name not in doc:
         raise SchemaError(f"{path}.{name}: missing")
     value = doc[name]
+    _unique(value, f"{path}.{name}")
     if kind is not None and not isinstance(value, kind):
         raise SchemaError(f"{path}.{name}: wrong type {type(value).__name__}")
     return value
@@ -142,9 +175,13 @@ def _parse_measure(doc, path) -> Measure:
                 or len(entry) != 2
                 or not isinstance(entry[0], list)
                 or len(entry[0]) != 2
+                or not all(isinstance(k, str) for k in entry[0])
             ):
-                raise SchemaError(f"{wpath}: expected [[x, y], mass]")
-            weights[(entry[0][0], entry[0][1])] = parse_rational(entry[1], wpath)
+                raise SchemaError(f"{wpath}: expected [[x, y], mass] with atom id strings")
+            key = (entry[0][0], entry[0][1])
+            if key in weights:
+                raise SchemaError(f"{wpath}: repeated weight for atom {entry[0]!r}")
+            weights[key] = parse_rational(entry[1], wpath)
     else:
         if not isinstance(raw, dict):
             raise SchemaError(f"{path}.weights: expected an object keyed by atom id")
@@ -414,10 +451,11 @@ def _parse_cert(doc, path) -> CertReport:
         seed_raw = _field(entry, "seed", vpath, str)
         if not seed_raw.isdigit():
             raise SchemaError(f"{vpath}.seed: expected an unsigned integer string")
+        seed = int(parse_rational(seed_raw, f"{vpath}.seed"))
         violations.append(
             Violation(
                 trial=_field(entry, "trial", vpath, int),
-                seed=_build(f"{vpath}.seed", Seed, int(seed_raw)),
+                seed=_build(f"{vpath}.seed", Seed, seed),
                 reason=_field(entry, "reason", vpath, str),
                 cell=cell,
                 gap=None if gap is None else parse_rational(gap, f"{vpath}.gap"),
@@ -526,7 +564,10 @@ def dumps(obj) -> str:
 
 def loads(text: str) -> object:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"document: not valid JSON ({exc})") from exc
+    except ValueError as exc:  # an integer beyond the int-string digit limit
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError(f"document: number too large (over {limit} digits)") from exc
     return from_document(doc)

@@ -2,6 +2,10 @@
 
 A measure keys nonnegative weights by atom; zero weights are dropped at
 construction so equality of measures is equality of supports and weights.
+Construction checks each given key with the space's ``has`` and orders the
+weights by the atom's position in the space (x-major on a product), looked
+up in per-axis index maps; it never walks the space's full key list, so it
+costs time in the number of given weights, not in |X|·|Y|.
 Signed measures appear only as intermediates (differences); promoting one
 back to a measure re-checks nonnegativity and names the offending atom on
 failure.  Evaluation against an open set counts strictly interior atoms
@@ -35,9 +39,7 @@ def _normalized(space: Space, raw: Mapping, *, signed: bool) -> dict:
         if not space.has(key):
             raise ParameterError(f"weight keyed by unknown atom {key!r}")
     out = {}
-    for key in space.keys:
-        if key not in raw:
-            continue
+    for key in sorted(raw, key=space.position):
         w = as_rational(raw[key])
         if w == 0:
             continue
@@ -137,9 +139,8 @@ class SignedMeasure:
 
     def to_measure(self) -> Measure:
         """Promote back to a measure; raises naming the first negative atom."""
-        for key in self.space.keys:
-            w = self.weights.get(key)
-            if w is not None and w < 0:
+        for key, w in self.weights.items():
+            if w < 0:
                 raise NegativeWeightError(key, w)
         return Measure(self.space, self.weights)
 

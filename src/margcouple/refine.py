@@ -21,9 +21,10 @@ inside every input interval containing it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import pairwise
+from itertools import pairwise, product
 from typing import Iterator, Sequence
 
 from .errors import ParameterError
@@ -33,6 +34,7 @@ from .space import (
     BoxSet,
     IntervalSet,
     ProductSpace,
+    SpaceDesc,
     as_rational,
     boxset_within,
     boxsets_disjoint,
@@ -74,6 +76,36 @@ class Grid:
         for q in range(len(self.cols)):
             for s in range(len(self.rows)):
                 yield (q, s), self.cell(q, s)
+
+    def cell_masses(self, m: Measure) -> dict[CellIndex, Fraction]:
+        """Every cell's mass, ``m.eval(self.cell(q, s))``, in one pass over the atoms."""
+        if not isinstance(m.space, ProductSpace):
+            raise ParameterError("cell masses need a product measure")
+        col = _pieces_holding(self.cols, m.space.x)
+        row = _pieces_holding(self.rows, m.space.y)
+        out = {ix: Fraction(0) for ix in product(range(len(self.cols)), range(len(self.rows)))}
+        for (kx, ky), w in m.weights.items():
+            if kx in col and ky in row:
+                out[col[kx], row[ky]] += w
+        return out
+
+
+def _pieces_holding(pieces: Sequence[IntervalSet], space: SpaceDesc) -> dict:
+    """Atom id -> index of the piece holding the atom, for atoms inside one.
+
+    Pieces are pairwise disjoint, so sorted by lower end their intervals do
+    not overlap: only the last interval whose lower end lies strictly below
+    a point can hold it, and does when the point is strictly below its upper
+    end too.
+    """
+    ivs = sorted((lo, hi, i) for i, p in enumerate(pieces) for lo, hi in p.intervals)
+    los = [lo for lo, _, _ in ivs]
+    out = {}
+    for a in space.atoms:
+        j = bisect_left(los, a.coord) - 1
+        if j >= 0 and a.coord < ivs[j][1]:
+            out[a.id] = ivs[j][2]
+    return out
 
 
 @dataclass(frozen=True)

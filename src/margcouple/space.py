@@ -83,8 +83,16 @@ class SpaceDesc:
     def _coords(self) -> dict:
         return {a.id: a.coord for a in self.atoms}
 
+    @cached_property
+    def _index(self) -> dict:
+        return {a.id: i for i, a in enumerate(self.atoms)}
+
     def has(self, key) -> bool:
         return key in self._coords
+
+    def position(self, key) -> int:
+        """Rank of a known atom in the space's atom order."""
+        return self._index[key]
 
     def coord_of(self, key) -> Fraction:
         try:
@@ -114,6 +122,10 @@ class ProductSpace:
             and self.x.has(key[0])
             and self.y.has(key[1])
         )
+
+    def position(self, key) -> int:
+        """Rank of a known pair in the x-major order of :attr:`keys`."""
+        return self.x._index[key[0]] * len(self.y.atoms) + self.y._index[key[1]]
 
     def coord_of(self, key) -> tuple[Fraction, Fraction]:
         if not self.has(key):

@@ -210,6 +210,37 @@ def test_malformed_json(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_oversized_denominator_exits_two(capsys, tmp_path):
+    # int() refuses strings past 4300 digits; that is malformed input, not a failed check
+    doc = loads(Path(MU).read_text(encoding="utf-8"))
+    big = tmp_path / "big.json"
+    text = dumps(doc).replace('"a": "2/5"', '"a": "' + "2" * 4999 + "/" + "5" * 5000 + '"')
+    big.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "tensor", str(big), NU)
+    assert code == 2 and out == ""
+    assert "measure.weights.a: number too large" in err
+
+
+def test_repeated_weights_exit_two(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(
+        Path(REFERENCE).read_text(encoding="utf-8").replace(
+            '"weights": [', '"weights": [\n    [["b", "d"], "0"],', 1
+        ),
+        encoding="utf-8",
+    )
+    code, _, err = run(capsys, "marginals", str(path))
+    assert code == 2
+    assert "repeated weight for atom ['b', 'd']" in err
+    path.write_text(
+        Path(MU).read_text(encoding="utf-8").replace('"weights": {', '"weights": {"b": "1",', 1),
+        encoding="utf-8",
+    )
+    code, _, err = run(capsys, "tensor", str(path), NU)
+    assert code == 2
+    assert "measure.weights.b: repeated key" in err
+
+
 def test_wrong_document_kind(capsys):
     code, _, err = run(capsys, "marginals", GRID)
     assert code == 2

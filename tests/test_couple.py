@@ -9,6 +9,7 @@ import instances
 from margcouple import (
     Atom,
     CellAlloc,
+    Error,
     Grid,
     HypothesisError,
     IntervalSet,
@@ -16,13 +17,18 @@ from margcouple import (
     MarginalPair,
     MassMismatchError,
     Measure,
+    NegativeWeightError,
     ParameterError,
     PreimageReport,
+    ProductSpace,
     SpaceDesc,
     admissible_delta,
     construct_preimage,
     marginal_pair,
+    refine_grid,
 )
+from margcouple.documents import dumps
+from margcouple.measure import couple_mass, linear_combine, tensor
 
 F = Fraction
 
@@ -158,3 +164,72 @@ def test_random_marginals_always_exact(seed):
     pair = marginal_pair(rep.coupling)
     assert pair.mu == mu and pair.nu == nu
     assert rep.coupling.mass() == 1
+
+
+# -- the binned construction against a per-cell oracle ---------------------
+
+
+def per_cell_preimage(reference, grid, mu, nu, alpha_rule=min):
+    """The construction with every cell mass taken by ``eval`` on the cell itself."""
+    ref_cols = [reference.push_proj(1).eval(c) for c in grid.cols]
+    ref_rows = [reference.push_proj(2).eval(r) for r in grid.rows]
+    new_cols = [mu.eval(c) for c in grid.cols]
+    new_rows = [nu.eval(r) for r in grid.rows]
+    grid_part = Measure.zero(ProductSpace(mu.space, nu.space))
+    allocs, ref_mass = {}, {}
+    for (q, s), cell in grid.cells():
+        ref_mass[q, s] = m = reference.eval(cell)
+        if m == 0:
+            allocs[q, s] = CellAlloc(F(0), F(0), F(0))
+            continue
+        col, row = m * new_cols[q] / ref_cols[q], m * new_rows[s] / ref_rows[s]
+        allocs[q, s] = CellAlloc(col, row, alpha_rule(col, row))
+        if allocs[q, s].kept:
+            if not (new_cols[q] and new_rows[s]):
+                raise HypothesisError("mass granted from a massless column or row")
+            piece = tensor(
+                mu.restrict(grid.cols[q]).scale(1 / new_cols[q]),
+                nu.restrict(grid.rows[s]).scale(1 / new_rows[s]),
+            )
+            grid_part = grid_part + piece.scale(allocs[q, s].kept)
+    try:
+        rests = [
+            linear_combine([(1, m), (-1, grid_part.push_proj(axis))]).to_measure()
+            for axis, m in ((1, mu), (2, nu))
+        ]
+    except NegativeWeightError as exc:
+        raise HypothesisError("cell couplings overdraw a marginal") from exc
+    remainder = couple_mass(*rests)
+    coupling = grid_part + remainder
+    drops = {ix: coupling.eval(grid.cell(*ix)) - ref_mass[ix] for ix in ref_mass}
+    return PreimageReport(coupling, grid_part, remainder, allocs, drops)
+
+
+def outcome(build, *args, **kwargs):
+    try:
+        rep = build(*args, **kwargs)
+    except Error as exc:
+        return type(exc).__name__
+    return rep, dumps(rep)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_binned_preimage_matches_per_cell_oracle(seed):
+    rng = random.Random(97000 + seed)
+    ref, grid = instances.random_instance(rng)
+    targets = instances.random_disjoint_targets(rng)
+    refined = refine_grid(ref, targets, F(1, 6)).grid
+    mu = instances.random_prob_measure(rng, ref.space.x)
+    nu = instances.random_prob_measure(rng, ref.space.y)
+    for g in (grid, refined):
+        for rule in (min, max):
+            got = outcome(construct_preimage, ref, g, mu, nu, alpha_rule=rule)
+            want = outcome(per_cell_preimage, ref, g, mu, nu, alpha_rule=rule)
+            assert got == want
+            if rule is min:
+                rep, oracle = got[0], want[0]
+                assert rep.coupling == oracle.coupling
+                assert rep.grid_part == oracle.grid_part
+                assert rep.remainder_coupling == oracle.remainder_coupling
+                assert rep.cell_allocs == oracle.cell_allocs
+                assert rep.cell_drops == oracle.cell_drops

@@ -64,6 +64,19 @@ def test_parse_rational_strict():
     assert "badfield" in str(exc.value)
 
 
+def test_oversized_numbers_name_the_field():
+    # past the interpreter's int-string digit limit int() raises ValueError
+    for raw in ("1/" + "7" * 5000, "7" * 5000):
+        with pytest.raises(SchemaError) as exc:
+            parse_rational(raw, "bigfield")
+        assert "bigfield: number too large" in str(exc.value)
+    text = dumps(instances.worked_grid())
+    text = text.replace('"schema_version": 1', '"schema_version": 1' + "0" * 4999)
+    with pytest.raises(SchemaError) as exc:
+        loads(text)
+    assert "number too large" in str(exc.value)
+
+
 # -- round trips -----------------------------------------------------------
 
 
@@ -130,6 +143,11 @@ def test_violation_round_trip(reference, targets):
     assert report.violations
     back = loads(dumps(report))
     assert back == report
+    doc = to_document(report)
+    doc["violations"][0]["seed"] = "9" * 5000  # past the int-string digit limit
+    with pytest.raises(SchemaError) as exc:
+        from_document(doc)
+    assert "violations[0].seed: number too large" in str(exc.value)
 
 
 # -- strictness ------------------------------------------------------------
@@ -170,6 +188,29 @@ def test_negative_weight_rejected_on_parse():
     doc["weights"]["a"] = "-1/2"
     with pytest.raises(SchemaError):
         from_document(doc)
+
+
+def test_repeated_product_weight_rejected():
+    doc = to_document(instances.worked_reference())
+    doc["weights"].append([["a", "c"], "0"])
+    with pytest.raises(SchemaError) as exc:
+        from_document(doc)
+    assert "measure.weights[2]: repeated weight for atom ['a', 'c']" in str(exc.value)
+    doc["weights"][2] = [[["a"], "c"], "0"]  # an unhashable id is malformed, not a crash
+    with pytest.raises(SchemaError) as exc:
+        from_document(doc)
+    assert "measure.weights[2]" in str(exc.value)
+
+
+def test_repeated_keys_rejected():
+    text = dumps(instances.worked_perturbed()[0])
+    assert '"a": "2/5"' in text
+    with pytest.raises(SchemaError) as exc:
+        loads(text.replace('"a": "2/5"', '"a": "2/5", "a": "0"'))
+    assert "measure.weights.a: repeated key" in str(exc.value)
+    with pytest.raises(SchemaError) as exc:
+        loads(text.replace('"kind": "measure"', '"kind": "measure", "kind": "measure"'))
+    assert "document.kind: repeated key" in str(exc.value)
 
 
 def test_not_json():

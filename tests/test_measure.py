@@ -19,6 +19,7 @@ from margcouple import (
     NegativeWeightError,
     ParameterError,
     ProductSpace,
+    SignedMeasure,
     SpaceDesc,
     TestFunction,
     barycenter,
@@ -119,6 +120,40 @@ def test_linear_combine_signed(line):
     assert "'b'" in str(exc.value)
     ok = linear_combine([(1, m), (F(-1, 4), n)]).to_measure()
     assert ok.weights == {"a": F(7, 16), "b": F(5, 16)}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_shuffled_keys_come_out_in_atom_order(seed):
+    rng = random.Random(95000 + seed)
+    product = instances.random_product(rng)
+    for space in (product, product.x, product.y):
+        raw = {k: F(rng.randint(-3, 3), 7) for k in space.keys if rng.random() < 0.7}
+        items = list(raw.items())
+        rng.shuffle(items)
+        kept = [k for k in space.keys if raw.get(k)]
+        signed = SignedMeasure(space, dict(items))
+        assert list(signed.weights) == kept
+        negative = [k for k in kept if raw[k] < 0]
+        if negative:
+            # the first negative atom in atom order, whatever the given order
+            with pytest.raises(NegativeWeightError) as exc:
+                signed.to_measure()
+            assert exc.value.atom == negative[0]
+        else:
+            assert list(signed.to_measure().weights) == kept
+        positive = [(k, abs(w)) for k, w in items]
+        assert list(Measure(space, dict(positive)).weights) == kept
+
+        unknown = ("x?", space.keys[0][1]) if space is product else "x?"
+        with pytest.raises(ParameterError):
+            Measure(space, dict(positive + [(unknown, F(1))]))
+
+
+def test_malformed_product_keys_rejected(spaces):
+    product = ProductSpace(*spaces)
+    for bad in ("a", ("a",), ("a", "c", "d"), ("c", "a"), ("z", "c")):
+        with pytest.raises(ParameterError):
+            Measure(product, {("b", "d"): F(1, 2), bad: F(1, 2)})
 
 
 def test_integrate_is_linear(line):

@@ -18,11 +18,13 @@ sits.
 
 import random
 from fractions import Fraction
+from itertools import pairwise
 
 import pytest
 
 import instances
 from margcouple import (
+    Atom,
     Box,
     BoxSet,
     Grid,
@@ -31,6 +33,7 @@ from margcouple import (
     ParameterError,
     ProductSpace,
     RefineResult,
+    SpaceDesc,
     boxset_within,
     canonicalize,
     disjointify,
@@ -130,6 +133,55 @@ def test_grid_cells(grid):
     assert len(list(grid.cells())) == 4
     multi = Grid((iset((0, 1), (2, 3)),), (iset((0, 1)),))
     assert len(multi.cell(0, 0).boxes) == 2
+
+
+def per_cell_masses(m: Measure, grid: Grid) -> dict:
+    return {ix: m.eval(cell) for ix, cell in grid.cells()}
+
+
+def test_cell_masses_bin_atoms_on_endpoints_out():
+    # atoms on every piece endpoint, inside pieces, in gaps and outside
+    x = SpaceDesc(tuple(Atom(f"x{i}", F(c, 2)) for i, c in enumerate(range(-1, 9))))
+    y = SpaceDesc((Atom("y0", 0), Atom("y1", F(1, 2)), Atom("y2", 1), Atom("y3", F(3, 2))))
+    product = ProductSpace(x, y)
+    m = Measure(product, {k: F(1, len(product.keys)) for k in product.keys})
+    grid = Grid((iset((0, 1), (2, 3)), iset((1, 2)), iset((3, F(7, 2)))), (iset((0, 1)),))
+    masses = grid.cell_masses(m)
+    assert masses == per_cell_masses(m, grid)
+    # (0, 1) and (2, 3) hold 1/2 and 5/2; (1, 2) holds 3/2; (3, 7/2) holds none
+    assert masses == {(0, 0): F(2, 40), (1, 0): F(1, 40), (2, 0): F(0)}
+    with pytest.raises(ParameterError):
+        grid.cell_masses(Measure(x, {"x0": F(1)}))
+
+
+def endpoint_space(prefix: str, pieces) -> SpaceDesc:
+    """Atoms on every piece endpoint, on every midpoint between, and beyond both ends."""
+    ends = sorted({e for p in pieces for e in p.endpoints()}) or [F(0)]  # a grid may be empty
+    mids = {(a + b) / 2 for a, b in pairwise(ends)}
+    coords = sorted(set(ends) | mids | {ends[0] - 1, ends[-1] + 1})
+    return SpaceDesc(tuple(Atom(f"{prefix}{i}", c) for i, c in enumerate(coords)))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cell_masses_match_per_cell_eval(seed):
+    rng = random.Random(93000 + seed)
+    ref, grid = instances.random_instance(rng)
+    assert grid.cell_masses(ref) == per_cell_masses(ref, grid)
+
+    # a plain grid, with atoms placed exactly on its piece endpoints
+    grid = instances.random_grid(rng)
+    product = ProductSpace(endpoint_space("x", grid.cols), endpoint_space("y", grid.rows))
+    ref = instances.random_joint(rng, product)
+    assert grid.cell_masses(ref) == per_cell_masses(ref, grid)
+
+    # refined grids, whose pieces may hold several intervals
+    product = instances.random_product(rng)
+    ref = instances.random_joint(rng, product)
+    rr = refine_grid(ref, instances.random_disjoint_targets(rng), F(1, 6))
+    assert rr.grid.cell_masses(ref) == per_cell_masses(ref, rr.grid)
+    fresh = ProductSpace(endpoint_space("x", rr.grid.cols), endpoint_space("y", rr.grid.rows))
+    other = instances.random_joint(rng, fresh)
+    assert rr.grid.cell_masses(other) == per_cell_masses(other, rr.grid)
 
 
 def test_refine_result_validation(grid):
