@@ -6,7 +6,8 @@ deterministic: atoms and weights follow the space's atom order, cells are
 emitted row-within-column, and the emitted JSON is stable byte for byte.
 Parsing is strict and every complaint names the offending field, including
 a key or product weight given twice and a number with more digits than the
-interpreter converts.
+interpreter converts.  A result holding such a number cannot be written
+either; that too is a ``SchemaError``, not a traceback.
 """
 
 from __future__ import annotations
@@ -38,7 +39,11 @@ _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 def format_rational(x: Fraction) -> str:
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError:  # beyond the interpreter's int-string digit limit
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError(f"number too large to write (over {limit} digits)") from None
 
 
 def parse_rational(raw, path: str) -> Fraction:

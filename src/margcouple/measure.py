@@ -49,6 +49,15 @@ def _normalized(space: Space, raw: Mapping, *, signed: bool) -> dict:
     return out
 
 
+def _masks(space: SpaceDesc, keys: Iterable, bits: Mapping) -> dict:
+    """Atom id -> OR of the bits of the open intervals holding its coordinate."""
+    out = {}
+    for k in keys:
+        c = space.coord_of(k)
+        out[k] = sum(bit for (lo, hi), bit in bits.items() if lo < c < hi)
+    return out
+
+
 def _check_geometry(space: Space, open_set: OpenSet) -> None:
     if isinstance(space, SpaceDesc) and not isinstance(open_set, IntervalSet):
         raise ParameterError("a line measure evaluates interval sets only")
@@ -89,6 +98,51 @@ class Measure:
     def eval(self, open_set: OpenSet) -> Fraction:
         _check_geometry(self.space, open_set)
         return self.sum_where(open_set.contains)
+
+    def eval_many(self, sets: Sequence[OpenSet]) -> list[Fraction]:
+        """``[self.eval(s) for s in sets]``, in one pass over the support.
+
+        Every distinct interval the sets use gets one bit: the intervals of
+        an interval set, the columns and rows of a box set.  Each support
+        atom's coordinate is compared once with each distinct interval of
+        its axis, giving it a bitmask per axis, and the weights are summed
+        per pattern of masks.  A set's mass is the sum of the patterns that
+        one of its boxes hits, tested with integer ``&``; an interval acts
+        as a box whose row holds every atom.  Boxes may overlap and atoms
+        may sit on endpoints: the comparisons are the strict ones of
+        ``contains``, and a pattern counts once however many boxes hit it.
+        """
+        for s in sets:
+            _check_geometry(self.space, s)
+        product = isinstance(self.space, ProductSpace)
+        boxes = [
+            [(b.col, b.row) for b in s.boxes] if product else [(iv, None) for iv in s.intervals]
+            for s in sets
+        ]
+        cols: dict = {}
+        rows: dict = {}
+        hits = [
+            [(cols.setdefault(c, 1 << len(cols)), rows.setdefault(r, 1 << len(rows)))
+             for c, r in bs]
+            for bs in boxes
+        ]
+        if product:
+            x_mask = _masks(self.space.x, {kx for kx, _ in self.weights}, cols)
+            y_mask = _masks(self.space.y, {ky for _, ky in self.weights}, rows)
+            patterns = {k: (x_mask[k[0]], y_mask[k[1]]) for k in self.weights}
+        else:
+            x_mask = _masks(self.space, self.weights, cols)
+            patterns = {k: (x_mask[k], 1) for k in self.weights}
+        groups: dict = {}
+        for k, w in self.weights.items():
+            groups[patterns[k]] = groups.get(patterns[k], 0) + w
+        return [
+            sum(
+                (w for (mx, my), w in groups.items() if any(mx & c and my & r for c, r in h)),
+                Fraction(0),
+            )
+            for h in hits
+        ]
 
     def restrict(self, open_set: OpenSet) -> "Measure":
         _check_geometry(self.space, open_set)

@@ -194,22 +194,10 @@ def disjointify(sets: Sequence[IntervalSet], forbidden: Sequence) -> list[Interv
     return out
 
 
-def _column_interval_sets(boxes: list[Box]) -> list[IntervalSet]:
-    seen, out = set(), []
-    for b in boxes:
-        if b.col not in seen:
-            seen.add(b.col)
-            out.append(IntervalSet.single(*b.col))
-    return out
-
-
-def _row_interval_sets(boxes: list[Box]) -> list[IntervalSet]:
-    seen, out = set(), []
-    for b in boxes:
-        if b.row not in seen:
-            seen.add(b.row)
-            out.append(IntervalSet.single(*b.row))
-    return out
+def _axis_interval_sets(boxes: list[Box], axis: int) -> list[IntervalSet]:
+    """The distinct columns (axis 1) or rows (axis 2) of the boxes, first seen first."""
+    ivs = dict.fromkeys(b.col if axis == 1 else b.row for b in boxes)
+    return [IntervalSet.single(*iv) for iv in ivs]
 
 
 def refine_grid(reference: Measure, targets: Sequence[BoxSet], eps0) -> RefineResult:
@@ -233,8 +221,8 @@ def refine_grid(reference: Measure, targets: Sequence[BoxSet], eps0) -> RefineRe
     inner = [rect_inner_approx(reference, t, eps0 / 4) for t in targets]
     boxes = [b for approx in inner for b in approx.boxes]
     coords = [reference.space.coord_of(k) for k in reference.weights]
-    cols = disjointify(_column_interval_sets(boxes), [p[0] for p in coords])
-    rows = disjointify(_row_interval_sets(boxes), [p[1] for p in coords])
+    cols = disjointify(_axis_interval_sets(boxes, 1), [p[0] for p in coords])
+    rows = disjointify(_axis_interval_sets(boxes, 2), [p[1] for p in coords])
     grid = Grid(tuple(cols), tuple(rows))
 
     owner: dict[CellIndex, int | None] = {}

@@ -154,7 +154,8 @@ class _Workspace:
         self.product = isinstance(center.space, ProductSpace)
         self.space = center.space
         self.weights = dict(center.weights)
-        self.order = list(center.space.keys)
+        # the support, in atom order; keys without weight never gain any
+        self.order = list(center.weights)
         self.coords = {k: center.space.coord_of(k) for k in self.order}
         if self.product:
             self._taken_x = {a.id for a in center.space.x.atoms}

@@ -4,6 +4,12 @@ A neighborhood is determined by a center, finitely many open sets and a
 positive tolerance.  A candidate belongs to it when on every listed set its
 mass falls short of the center's by strictly less than the tolerance.  Only
 shortfalls count: exceeding the center on a set never hurts membership.
+
+The gap evaluates all sets at once on each measure with
+:meth:`Measure.eval_many`, so a neighborhood of k sets costs one pass over
+the candidate's support and one over the center's, not k of each.  It
+never uses the grid binning behind ``construct_preimage``'s cell drops, so
+membership stays an independent check of those drops.
 """
 
 from __future__ import annotations
@@ -34,7 +40,10 @@ class Neighborhood:
 
     def gap(self, candidate: Measure) -> Fraction:
         """Worst shortfall of the candidate against the center over the sets."""
-        return min(candidate.eval(s) - self.center.eval(s) for s in self.sets)
+        return min(
+            g - r
+            for g, r in zip(candidate.eval_many(self.sets), self.center.eval_many(self.sets))
+        )
 
     def is_member(self, candidate: Measure) -> bool:
         return self.gap(candidate) > -self.epsilon

@@ -15,13 +15,16 @@ import pytest
 
 import instances
 from margcouple import (
+    Atom,
     CertReport,
     Grid,
     LemmaCheck,
     MarginalPair,
+    Measure,
     PreimageReport,
     RefineResult,
     Seed,
+    SpaceDesc,
     Violation,
     construct_preimage,
     refine_grid,
@@ -138,6 +141,32 @@ def test_certify(capsys):
     assert (code2, out2) == (code, out)
 
 
+# recorded before the neighborhood gap moved to one-pass evaluation; a fixed
+# seed must keep giving these bytes, across processes and releases
+CERTIFY_GOLDEN = [
+    ("1/5", "10", "42", "-31843/5242880"),
+    ("1/3", "25", "18446744073709551557", "-1333/131072"),
+    ("1/100", "5", "0", "-16301/52428800"),
+]
+
+
+@pytest.mark.parametrize("eps, trials, seed, gap", CERTIFY_GOLDEN)
+def test_certify_golden_bytes(capsys, eps, trials, seed, gap):
+    code, out, err = run(
+        capsys, "certify", REFERENCE, TARGETS, "--eps", eps, "--trials", trials, "--seed", seed
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "{\n"
+        '  "schema_version": 1,\n'
+        '  "kind": "cert_report",\n'
+        f'  "trials": {trials},\n'
+        f'  "min_observed_gap": "{gap}",\n'
+        '  "violations": []\n'
+        "}\n"
+    )
+
+
 def test_check_band(capsys):
     code, out, _ = run(
         capsys, "check", REFERENCE, "--lemma", "4", "--sets", BAND_SETS, "--eps", "3/5"
@@ -219,6 +248,17 @@ def test_oversized_denominator_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, "tensor", str(big), NU)
     assert code == 2 and out == ""
     assert "measure.weights.a: number too large" in err
+
+
+def test_oversized_result_exits_two(capsys, tmp_path):
+    # each input weight fits the int-string digit limit; their products do not
+    d = 10**3000
+    line = SpaceDesc((Atom("a", 0), Atom("b", 1)))
+    path = tmp_path / "mu.json"
+    path.write_text(dumps(Measure(line, {"a": F(1, d), "b": F(d - 1, d)})), encoding="utf-8")
+    code, out, err = run(capsys, "tensor", str(path), str(path))
+    assert code == 2 and out == ""
+    assert "number too large to write" in err
 
 
 def test_repeated_weights_exit_two(capsys, tmp_path):

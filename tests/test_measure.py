@@ -23,6 +23,7 @@ from margcouple import (
     SpaceDesc,
     TestFunction,
     barycenter,
+    canonicalize,
     couple_mass,
     integrate,
     linear_combine,
@@ -75,6 +76,77 @@ def test_eval_wrong_geometry(line):
     m = Measure(line, {"a": F(1)})
     with pytest.raises(ParameterError):
         m.eval(BoxSet((Box((0, 1), (0, 1)),)))
+
+
+# -- evaluating many sets at once ------------------------------------------
+
+# half-integer coordinates and endpoints on one small lattice, so atoms land
+# on interval endpoints and sets share intervals often
+halves = st.integers(-3, 7).map(lambda i: F(i, 2))
+intervals = st.tuples(halves, halves).filter(lambda p: p[0] != p[1]).map(sorted)
+
+
+@st.composite
+def line_measures(draw, prefix="x"):
+    coords = draw(st.lists(halves, min_size=1, max_size=6))
+    space = SpaceDesc(tuple(Atom(f"{prefix}{i}", c) for i, c in enumerate(coords)))
+    weights = draw(st.lists(st.integers(0, 4), min_size=len(coords), max_size=len(coords)))
+    return Measure(space, {a.id: F(w, 7) for a, w in zip(space.atoms, weights)})
+
+
+@st.composite
+def product_measures(draw):
+    x = draw(line_measures("x")).space
+    y = draw(line_measures("y")).space
+    keys = [(a.id, b.id) for a in x.atoms for b in y.atoms]
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(keys), max_size=len(keys)))
+    return Measure(ProductSpace(x, y), {k: F(w, 5) for k, w in zip(keys, weights)})
+
+
+interval_sets = st.lists(intervals, max_size=3).map(canonicalize)
+# boxes in one union may overlap; an empty union is a legal open set
+box_sets = st.lists(st.builds(Box, intervals, intervals), max_size=3).map(
+    lambda bs: BoxSet(tuple(bs))
+)
+
+
+@given(line_measures(), st.lists(interval_sets, max_size=6))
+def test_eval_many_matches_eval_on_lines(m, sets):
+    assert m.eval_many(sets) == [m.eval(s) for s in sets]
+
+
+@given(product_measures(), st.lists(box_sets, max_size=6))
+def test_eval_many_matches_eval_on_products(m, sets):
+    assert m.eval_many(sets) == [m.eval(s) for s in sets]
+
+
+def test_eval_many_worked_cases(line, spaces):
+    m = Measure(line, {"a": F(1, 2), "b": F(1, 3), "c": F(1, 6)})
+    sets = [
+        IntervalSet.single(0, 1),  # both ends on atoms: empty
+        IntervalSet.single(F(-1, 2), F(3, 2)),
+        IntervalSet(((F(-1, 2), F(1, 2)), (F(3, 2), F(5, 2)))),
+        IntervalSet(),
+    ]
+    assert m.eval_many(sets) == [0, F(5, 6), F(2, 3), 0]
+    assert m.eval_many([]) == []
+    assert Measure.zero(line).eval_many(sets) == [0, 0, 0, 0]
+    joint = Measure(ProductSpace(*spaces), {("a", "c"): F(1, 4), ("b", "d"): F(3, 4)})
+    wide = Box((F(-1, 2), F(3, 2)), (F(-1, 2), F(1, 2)))
+    low = Box((F(-1, 2), F(1, 2)), (F(-1, 2), F(3, 2)))
+    # overlapping boxes count an atom held by both once
+    assert joint.eval_many([BoxSet((wide, low)), BoxSet(), BoxSet((Box((0, 1), (0, 1)),))]) == [
+        F(1, 4), 0, 0,
+    ]
+
+
+def test_eval_many_wrong_geometry(line, spaces):
+    m = Measure(line, {"a": F(1)})
+    with pytest.raises(ParameterError):
+        m.eval_many([IntervalSet.single(0, 1), BoxSet()])
+    joint = Measure(ProductSpace(*spaces), {("a", "c"): F(1)})
+    with pytest.raises(ParameterError):
+        joint.eval_many([BoxSet(), IntervalSet()])
 
 
 def test_push_proj(spaces):

@@ -7,6 +7,8 @@ import pytest
 
 import instances
 from margcouple import (
+    Atom,
+    Box,
     BoxSet,
     CertReport,
     HypothesisError,
@@ -15,7 +17,9 @@ from margcouple import (
     Measure,
     Neighborhood,
     ParameterError,
+    ProductSpace,
     Seed,
+    SpaceDesc,
     admissible_delta,
     certify_openness,
     check_band_bound,
@@ -29,6 +33,7 @@ from margcouple import (
     tensor,
     tensor_via_barycenter,
 )
+from margcouple import verify
 from margcouple.verify import mix64
 
 F = Fraction
@@ -168,6 +173,32 @@ def test_sampler_reaches_fresh_atoms():
             seen_fresh = True
             break
     assert seen_fresh
+
+
+class _DenseWorkspace(verify._Workspace):
+    """The sampler's workspace walking every key of the space, support or not."""
+
+    def __init__(self, center):
+        super().__init__(center)
+        self.order = list(center.space.keys)
+        self.coords = {k: center.space.coord_of(k) for k in self.order}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sampler_walks_only_the_support(seed, monkeypatch):
+    rng = random.Random(64000 + seed)
+    side = 400
+    x = SpaceDesc(tuple(Atom(f"x{i}", i) for i in range(side)))
+    y = SpaceDesc(tuple(Atom(f"y{i}", i) for i in range(side)))
+    support = rng.sample([(f"x{i}", f"y{j}") for i in range(8) for j in range(8)], 6)
+    center = Measure(ProductSpace(x, y), dict(zip(support, (F(1, 6),) * 6)))
+    cells = [BoxSet((Box((F(-1, 2), 4), (F(-1, 2), 4)),)), BoxSet((Box((4, 8), (0, 8)),))]
+    draw = Seed(rng.getrandbits(64))
+    got = sample_in_neighborhood(center, cells, F(1, 10), draw)
+    assert "keys" not in center.space.__dict__
+    assert "keys" not in got.space.__dict__
+    monkeypatch.setattr(verify, "_Workspace", _DenseWorkspace)
+    assert sample_in_neighborhood(center, cells, F(1, 10), draw) == got
 
 
 def test_sampler_guards():

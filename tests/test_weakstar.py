@@ -12,7 +12,10 @@ from margcouple import (
     Measure,
     Neighborhood,
     ParameterError,
+    ProductSpace,
+    Seed,
     SpaceDesc,
+    sample_in_neighborhood,
 )
 
 F = Fraction
@@ -83,3 +86,23 @@ def test_membership_monotone_in_epsilon():
         if tight.is_member(candidate):
             assert loose.is_member(candidate)
         assert loose.gap(candidate) == tight.gap(candidate)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_gap_matches_per_set_formula(seed):
+    rng = random.Random(81000 + seed)
+    reference, grid = instances.random_instance(rng)
+    cells = tuple(cell for _, cell in grid.cells())
+    targets = tuple(instances.random_disjoint_targets(rng))
+    mu0 = reference.push_proj(1)
+    for center, sets in ((reference, cells), (reference, targets), (mu0, grid.cols)):
+        # sampled candidates carry fresh atoms, so they live on larger spaces
+        candidate = sample_in_neighborhood(center, sets, F(1, 10), Seed(rng.getrandbits(64)))
+        unrelated = (
+            instances.random_joint(rng, center.space)
+            if isinstance(center.space, ProductSpace)
+            else instances.random_prob_measure(rng, center.space)
+        )
+        for m in (candidate, unrelated):
+            expected = min(m.eval(s) - center.eval(s) for s in sets)
+            assert Neighborhood(center, sets, F(1, 10)).gap(m) == expected
