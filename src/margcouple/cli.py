@@ -95,7 +95,7 @@ def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: cannot read ({exc})") from exc
     try:
         return documents.loads(text)

@@ -4,10 +4,11 @@ Rationals travel as strings "p/q" or "p"; decimal notation is rejected so
 no value silently passes through binary floating point.  Serialization is
 deterministic: atoms and weights follow the space's atom order, cells are
 emitted row-within-column, and the emitted JSON is stable byte for byte.
-Parsing is strict and every complaint names the offending field, including
-a key or product weight given twice and a number with more digits than the
-interpreter converts.  A result holding such a number cannot be written
-either; that too is a ``SchemaError``, not a traceback.
+Parsing is strict and every complaint names the offending field: a key,
+weight or cell given twice, a boolean for an integer, a nested document of
+the wrong kind, a number with more digits than the interpreter converts.
+A result holding such a number cannot be written either; that too is a
+``SchemaError``, not a traceback.
 """
 
 from __future__ import annotations
@@ -96,11 +97,60 @@ def _field(doc, name, path, kind=None):
     return value
 
 
-def _build(path, factory, *args, **kwargs):
+def _build(path, factory, *args):
     try:
-        return factory(*args, **kwargs)
+        return factory(*args)
     except Error as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _int(doc, name, path, optional=False):
+    # a JSON integer; json gives booleans as int subclasses, so compare types
+    value = _field(doc, name, path)
+    if type(value) is int or (optional and value is None):
+        return value
+    if optional:
+        raise SchemaError(f"{path}.{name}: expected an index or null")
+    raise SchemaError(f"{path}.{name}: wrong type {type(value).__name__}")
+
+
+def _rational(doc, name, path, optional=False):
+    raw = _field(doc, name, path)
+    if optional and raw is None:
+        return None
+    return parse_rational(raw, f"{path}.{name}")
+
+
+def _each(items, path, read) -> tuple:
+    return tuple(read(item, f"{path}[{i}]") for i, item in enumerate(items))
+
+
+def _list(doc, name, path, read) -> tuple:
+    return _each(_field(doc, name, path, list), f"{path}.{name}", read)
+
+
+def _sub(doc, name, path, *kinds, optional=False):
+    """The sub-document doc[name] (null allowed if optional), parsed by its kind, one of kinds."""
+    sub = _field(doc, name, path, None if optional else dict)
+    if sub is None:
+        return None
+    path = f"{path}.{name}"
+    kind = _field(sub, "kind", path, str)
+    if kind not in kinds:
+        raise SchemaError(f"{path}.kind: expected {' or '.join(kinds)}, got {kind!r}")
+    return _KINDS[kind][2](sub, path)
+
+
+def _cells(doc, path, read) -> dict:
+    """{(q, s): read(entry, entry path)} over doc["cells"]; a cell given twice is an error."""
+    out = {}
+    for i, entry in enumerate(_field(doc, "cells", path, list)):
+        cpath = f"{path}.cells[{i}]"
+        ix = (_int(entry, "q", cpath), _int(entry, "s", cpath))
+        if ix in out:
+            raise SchemaError(f"{cpath}: repeated cell [{ix[0]}, {ix[1]}]")
+        out[ix] = read(entry, cpath)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -108,42 +158,23 @@ def _build(path, factory, *args, **kwargs):
 
 
 def _space_body(space: SpaceDesc) -> dict:
-    return {
-        "kind": "space",
-        "atoms": [{"id": a.id, "coord": format_rational(a.coord)} for a in space.atoms],
-    }
+    return {"atoms": [{"id": a.id, "coord": format_rational(a.coord)} for a in space.atoms]}
 
 
 def _product_body(space: ProductSpace) -> dict:
-    return {"kind": "product_space", "x": _space_body(space.x), "y": _space_body(space.y)}
+    return {"x": _tagged(space.x), "y": _tagged(space.y)}
+
+
+def _parse_atom(entry, path) -> Atom:
+    return _build(path, Atom, _field(entry, "id", path, str), _rational(entry, "coord", path))
 
 
 def _parse_space(doc, path) -> SpaceDesc:
-    atoms = []
-    raw = _field(doc, "atoms", path, list)
-    for i, entry in enumerate(raw):
-        apath = f"{path}.atoms[{i}]"
-        atoms.append(
-            _build(
-                apath,
-                Atom,
-                _field(entry, "id", apath, str),
-                parse_rational(_field(entry, "coord", apath), f"{apath}.coord"),
-            )
-        )
-    return _build(path, SpaceDesc, tuple(atoms))
+    return _build(path, SpaceDesc, _list(doc, "atoms", path, _parse_atom))
 
 
-def _parse_any_space(doc, path):
-    kind = _field(doc, "kind", path, str)
-    if kind == "space":
-        return _parse_space(doc, path)
-    if kind == "product_space":
-        return ProductSpace(
-            _parse_space(_field(doc, "x", path, dict), f"{path}.x"),
-            _parse_space(_field(doc, "y", path, dict), f"{path}.y"),
-        )
-    raise SchemaError(f"{path}.kind: expected space or product_space, got {kind!r}")
+def _parse_product(doc, path) -> ProductSpace:
+    return ProductSpace(_sub(doc, "x", path, "space"), _sub(doc, "y", path, "space"))
 
 
 # ---------------------------------------------------------------------------
@@ -152,22 +183,14 @@ def _parse_any_space(doc, path):
 
 def _measure_body(m: Measure) -> dict:
     if isinstance(m.space, ProductSpace):
-        return {
-            "kind": "measure",
-            "space": _product_body(m.space),
-            "weights": [
-                [[kx, ky], format_rational(w)] for (kx, ky), w in m.weights.items()
-            ],
-        }
-    return {
-        "kind": "measure",
-        "space": _space_body(m.space),
-        "weights": {k: format_rational(w) for k, w in m.weights.items()},
-    }
+        weights = [[[kx, ky], format_rational(w)] for (kx, ky), w in m.weights.items()]
+    else:
+        weights = {k: format_rational(w) for k, w in m.weights.items()}
+    return {"space": _tagged(m.space), "weights": weights}
 
 
 def _parse_measure(doc, path) -> Measure:
-    space = _parse_any_space(_field(doc, "space", path, dict), f"{path}.space")
+    space = _sub(doc, "space", path, "space", "product_space")
     raw = _field(doc, "weights", path)
     weights = {}
     if isinstance(space, ProductSpace):
@@ -206,7 +229,7 @@ def _interval_json(iv) -> list:
 def _parse_interval(raw, path):
     if not isinstance(raw, list) or len(raw) != 2:
         raise SchemaError(f"{path}: expected [lo, hi]")
-    return (parse_rational(raw[0], f"{path}[0]"), parse_rational(raw[1], f"{path}[1]"))
+    return _each(raw, path, parse_rational)
 
 
 def _intervalset_json(s: IntervalSet) -> list:
@@ -216,35 +239,25 @@ def _intervalset_json(s: IntervalSet) -> list:
 def _parse_intervalset(raw, path) -> IntervalSet:
     if not isinstance(raw, list):
         raise SchemaError(f"{path}: expected a list of intervals")
-    ivs = tuple(_parse_interval(iv, f"{path}[{i}]") for i, iv in enumerate(raw))
-    return _build(path, IntervalSet, ivs)
-
-
-def _box_json(b: Box) -> list:
-    return [_interval_json(b.col), _interval_json(b.row)]
+    return _build(path, IntervalSet, _each(raw, path, _parse_interval))
 
 
 def _boxset_json(s: BoxSet) -> list:
-    return [_box_json(b) for b in s.boxes]
+    return [[_interval_json(b.col), _interval_json(b.row)] for b in s.boxes]
 
 
-def _parse_boxset(raw, path) -> BoxSet:
-    if not isinstance(raw, list):
-        raise SchemaError(f"{path}: expected a list of boxes")
-    boxes = []
-    for i, entry in enumerate(raw):
-        bpath = f"{path}[{i}]"
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise SchemaError(f"{bpath}: expected [col, row]")
-        boxes.append(
-            _build(
-                bpath,
-                Box,
-                _parse_interval(entry[0], f"{bpath}[0]"),
-                _parse_interval(entry[1], f"{bpath}[1]"),
-            )
-        )
-    return _build(path, BoxSet, tuple(boxes))
+def _parse_box(raw, path) -> Box:
+    if not isinstance(raw, list) or len(raw) != 2:
+        raise SchemaError(f"{path}: expected [col, row]")
+    return _build(path, Box, *_each(raw, path, _parse_interval))
+
+
+def _parse_line_set(entry, path) -> IntervalSet:
+    return _parse_intervalset(_field(entry, "intervals", path, list), f"{path}.intervals")
+
+
+def _parse_product_set(entry, path) -> BoxSet:
+    return _build(f"{path}.boxes", BoxSet, _list(entry, "boxes", path, _parse_box))
 
 
 @dataclass(frozen=True)
@@ -269,21 +282,15 @@ def _sets_body(doc: SetsDocument) -> dict:
         body = [{"boxes": _boxset_json(s)} for s in doc.sets]
     else:
         body = [{"intervals": _intervalset_json(s)} for s in doc.sets]
-    return {"kind": "sets", "geometry": doc.geometry, "sets": body}
+    return {"geometry": doc.geometry, "sets": body}
 
 
 def _parse_sets(doc, path) -> SetsDocument:
     geometry = _field(doc, "geometry", path, str)
     if geometry not in ("line", "product"):
         raise SchemaError(f"{path}.geometry: expected line or product, got {geometry!r}")
-    out = []
-    for i, entry in enumerate(_field(doc, "sets", path, list)):
-        spath = f"{path}.sets[{i}]"
-        if geometry == "line":
-            out.append(_parse_intervalset(_field(entry, "intervals", spath, list), f"{spath}.intervals"))
-        else:
-            out.append(_parse_boxset(_field(entry, "boxes", spath, list), f"{spath}.boxes"))
-    return SetsDocument(tuple(out))
+    parse = _parse_line_set if geometry == "line" else _parse_product_set
+    return SetsDocument(_list(doc, "sets", path, parse))
 
 
 # ---------------------------------------------------------------------------
@@ -292,55 +299,41 @@ def _parse_sets(doc, path) -> SetsDocument:
 
 def _grid_body(grid: Grid) -> dict:
     return {
-        "kind": "grid",
         "cols": [_intervalset_json(c) for c in grid.cols],
         "rows": [_intervalset_json(r) for r in grid.rows],
     }
 
 
 def _parse_grid(doc, path) -> Grid:
-    cols = [
-        _parse_intervalset(c, f"{path}.cols[{i}]")
-        for i, c in enumerate(_field(doc, "cols", path, list))
-    ]
-    rows = [
-        _parse_intervalset(r, f"{path}.rows[{i}]")
-        for i, r in enumerate(_field(doc, "rows", path, list))
-    ]
-    return _build(path, Grid, tuple(cols), tuple(rows))
+    return _build(
+        path,
+        Grid,
+        _list(doc, "cols", path, _parse_intervalset),
+        _list(doc, "rows", path, _parse_intervalset),
+    )
 
 
 def _refine_body(res: RefineResult) -> dict:
-    cells = []
-    for (q, s), owner in sorted(res.owner.items()):
-        cells.append(
-            {
-                "q": q,
-                "s": s,
-                "owner": owner,
-                "boxes": _boxset_json(res.grid.cell(q, s)),
-            }
-        )
+    cells = [
+        {
+            "q": q,
+            "s": s,
+            "owner": owner,
+            "boxes": _boxset_json(res.grid.cell(q, s)),
+        }
+        for (q, s), owner in sorted(res.owner.items())
+    ]
     return {
-        "kind": "refine_result",
-        "grid": _grid_body(res.grid),
+        "grid": _tagged(res.grid),
         "delta": format_rational(res.delta),
         "cells": cells,
     }
 
 
 def _parse_refine(doc, path) -> RefineResult:
-    grid = _parse_grid(_field(doc, "grid", path, dict), f"{path}.grid")
-    delta = parse_rational(_field(doc, "delta", path), f"{path}.delta")
-    owner = {}
-    for i, entry in enumerate(_field(doc, "cells", path, list)):
-        cpath = f"{path}.cells[{i}]"
-        q = _field(entry, "q", cpath, int)
-        s = _field(entry, "s", cpath, int)
-        own = _field(entry, "owner", cpath)
-        if own is not None and not isinstance(own, int):
-            raise SchemaError(f"{cpath}.owner: expected an index or null")
-        owner[(q, s)] = own
+    grid = _sub(doc, "grid", path, "grid")
+    delta = _rational(doc, "delta", path)
+    owner = _cells(doc, path, lambda entry, cpath: _int(entry, "owner", cpath, optional=True))
     expected = {(q, s) for q in range(len(grid.cols)) for s in range(len(grid.rows))}
     if set(owner) != expected:
         raise SchemaError(f"{path}.cells: cell list does not match the grid shape")
@@ -353,128 +346,106 @@ def _parse_refine(doc, path) -> RefineResult:
 
 def _pair_body(pair: MarginalPair) -> dict:
     return {
-        "kind": "marginal_pair",
-        "mu": _measure_body(pair.mu),
-        "nu": _measure_body(pair.nu),
+        "mu": _tagged(pair.mu),
+        "nu": _tagged(pair.nu),
     }
 
 
 def _parse_pair(doc, path) -> MarginalPair:
     return _build(
-        path,
-        MarginalPair,
-        _parse_measure(_field(doc, "mu", path, dict), f"{path}.mu"),
-        _parse_measure(_field(doc, "nu", path, dict), f"{path}.nu"),
+        path, MarginalPair, _sub(doc, "mu", path, "measure"), _sub(doc, "nu", path, "measure")
     )
 
 
 def _preimage_body(rep: PreimageReport) -> dict:
-    cells = []
-    for ix in sorted(rep.cell_allocs):
-        alloc = rep.cell_allocs[ix]
-        cells.append(
-            {
-                "q": ix[0],
-                "s": ix[1],
-                "col_scaled": format_rational(alloc.col_scaled),
-                "row_scaled": format_rational(alloc.row_scaled),
-                "kept": format_rational(alloc.kept),
-                "drop": format_rational(rep.cell_drops[ix]),
-            }
-        )
+    cells = [
+        {
+            "q": q,
+            "s": s,
+            "col_scaled": format_rational(alloc.col_scaled),
+            "row_scaled": format_rational(alloc.row_scaled),
+            "kept": format_rational(alloc.kept),
+            "drop": format_rational(rep.cell_drops[q, s]),
+        }
+        for (q, s), alloc in sorted(rep.cell_allocs.items())
+    ]
     return {
-        "kind": "preimage_report",
-        "coupling": _measure_body(rep.coupling),
-        "grid_part": _measure_body(rep.grid_part),
-        "remainder_coupling": _measure_body(rep.remainder_coupling),
+        "coupling": _tagged(rep.coupling),
+        "grid_part": _tagged(rep.grid_part),
+        "remainder_coupling": _tagged(rep.remainder_coupling),
         "cells": cells,
     }
 
 
+def _parse_cell(entry, cpath) -> tuple:
+    alloc = CellAlloc(
+        _rational(entry, "col_scaled", cpath),
+        _rational(entry, "row_scaled", cpath),
+        _rational(entry, "kept", cpath),
+    )
+    return alloc, _rational(entry, "drop", cpath)
+
+
 def _parse_preimage(doc, path) -> PreimageReport:
-    allocs, drops = {}, {}
-    for i, entry in enumerate(_field(doc, "cells", path, list)):
-        cpath = f"{path}.cells[{i}]"
-        ix = (_field(entry, "q", cpath, int), _field(entry, "s", cpath, int))
-        allocs[ix] = CellAlloc(
-            parse_rational(_field(entry, "col_scaled", cpath), f"{cpath}.col_scaled"),
-            parse_rational(_field(entry, "row_scaled", cpath), f"{cpath}.row_scaled"),
-            parse_rational(_field(entry, "kept", cpath), f"{cpath}.kept"),
-        )
-        drops[ix] = parse_rational(_field(entry, "drop", cpath), f"{cpath}.drop")
+    cells = _cells(doc, path, _parse_cell)
     return _build(
         path,
         PreimageReport,
-        _parse_measure(_field(doc, "coupling", path, dict), f"{path}.coupling"),
-        _parse_measure(_field(doc, "grid_part", path, dict), f"{path}.grid_part"),
-        _parse_measure(
-            _field(doc, "remainder_coupling", path, dict), f"{path}.remainder_coupling"
-        ),
-        allocs,
-        drops,
+        _sub(doc, "coupling", path, "measure"),
+        _sub(doc, "grid_part", path, "measure"),
+        _sub(doc, "remainder_coupling", path, "measure"),
+        {ix: alloc for ix, (alloc, _) in cells.items()},
+        {ix: drop for ix, (_, drop) in cells.items()},
     )
 
 
-def _optional_rational(value, path):
-    return None if value is None else format_rational(value)
-
-
 def _cert_body(rep: CertReport) -> dict:
-    violations = []
-    for v in rep.violations:
-        violations.append(
-            {
-                "trial": v.trial,
-                "seed": str(v.seed.value),
-                "reason": v.reason,
-                "cell": list(v.cell) if v.cell is not None else None,
-                "gap": _optional_rational(v.gap, ""),
-                "mu": _measure_body(v.mu) if v.mu is not None else None,
-                "nu": _measure_body(v.nu) if v.nu is not None else None,
-            }
-        )
+    gap = rep.min_observed_gap
+    violations = [
+        {
+            "trial": v.trial,
+            "seed": str(v.seed.value),
+            "reason": v.reason,
+            "cell": list(v.cell) if v.cell is not None else None,
+            "gap": format_rational(v.gap) if v.gap is not None else None,
+            "mu": _tagged(v.mu) if v.mu is not None else None,
+            "nu": _tagged(v.nu) if v.nu is not None else None,
+        }
+        for v in rep.violations
+    ]
     return {
-        "kind": "cert_report",
         "trials": rep.trials,
-        "min_observed_gap": _optional_rational(rep.min_observed_gap, ""),
+        "min_observed_gap": format_rational(gap) if gap is not None else None,
         "violations": violations,
     }
 
 
+def _parse_violation(entry, vpath) -> Violation:
+    cell = _field(entry, "cell", vpath)
+    if cell is not None:
+        if not isinstance(cell, list) or len(cell) != 2 or any(type(c) is not int for c in cell):
+            raise SchemaError(f"{vpath}.cell: expected [q, s] or null")
+        cell = (cell[0], cell[1])
+    seed_raw = _field(entry, "seed", vpath, str)
+    if not seed_raw.isdigit():
+        raise SchemaError(f"{vpath}.seed: expected an unsigned integer string")
+    seed = int(parse_rational(seed_raw, f"{vpath}.seed"))
+    return Violation(
+        trial=_int(entry, "trial", vpath),
+        seed=_build(f"{vpath}.seed", Seed, seed),
+        reason=_field(entry, "reason", vpath, str),
+        cell=cell,
+        gap=_rational(entry, "gap", vpath, optional=True),
+        mu=_sub(entry, "mu", vpath, "measure", optional=True),
+        nu=_sub(entry, "nu", vpath, "measure", optional=True),
+    )
+
+
 def _parse_cert(doc, path) -> CertReport:
-    violations = []
-    for i, entry in enumerate(_field(doc, "violations", path, list)):
-        vpath = f"{path}.violations[{i}]"
-        cell = _field(entry, "cell", vpath)
-        if cell is not None:
-            if not isinstance(cell, list) or len(cell) != 2:
-                raise SchemaError(f"{vpath}.cell: expected [q, s] or null")
-            cell = (cell[0], cell[1])
-        gap = _field(entry, "gap", vpath)
-        mu = _field(entry, "mu", vpath)
-        nu = _field(entry, "nu", vpath)
-        seed_raw = _field(entry, "seed", vpath, str)
-        if not seed_raw.isdigit():
-            raise SchemaError(f"{vpath}.seed: expected an unsigned integer string")
-        seed = int(parse_rational(seed_raw, f"{vpath}.seed"))
-        violations.append(
-            Violation(
-                trial=_field(entry, "trial", vpath, int),
-                seed=_build(f"{vpath}.seed", Seed, seed),
-                reason=_field(entry, "reason", vpath, str),
-                cell=cell,
-                gap=None if gap is None else parse_rational(gap, f"{vpath}.gap"),
-                mu=None if mu is None else _parse_measure(mu, f"{vpath}.mu"),
-                nu=None if nu is None else _parse_measure(nu, f"{vpath}.nu"),
-            )
-        )
-    raw_gap = _field(doc, "min_observed_gap", path)
     return CertReport(
-        trials=_field(doc, "trials", path, int),
-        violations=tuple(violations),
-        min_observed_gap=None
-        if raw_gap is None
-        else parse_rational(raw_gap, f"{path}.min_observed_gap"),
+        trials=_int(doc, "trials", path),
+        violations=_list(doc, "violations", path, _parse_violation),
+        min_observed_gap=_rational(doc, "min_observed_gap", path, optional=True),
     )
 
 
@@ -492,7 +463,6 @@ class CheckDocument:
 
 def _check_body(doc: CheckDocument) -> dict:
     return {
-        "kind": "lemma_check",
         "lemma": doc.lemma,
         "lhs": format_rational(doc.result.lhs),
         "bound": format_rational(doc.result.bound),
@@ -503,12 +473,8 @@ def _check_body(doc: CheckDocument) -> dict:
 def _parse_check(doc, path) -> CheckDocument:
     ok = _field(doc, "ok", path, bool)
     return CheckDocument(
-        _field(doc, "lemma", path, int),
-        LemmaCheck(
-            parse_rational(_field(doc, "lhs", path), f"{path}.lhs"),
-            parse_rational(_field(doc, "bound", path), f"{path}.bound"),
-            ok,
-        ),
+        _int(doc, "lemma", path),
+        LemmaCheck(_rational(doc, "lhs", path), _rational(doc, "bound", path), ok),
     )
 
 
@@ -516,51 +482,42 @@ def _parse_check(doc, path) -> CheckDocument:
 # dispatch
 
 
-_BODIES = (
-    (SpaceDesc, _space_body),
-    (ProductSpace, _product_body),
-    (Measure, _measure_body),
-    (SetsDocument, _sets_body),
-    (Grid, _grid_body),
-    (RefineResult, _refine_body),
-    (MarginalPair, _pair_body),
-    (PreimageReport, _preimage_body),
-    (CertReport, _cert_body),
-    (CheckDocument, _check_body),
-)
-
-_PARSERS = {
-    "space": _parse_space,
-    "product_space": lambda doc, path: _parse_any_space(doc, path),
-    "measure": _parse_measure,
-    "sets": _parse_sets,
-    "grid": _parse_grid,
-    "refine_result": _parse_refine,
-    "marginal_pair": _parse_pair,
-    "preimage_report": _parse_preimage,
-    "cert_report": _parse_cert,
-    "lemma_check": _parse_check,
+# kind -> (class, body without the kind tag, parser); nested documents use it too
+_KINDS = {
+    "space": (SpaceDesc, _space_body, _parse_space),
+    "product_space": (ProductSpace, _product_body, _parse_product),
+    "measure": (Measure, _measure_body, _parse_measure),
+    "sets": (SetsDocument, _sets_body, _parse_sets),
+    "grid": (Grid, _grid_body, _parse_grid),
+    "refine_result": (RefineResult, _refine_body, _parse_refine),
+    "marginal_pair": (MarginalPair, _pair_body, _parse_pair),
+    "preimage_report": (PreimageReport, _preimage_body, _parse_preimage),
+    "cert_report": (CertReport, _cert_body, _parse_cert),
+    "lemma_check": (CheckDocument, _check_body, _parse_check),
 }
 
 
-def to_document(obj) -> dict:
-    for cls, body in _BODIES:
+def _tagged(obj) -> dict:
+    for kind, (cls, body, _) in _KINDS.items():
         if isinstance(obj, cls):
-            return {"schema_version": SCHEMA_VERSION, **body(obj)}
+            return {"kind": kind, **body(obj)}
     raise SchemaError(f"no document form for {type(obj).__name__}")
+
+
+def to_document(obj) -> dict:
+    return {"schema_version": SCHEMA_VERSION, **_tagged(obj)}
 
 
 def from_document(doc) -> object:
     if not isinstance(doc, dict):
         raise SchemaError("document: expected a JSON object")
-    version = _field(doc, "schema_version", "document", int)
+    version = _int(doc, "schema_version", "document")
     if version != SCHEMA_VERSION:
         raise SchemaError(f"document.schema_version: unsupported version {version}")
     kind = _field(doc, "kind", "document", str)
-    parser = _PARSERS.get(kind)
-    if parser is None:
+    if kind not in _KINDS:
         raise SchemaError(f"document.kind: unknown kind {kind!r}")
-    return parser(doc, kind)
+    return _KINDS[kind][2](doc, kind)
 
 
 def dumps(obj) -> str:
@@ -575,4 +532,6 @@ def loads(text: str) -> object:
     except ValueError as exc:  # an integer beyond the int-string digit limit
         limit = sys.get_int_max_str_digits()
         raise SchemaError(f"document: number too large (over {limit} digits)") from exc
+    except RecursionError:
+        raise SchemaError("document: nested too deeply") from None
     return from_document(doc)

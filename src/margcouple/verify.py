@@ -317,6 +317,16 @@ class LemmaCheck:
     ok: bool
 
 
+def _band_mass(m: Measure, outer: Callable, inner: Callable) -> Fraction:
+    """Mass of m on the points inside ``outer`` but not inside ``inner``."""
+    return m.sum_where(lambda z: outer(z) and not inner(z))
+
+
+def _rect(col: IntervalSet, row: IntervalSet) -> Callable:
+    """Membership in the product set col x row."""
+    return lambda p: col.contains(p[0]) and row.contains(p[1])
+
+
 def check_band_bound(
     joint: Measure, col_outer: IntervalSet, col_inner: IntervalSet, row_set: IntervalSet, eps
 ) -> LemmaCheck:
@@ -330,15 +340,10 @@ def check_band_bound(
     eps = as_rational(eps)
     if eps <= 0:
         raise ParameterError("tolerance must be positive")
-    first = joint.push_proj(1)
-    band = first.sum_where(lambda x: col_outer.contains(x) and not col_inner.contains(x))
+    band = _band_mass(joint.push_proj(1), col_outer.contains, col_inner.contains)
     if not band < eps:
         raise HypothesisError(f"marginal band mass {band} is not under {eps}")
-    lhs = joint.sum_where(
-        lambda p: col_outer.contains(p[0])
-        and not col_inner.contains(p[0])
-        and row_set.contains(p[1])
-    )
+    lhs = _band_mass(joint, _rect(col_outer, row_set), _rect(col_inner, row_set))
     if lhs > band:
         raise InternalConsistencyError("band mass exceeded its marginal majorant")
     return LemmaCheck(lhs, band, lhs < eps)
@@ -362,26 +367,17 @@ def check_box_diff_bound(
     eps_col, eps_row = as_rational(eps_col), as_rational(eps_row)
     if eps_col <= 0 or eps_row <= 0:
         raise ParameterError("tolerances must be positive")
-    first, second = joint.push_proj(1), joint.push_proj(2)
-    col_band = first.sum_where(lambda x: col_outer.contains(x) and not col_inner.contains(x))
+    col_band = _band_mass(joint.push_proj(1), col_outer.contains, col_inner.contains)
     if not col_band < eps_col:
         raise HypothesisError(f"first marginal band mass {col_band} is not under {eps_col}")
-    row_band = second.sum_where(lambda y: row_outer.contains(y) and not row_inner.contains(y))
+    row_band = _band_mass(joint.push_proj(2), row_outer.contains, row_inner.contains)
     if not row_band < eps_row:
         raise HypothesisError(f"second marginal band mass {row_band} is not under {eps_row}")
-    lhs = joint.sum_where(
-        lambda p: col_outer.contains(p[0])
-        and row_outer.contains(p[1])
-        and not (col_inner.contains(p[0]) and row_inner.contains(p[1]))
-    )
-    both_bands = joint.sum_where(
-        lambda p: col_outer.contains(p[0])
-        and not col_inner.contains(p[0])
-        and row_outer.contains(p[1])
-    ) + joint.sum_where(
-        lambda p: col_outer.contains(p[0])
-        and row_outer.contains(p[1])
-        and not row_inner.contains(p[1])
+    outer = _rect(col_outer, row_outer)
+    lhs = _band_mass(joint, outer, _rect(col_inner, row_inner))
+    both_bands = (
+        _band_mass(joint, outer, _rect(col_inner, row_outer))
+        + _band_mass(joint, outer, _rect(col_outer, row_inner))
     )
     if lhs > both_bands:
         raise InternalConsistencyError("difference mass exceeded its two-band majorant")

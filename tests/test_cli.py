@@ -18,6 +18,7 @@ from margcouple import (
     Atom,
     CertReport,
     Grid,
+    IntervalSet,
     LemmaCheck,
     MarginalPair,
     Measure,
@@ -45,6 +46,10 @@ COUPLING = str(FIXTURES / "coupling_2x2.json")
 BAND_SETS = str(FIXTURES / "band_sets_2x2.json")
 BOXDIFF_SETS = str(FIXTURES / "boxdiff_sets_2x2.json")
 
+# the line sets of the two check fixtures: (-1/2, 3/2) and (-1/2, 1/2)
+OUTER = IntervalSet.single(F(-1, 2), F(3, 2))
+INNER = IntervalSet.single(F(-1, 2), F(1, 2))
+
 
 def run(capsys, *argv):
     code = dispatch(list(argv))
@@ -67,6 +72,8 @@ def test_fixture_files_match_builders():
         "coupling_2x2.json": construct_preimage(
             ref, instances.worked_grid(), mu, nu
         ).coupling,
+        "band_sets_2x2.json": SetsDocument((OUTER, INNER, OUTER)),
+        "boxdiff_sets_2x2.json": SetsDocument((OUTER, INNER, OUTER, INNER)),
     }
     for name, obj in expected.items():
         text = (FIXTURES / name).read_text(encoding="utf-8")
@@ -237,6 +244,22 @@ def test_malformed_json(capsys, tmp_path):
     code, _, err = run(capsys, "marginals", str(p))
     assert code == 2
     assert "error:" in err
+
+
+def test_undecodable_file_exits_two(capsys, tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(Path(MU).read_bytes().replace(b'"a"', b'"\xe9"'))
+    code, out, err = run(capsys, "tensor", str(p), NU)
+    assert code == 2 and out == ""
+    assert f"error: {p}: cannot read" in err
+
+
+def test_deeply_nested_json_exits_two(capsys, tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    code, out, err = run(capsys, "marginals", str(p))
+    assert code == 2 and out == ""
+    assert f"error: {p}: document: nested too deeply" in err
 
 
 def test_oversized_denominator_exits_two(capsys, tmp_path):

@@ -5,17 +5,23 @@ floating point; byte-identical dumps make output diffable and let the
 command line promise reproducibility.
 """
 
+import copy
+import functools
+import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import instances
 from margcouple import (
     Box,
     BoxSet,
     CellAlloc,
+    CertReport,
     Grid,
     IntervalSet,
     Measure,
@@ -114,6 +120,52 @@ def test_round_trip_exact(index):
     back = loads(text)
     assert back == obj
     assert dumps(back) == text
+
+
+def _violation_reports():
+    """A certify report whose trials all fail, and one violation with a cell and gap."""
+
+    def broken(reference, grid, mu, nu):
+        return construct_preimage(reference, grid, mu, nu, alpha_rule=max)
+
+    failed = certify_openness(
+        instances.worked_reference(),
+        instances.worked_targets(),
+        F(1, 5),
+        10,
+        Seed(2024),
+        preimage_fn=broken,
+    )
+    located = replace(failed.violations[0], cell=(0, 1), gap=F(-1, 10))
+    return [failed, CertReport(2, (located,), F(1, 40))]
+
+
+# sha256 of dumps() for each of _worked_objects() + _violation_reports():
+# stored documents and golden command-line outputs rely on these exact bytes
+GOLDEN_SHA256 = (
+    "531a7084520a575df0c693f7a20750fbbe0fedc3df82ff2362cfe8d1abf78501",
+    "f014cd0658e280d0af765147cf7cb16e5a7c12f533fcaeda863a36c3a2689987",
+    "e868982e87df705463df262103cc4416d07883dab51642236a02052cb16659c0",
+    "9d160dade8390f13e432651c87e7faf3ebfb35408f48febd8b35c63a0f18ad13",
+    "d775720c6ca3563072252e13c8276a5490d5ac243b9d4893799d2578910cc4ab",
+    "f72d77ee8d7709a7551021a90b836be22b2b4cbc748231d8334e368ddfc38791",
+    "ab726409bc3efa630aa7e15886610aee4ff28e4f01607db5a865b1f64a5edecd",
+    "d7cc1a21fb95ecb8d69709a309b99296305e35508781c79b77e71749d7d43181",
+    "b53f59d06763720a88078ee5d86696747edcaa9b3e4fa1ee70ff2a0c3efc989f",
+    "bd6242593952a9f7d4659674f6a91d02fb6823cdd48ab1aca9211d57c76af7b4",
+    "daef306c4709f44a0b09ad3f8111c8d16be841a052a2828e02235955ddc0e80f",
+    "cc445ffc6f9a432ee995325f920145a046a8f1af6f4004313839773b4b27f81e",
+    "d84069a36c414fddc140b5d460547f6243c965bc9fb9ef3c0b0e871ecc455781",
+    "e6f2eacbbe0a05a80b8faf18654a133ca67143ea99d8e7ddace301de5d829d05",
+)
+
+
+@pytest.mark.parametrize("index", range(len(GOLDEN_SHA256)))
+def test_dumps_golden_bytes(index):
+    obj = (_worked_objects() + _violation_reports())[index]
+    text = dumps(obj)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == GOLDEN_SHA256[index]
+    assert loads(text) == obj
 
 
 def test_dumps_ends_with_newline_and_is_ascii():
@@ -244,3 +296,165 @@ def test_sets_document_geometry_dispatch(targets):
     assert loads(dumps(prod)) == prod
     with pytest.raises(SchemaError):
         SetsDocument((IntervalSet.single(0, 1), targets[0]))
+
+
+# -- integers, cells and nested kinds --------------------------------------
+
+
+def _cert_with_violation():
+    return to_document(_violation_reports()[1])
+
+
+@pytest.mark.parametrize(
+    "doc, edit, message",
+    [
+        (lambda: to_document(instances.worked_grid()), ("schema_version",),
+         "document.schema_version: wrong type bool"),
+        (_cert_with_violation, ("trials",), "cert_report.trials: wrong type bool"),
+        (_cert_with_violation, ("violations", 0, "trial"),
+         "cert_report.violations[0].trial: wrong type bool"),
+        (lambda: to_document(_worked_objects()[5]), ("cells", 3, "q"),
+         "refine_result.cells[3].q: wrong type bool"),
+        (lambda: to_document(_worked_objects()[5]), ("cells", 3, "s"),
+         "refine_result.cells[3].s: wrong type bool"),
+        (lambda: to_document(_worked_objects()[5]), ("cells", 3, "owner"),
+         "refine_result.cells[3].owner: expected an index or null"),
+        (lambda: to_document(_worked_objects()[6]), ("cells", 3, "q"),
+         "preimage_report.cells[3].q: wrong type bool"),
+    ],
+)
+def test_booleans_are_not_integers(doc, edit, message):
+    doc = doc()
+    *trail, name = edit
+    target = doc
+    for step in trail:
+        target = target[step]
+    target[name] = True  # true == 1 in Python, so only the type tells them apart
+    with pytest.raises(SchemaError) as exc:
+        from_document(doc)
+    assert message in str(exc.value)
+
+
+def test_violation_cell_entries_checked():
+    doc = _cert_with_violation()
+    assert doc["violations"][0]["cell"] == [0, 1]
+    for bad in (["x", None], [0, True], [0, "1"], [0, 1.0]):
+        doc["violations"][0]["cell"] = bad
+        with pytest.raises(SchemaError) as exc:
+            from_document(doc)
+        assert "cert_report.violations[0].cell: expected [q, s] or null" in str(exc.value)
+
+
+@pytest.mark.parametrize("index, kind", [(5, "refine_result"), (6, "preimage_report")])
+def test_repeated_cell_rejected(index, kind):
+    doc = to_document(_worked_objects()[index])
+    cells = doc["cells"]
+    repeat = dict(cells[0], owner=1) if kind == "refine_result" else dict(cells[0])
+    cells.append(repeat)
+    with pytest.raises(SchemaError) as exc:
+        from_document(doc)
+    assert f"{kind}.cells[{len(cells) - 1}]: repeated cell [0, 0]" in str(exc.value)
+
+
+def test_nested_kind_checked():
+    doc = to_document(marginal_pair(instances.worked_reference()))
+    doc["mu"]["kind"] = "grid"
+    with pytest.raises(SchemaError) as exc:
+        from_document(doc)
+    assert "marginal_pair.mu.kind: expected measure, got 'grid'" in str(exc.value)
+    del doc["mu"]["kind"]
+    with pytest.raises(SchemaError) as exc:
+        from_document(doc)
+    assert "marginal_pair.mu.kind: missing" in str(exc.value)
+
+    doc = to_document(instances.worked_reference())
+    doc["space"]["y"]["kind"] = "product_space"
+    with pytest.raises(SchemaError) as exc:
+        from_document(doc)
+    assert "measure.space.y.kind: expected space, got 'product_space'" in str(exc.value)
+
+    doc = to_document(_violation_reports()[1])
+    doc["violations"][0]["nu"]["kind"] = "space"
+    with pytest.raises(SchemaError) as exc:
+        from_document(doc)
+    assert "cert_report.violations[0].nu.kind: expected measure, got 'space'" in str(exc.value)
+
+
+# -- nothing but SchemaError -----------------------------------------------
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.sampled_from(["0", "1/2", "-1/3", "a", "c", "space", "measure", "line", "product"])
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@functools.cache
+def _valid_documents() -> tuple:
+    return tuple(to_document(obj) for obj in _worked_objects() + _violation_reports())
+
+
+def _positions(value, trail=()):
+    """Every path of keys and indices into a JSON value, the root excluded."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield trail + (key,)
+        yield from _positions(child, trail + (key,))
+
+
+def _from_document_or_schema_error(doc):
+    try:
+        from_document(doc)
+    except SchemaError:
+        pass
+
+
+@given(json_values)
+def test_arbitrary_json_raises_only_schema_error(value):
+    _from_document_or_schema_error(value)
+
+
+KINDS = (
+    "space",
+    "product_space",
+    "measure",
+    "sets",
+    "grid",
+    "refine_result",
+    "marginal_pair",
+    "preimage_report",
+    "cert_report",
+    "lemma_check",
+)
+
+
+@given(st.sampled_from(KINDS), json_values)
+def test_arbitrary_fields_raise_only_schema_error(kind, fields):
+    doc = dict(fields) if isinstance(fields, dict) else {"body": fields}
+    _from_document_or_schema_error({**doc, "schema_version": SCHEMA_VERSION, "kind": kind})
+
+
+@given(st.data())
+def test_one_field_changes_raise_only_schema_error(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(_valid_documents())))
+    *trail, last = data.draw(st.sampled_from(list(_positions(doc))))
+    parent = doc
+    for step in trail:
+        parent = parent[step]
+    if data.draw(st.booleans()):
+        del parent[last]
+    else:
+        parent[last] = data.draw(json_values)
+    _from_document_or_schema_error(doc)

@@ -268,6 +268,31 @@ def test_checks_never_exceed_their_bounds(seed):
     assert res.ok and res.lhs <= res.bound
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_check_values_match_pointwise_sums(seed):
+    rng = random.Random(53000 + seed)
+    ref = instances.random_joint(rng, instances.random_product(rng))
+    co, ci = instances.random_nested_intervals(rng)
+    ro, ri = instances.random_nested_intervals(rng)
+    points = [(ref.space.coord_of(k), w) for k, w in ref.weights.items()]
+
+    def mass(pred):
+        return sum((w for (x, y), w in points if pred(x, y)), F(0))
+
+    col_band = mass(lambda x, y: co.contains(x) and not ci.contains(x))
+    row_band = mass(lambda x, y: ro.contains(y) and not ri.contains(y))
+    res = check_band_bound(ref, co, ci, ri, col_band + F(1, 7))
+    assert res.bound == col_band
+    assert res.lhs == mass(lambda x, y: co.contains(x) and not ci.contains(x) and ri.contains(y))
+    res = check_box_diff_bound(ref, co, ci, ro, ri, col_band + F(1, 7), row_band + F(1, 7))
+    assert res.lhs == mass(
+        lambda x, y: co.contains(x) and ro.contains(y) and not (ci.contains(x) and ri.contains(y))
+    )
+    assert res.bound == mass(
+        lambda x, y: co.contains(x) and not ci.contains(x) and ro.contains(y)
+    ) + mass(lambda x, y: co.contains(x) and ro.contains(y) and not ri.contains(y))
+
+
 # -- certification ---------------------------------------------------------
 
 
