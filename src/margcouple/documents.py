@@ -18,6 +18,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote  # json's C string encoder
 
 from .couple import CellAlloc, MarginalPair, PreimageReport
 from .errors import Error, SchemaError
@@ -35,23 +36,32 @@ from .verify import CertReport, LemmaCheck, Seed, Violation
 
 SCHEMA_VERSION = 1
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+# every integer a document holds is a count or an index: 0 <= n < 2**63
+_INT_LIMIT = 2**63
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     try:
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return str(x)  # "p/q", or "p" when q == 1
     except ValueError:  # beyond the interpreter's int-string digit limit
         limit = sys.get_int_max_str_digits()
         raise SchemaError(f"number too large to write (over {limit} digits)") from None
 
 
 def parse_rational(raw, path: str) -> Fraction:
-    if not isinstance(raw, str) or not _RATIONAL.match(raw):
-        raise SchemaError(f"{path}: expected a rational string like '1/10', got {raw!r}")
+    if not isinstance(raw, str) or not _RATIONAL.fullmatch(raw):
+        try:
+            shown = repr(raw)
+        except ValueError:  # an int beyond the int-string digit limit
+            shown = "a number too large to show"
+        raise SchemaError(f"{path}: expected a rational string like '1/10', got {shown}")
+    num, _, den = raw.partition("/")
     try:
-        return Fraction(raw)
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ZeroDivisionError:
         raise SchemaError(f"{path}: zero denominator in {raw!r}") from None
     except ValueError:  # beyond the interpreter's int-string digit limit
@@ -107,7 +117,11 @@ def _build(path, factory, *args):
 def _int(doc, name, path, optional=False):
     # a JSON integer; json gives booleans as int subclasses, so compare types
     value = _field(doc, name, path)
-    if type(value) is int or (optional and value is None):
+    if type(value) is int:
+        if 0 <= value < _INT_LIMIT:
+            return value
+        raise SchemaError(f"{path}.{name}: expected a non-negative integer below 2**63")
+    if optional and value is None:
         return value
     if optional:
         raise SchemaError(f"{path}.{name}: expected an index or null")
@@ -423,11 +437,15 @@ def _cert_body(rep: CertReport) -> dict:
 def _parse_violation(entry, vpath) -> Violation:
     cell = _field(entry, "cell", vpath)
     if cell is not None:
-        if not isinstance(cell, list) or len(cell) != 2 or any(type(c) is not int for c in cell):
+        if (
+            not isinstance(cell, list)
+            or len(cell) != 2
+            or any(type(c) is not int or not 0 <= c < _INT_LIMIT for c in cell)
+        ):
             raise SchemaError(f"{vpath}.cell: expected [q, s] or null")
         cell = (cell[0], cell[1])
     seed_raw = _field(entry, "seed", vpath, str)
-    if not seed_raw.isdigit():
+    if not (seed_raw.isascii() and seed_raw.isdigit()):
         raise SchemaError(f"{vpath}.seed: expected an unsigned integer string")
     seed = int(parse_rational(seed_raw, f"{vpath}.seed"))
     return Violation(
@@ -442,9 +460,14 @@ def _parse_violation(entry, vpath) -> Violation:
 
 
 def _parse_cert(doc, path) -> CertReport:
+    trials = _int(doc, "trials", path)
+    violations = _list(doc, "violations", path, _parse_violation)
+    for i, v in enumerate(violations):
+        if v.trial >= trials:
+            raise SchemaError(f"{path}.violations[{i}].trial: expected below trials ({trials})")
     return CertReport(
-        trials=_int(doc, "trials", path),
-        violations=_list(doc, "violations", path, _parse_violation),
+        trials=trials,
+        violations=violations,
         min_observed_gap=_rational(doc, "min_observed_gap", path, optional=True),
     )
 
@@ -520,8 +543,40 @@ def from_document(doc) -> object:
     return _KINDS[kind][2](doc, kind)
 
 
+def _write(value, nl: str) -> str:
+    """value as json.dumps(value, indent=2, ensure_ascii=True) writes it.
+
+    nl is a newline plus the indent of the line value starts on.  Each
+    container is joined into one string, which keeps the peak memory below
+    json's.  Only dict (str keys), list, str, int, bool and None are
+    written; any other type, a float included, raises TypeError.
+    """
+    t = type(value)
+    if t is str:
+        return _quote(value)
+    if t is list:
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        items = [_write(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if t is dict:
+        if not value:
+            return "{}"
+        inner = nl + "  "
+        items = [_quote(k) + ": " + _write(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if t is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    if t is bool:
+        return "true" if value else "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def dumps(obj) -> str:
-    return json.dumps(to_document(obj), indent=2, ensure_ascii=True) + "\n"
+    return _write(to_document(obj), "\n") + "\n"
 
 
 def loads(text: str) -> object:

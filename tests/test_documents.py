@@ -10,6 +10,7 @@ import functools
 import hashlib
 import json
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from margcouple.documents import (
     SCHEMA_VERSION,
     CheckDocument,
     SetsDocument,
+    _write,
     dumps,
     format_rational,
     from_document,
@@ -81,6 +83,60 @@ def test_oversized_numbers_name_the_field():
     with pytest.raises(SchemaError) as exc:
         loads(text)
     assert "number too large" in str(exc.value)
+
+
+def test_format_rational_ints_signs_and_digit_limit():
+    assert format_rational(5) == "5"
+    assert format_rational(-3) == "-3"
+    assert format_rational(F(-7, 3)) == "-7/3"
+    assert format_rational(F(-6, 4)) == "-3/2"
+    assert format_rational(F(10**4000, 3)) == "1" + "0" * 4000 + "/3"
+    for big in (F(1, 10**5000), F(-(10**5000)), 10**5000):
+        with pytest.raises(SchemaError) as exc:
+            format_rational(big)
+        assert str(exc.value).startswith("number too large to write (over ")
+
+
+def test_parse_rational_messages_word_for_word():
+    with pytest.raises(SchemaError) as exc:
+        parse_rational("-3/0", "m.weights.a")
+    assert str(exc.value) == "m.weights.a: zero denominator in '-3/0'"
+    with pytest.raises(SchemaError) as exc:
+        parse_rational("1/" + "7" * 5000, "m.weights.a")
+    limit = sys.get_int_max_str_digits()
+    assert str(exc.value) == f"m.weights.a: number too large (over {limit} digits)"
+    with pytest.raises(SchemaError) as exc:
+        parse_rational("0.5", "m.weights.a")
+    assert str(exc.value) == "m.weights.a: expected a rational string like '1/10', got '0.5'"
+
+
+def test_parse_rational_ascii_digits_and_no_trailing_newline():
+    # "$" matched before a final newline and "\d" any Unicode digit
+    for raw in ("3/4\n", "\u0663/4", "3/\u0664", "\uff13", "3/4\n\n", " 3/4", "1_0/3"):
+        with pytest.raises(SchemaError) as exc:
+            parse_rational(raw, "p")
+        assert str(exc.value) == f"p: expected a rational string like '1/10', got {raw!r}"
+
+
+def test_parse_rational_names_an_unprintable_integer():
+    # repr() of an int past the int-string digit limit raises ValueError
+    with pytest.raises(SchemaError) as exc:
+        parse_rational(10**5000, "p")
+    assert str(exc.value).startswith("p: expected a rational string like '1/10', got ")
+
+
+@given(st.from_regex(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?", fullmatch=True))
+def test_parse_rational_equals_fraction(raw):
+    assert parse_rational(raw, "p") == Fraction(raw)
+
+
+@pytest.mark.parametrize(
+    "raw", ["0/5", "-0/5", "+0", "007/010", "-0012/0003", "+9/1", "9" * 4000 + "/" + "7" * 4000]
+)
+def test_parse_rational_equals_fraction_examples(raw):
+    value = parse_rational(raw, "p")
+    assert type(value) is Fraction
+    assert value == Fraction(raw)
 
 
 # -- round trips -----------------------------------------------------------
@@ -166,6 +222,46 @@ def test_dumps_golden_bytes(index):
     text = dumps(obj)
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == GOLDEN_SHA256[index]
     assert loads(text) == obj
+
+
+# any code point, lone surrogates included, weighted towards those json escapes
+json_text = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\u00e9\U0001f600')
+)
+written_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(written_values)
+def test_writer_equals_json_indent_encoder(value):
+    assert _write(value, "\n") == json.dumps(value, indent=2, ensure_ascii=True)
+
+
+@pytest.mark.parametrize("value", [[], {}, [[], {}], {"a": {}, "b": [[]]}, -5, [-(10**40)]])
+def test_writer_empty_containers_and_negative_ints(value):
+    assert _write(value, "\n") == json.dumps(value, indent=2, ensure_ascii=True)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, 0.0, F(1, 2), [F(1)], {"w": [1, 2.5]}, (1, 2), {1: "a"}, {None: 1}]
+)
+def test_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _write(value, "\n")
+
+
+def test_dumps_does_not_use_json_dumps(monkeypatch):
+    expected = dumps(instances.worked_reference())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert dumps(instances.worked_reference()) == expected
 
 
 def test_dumps_ends_with_newline_and_is_ascii():
@@ -335,10 +431,70 @@ def test_booleans_are_not_integers(doc, edit, message):
     assert message in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "doc, edit, value, message",
+    [
+        (lambda: to_document(_worked_objects()[6]), ("cells", 0, "q"), -7,
+         "preimage_report.cells[0].q: expected a non-negative integer below 2**63"),
+        (lambda: to_document(_worked_objects()[6]), ("cells", 1, "s"), 2**63,
+         "preimage_report.cells[1].s: expected a non-negative integer below 2**63"),
+        (lambda: to_document(_worked_objects()[5]), ("cells", 2, "owner"), -3,
+         "refine_result.cells[2].owner: expected a non-negative integer below 2**63"),
+        (lambda: to_document(_worked_objects()[5]), ("cells", 0, "q"), 10**5000,
+         "refine_result.cells[0].q: expected a non-negative integer below 2**63"),
+        (_cert_with_violation, ("trials",), -4,
+         "cert_report.trials: expected a non-negative integer below 2**63"),
+        (_cert_with_violation, ("violations", 0, "trial"), 99,
+         "cert_report.violations[0].trial: expected below trials (2)"),
+        (_cert_with_violation, ("violations", 0, "trial"), 2,
+         "cert_report.violations[0].trial: expected below trials (2)"),
+        (_cert_with_violation, ("violations", 0, "trial"), -1,
+         "cert_report.violations[0].trial: expected a non-negative integer below 2**63"),
+        (lambda: to_document(_worked_objects()[11]), ("lemma",), -4,
+         "lemma_check.lemma: expected a non-negative integer below 2**63"),
+        (lambda: to_document(instances.worked_grid()), ("schema_version",), -1,
+         "document.schema_version: expected a non-negative integer below 2**63"),
+        (lambda: {"schema_version": SCHEMA_VERSION, "kind": "x"}, ("schema_version",), 10**5000,
+         "document.schema_version: expected a non-negative integer below 2**63"),
+    ],
+    ids=[  # a 5000-digit value cannot be shown in a test id
+        "preimage-q", "preimage-s", "owner", "refine-q-huge", "trials", "trial-99",
+        "trial-equal", "trial-negative", "lemma", "schema-version", "schema-version-huge",
+    ],
+)
+def test_integers_are_counts_or_indices(doc, edit, value, message):
+    doc = doc()
+    *trail, name = edit
+    target = doc
+    for step in trail:
+        target = target[step]
+    target[name] = value
+    with pytest.raises(SchemaError) as exc:
+        from_document(doc)
+    assert message in str(exc.value)
+
+
+def test_integer_range_boundaries():
+    doc = _cert_with_violation()
+    doc["trials"] = 2**63 - 1
+    doc["violations"][0]["trial"] = 2**63 - 2
+    assert from_document(doc).trials == 2**63 - 1
+    doc["violations"][0]["trial"] = 0
+    assert from_document(doc).violations[0].trial == 0
+
+
+def test_violation_seed_is_ascii_digits():
+    doc = _cert_with_violation()
+    doc["violations"][0]["seed"] = "\u0663"
+    with pytest.raises(SchemaError) as exc:
+        from_document(doc)
+    assert "cert_report.violations[0].seed: expected an unsigned integer string" in str(exc.value)
+
+
 def test_violation_cell_entries_checked():
     doc = _cert_with_violation()
     assert doc["violations"][0]["cell"] == [0, 1]
-    for bad in (["x", None], [0, True], [0, "1"], [0, 1.0]):
+    for bad in (["x", None], [0, True], [0, "1"], [0, 1.0], [-1, 0], [0, 2**63]):
         doc["violations"][0]["cell"] = bad
         with pytest.raises(SchemaError) as exc:
             from_document(doc)
