@@ -31,12 +31,8 @@ from .errors import (
 from .measure import (
     Measure,
     MetaMeasure,
-    SignedMeasure,
-    TestFunction,
     barycenter,
     couple_mass,
-    integrate,
-    linear_combine,
     tensor,
 )
 from .refine import (
@@ -103,9 +99,7 @@ __all__ = [
     "RefineResult",
     "SchemaError",
     "Seed",
-    "SignedMeasure",
     "SpaceDesc",
-    "TestFunction",
     "Violation",
     "admissible_delta",
     "barycenter",
@@ -120,9 +114,7 @@ __all__ = [
     "construct_preimage",
     "couple_mass",
     "disjointify",
-    "integrate",
     "intervalsets_disjoint",
-    "linear_combine",
     "marginal_pair",
     "oracle_couple",
     "rect_inner_approx",

@@ -36,8 +36,10 @@ def _rational_flag(raw: str):
 
 
 def _seed_flag(raw: str) -> Seed:
-    if not raw.isdigit():
-        raise argparse.ArgumentTypeError(f"seed must be an unsigned integer, got {raw!r}")
+    # ASCII digits only, and no more than 2**64 - 1 has, so int() always converts them
+    if not (raw.isascii() and raw.isdigit() and len(raw) <= 20):
+        shown = raw if len(raw) <= 24 else f"{raw[:20]}... ({len(raw)} characters)"
+        raise argparse.ArgumentTypeError(f"seed must be an unsigned integer, got {shown!r}")
     try:
         return Seed(int(raw))
     except Error as exc:

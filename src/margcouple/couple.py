@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .errors import (
     HypothesisError,
@@ -33,7 +32,7 @@ from .errors import (
     NegativeWeightError,
     ParameterError,
 )
-from .measure import Measure, couple_mass, linear_combine, tensor
+from .measure import Measure, couple_mass, tensor
 from .refine import CellIndex, Grid
 from .space import ProductSpace, as_rational
 
@@ -86,19 +85,13 @@ class PreimageReport:
 
 
 def construct_preimage(
-    reference: Measure,
-    grid: Grid,
-    mu: Measure,
-    nu: Measure,
-    *,
-    alpha_rule: Callable[[Fraction, Fraction], Fraction] = min,
+    reference: Measure, grid: Grid, mu: Measure, nu: Measure
 ) -> PreimageReport:
     """Couple mu and nu while tracking the reference on every grid cell.
 
-    All three measures must be probabilities.  ``alpha_rule`` combines the
-    two per-axis rescalings of a cell's reference mass; the default ``min``
-    is the only sound choice and the parameter exists so the certifier's
-    detection power can be exercised against a deliberately broken rule.
+    All three measures must be probabilities.  Each cell keeps the smaller
+    of the two per-axis rescalings of its reference mass; the larger one
+    could take more from a column or row than the new marginal holds there.
     """
     if not isinstance(reference.space, ProductSpace):
         raise ParameterError("reference must be a product measure")
@@ -129,7 +122,7 @@ def construct_preimage(
             )
         col_scaled = ref_mass * new_cols[q] / ref_cols[q]
         row_scaled = ref_mass * new_rows[s] / ref_rows[s]
-        kept = alpha_rule(col_scaled, row_scaled)
+        kept = min(col_scaled, row_scaled)
         allocs[(q, s)] = CellAlloc(col_scaled, row_scaled, kept)
         if kept == 0:
             continue
@@ -142,8 +135,8 @@ def construct_preimage(
     grid_part = Measure(ProductSpace(mu.space, nu.space), acc)
 
     try:
-        mu_rest = linear_combine([(1, mu), (-1, grid_part.push_proj(1))]).to_measure()
-        nu_rest = linear_combine([(1, nu), (-1, grid_part.push_proj(2))]).to_measure()
+        mu_rest = mu - grid_part.push_proj(1)
+        nu_rest = nu - grid_part.push_proj(2)
     except NegativeWeightError as exc:
         raise HypothesisError(
             f"cell couplings overdraw a marginal: {exc}"

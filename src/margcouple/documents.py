@@ -402,7 +402,12 @@ def _parse_cell(entry, cpath) -> tuple:
 
 def _parse_preimage(doc, path) -> PreimageReport:
     cells = _cells(doc, path, _parse_cell)
-    return _build(
+    # construct_preimage reports every cell of its grid, range(Q) x range(S); distinct
+    # cells inside that rectangle fill it exactly when there are Q * S of them
+    q_n, s_n = (1 + max((ix[axis] for ix in cells), default=-1) for axis in (0, 1))
+    if len(cells) != q_n * s_n:
+        raise SchemaError(f"{path}.cells: cell list is not a full {q_n} x {s_n} grid")
+    rep = _build(
         path,
         PreimageReport,
         _sub(doc, "coupling", path, "measure"),
@@ -411,6 +416,9 @@ def _parse_preimage(doc, path) -> PreimageReport:
         {ix: alloc for ix, (alloc, _) in cells.items()},
         {ix: drop for ix, (_, drop) in cells.items()},
     )
+    if sum((a.kept for a in rep.cell_allocs.values()), Fraction(0)) != rep.grid_part.mass():
+        raise SchemaError(f"{path}.cells: kept masses do not sum to the grid part's mass")
+    return rep
 
 
 def _cert_body(rep: CertReport) -> dict:
@@ -495,10 +503,9 @@ def _check_body(doc: CheckDocument) -> dict:
 
 def _parse_check(doc, path) -> CheckDocument:
     ok = _field(doc, "ok", path, bool)
-    return CheckDocument(
-        _int(doc, "lemma", path),
-        LemmaCheck(_rational(doc, "lhs", path), _rational(doc, "bound", path), ok),
-    )
+    lemma = _int(doc, "lemma", path)
+    check = LemmaCheck(_rational(doc, "lhs", path), _rational(doc, "bound", path), ok)
+    return _build(f"{path}.lemma", CheckDocument, lemma, check)  # only the rule is checked
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ Construction checks each given key with the space's ``has`` and orders the
 weights by the atom's position in the space (x-major on a product), looked
 up in per-axis index maps; it never walks the space's full key list, so it
 costs time in the number of given weights, not in |X|·|Y|.
-Signed measures appear only as intermediates (differences); promoting one
-back to a measure re-checks nonnegativity and names the offending atom on
-failure.  Evaluation against an open set counts strictly interior atoms
+A difference of measures is a measure only where it stays nonnegative;
+otherwise subtraction raises, naming the first negative atom in atom
+order.  Evaluation against an open set counts strictly interior atoms
 only, matching the open-set semantics of :mod:`.space`.
 """
 
@@ -34,7 +34,7 @@ from .space import (
 )
 
 
-def _normalized(space: Space, raw: Mapping, *, signed: bool) -> dict:
+def _normalized(space: Space, raw: Mapping) -> dict:
     for key in raw:
         if not space.has(key):
             raise ParameterError(f"weight keyed by unknown atom {key!r}")
@@ -43,7 +43,7 @@ def _normalized(space: Space, raw: Mapping, *, signed: bool) -> dict:
         w = as_rational(raw[key])
         if w == 0:
             continue
-        if w < 0 and not signed:
+        if w < 0:
             raise NegativeWeightError(key, w)
         out[key] = w
     return out
@@ -73,7 +73,7 @@ class Measure:
     weights: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _normalized(self.space, self.weights, signed=False))
+        object.__setattr__(self, "weights", _normalized(self.space, self.weights))
 
     @classmethod
     def zero(cls, space: Space) -> "Measure":
@@ -166,7 +166,7 @@ class Measure:
     def scale(self, factor) -> "Measure":
         c = as_rational(factor)
         if c < 0:
-            raise ParameterError("scale factor must be nonnegative; use linear_combine")
+            raise ParameterError("scale factor must be nonnegative")
         return Measure(self.space, {k: c * w for k, w in self.weights.items()})
 
     def __add__(self, other: "Measure") -> "Measure":
@@ -177,72 +177,14 @@ class Measure:
             acc[k] = acc.get(k, Fraction(0)) + w
         return Measure(self.space, acc)
 
-
-@dataclass(frozen=True)
-class SignedMeasure:
-    """An intermediate difference of measures; weights may be negative."""
-
-    space: Space
-    weights: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _normalized(self.space, self.weights, signed=True))
-
-    def mass(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
-
-    def to_measure(self) -> Measure:
-        """Promote back to a measure; raises naming the first negative atom."""
-        for key, w in self.weights.items():
-            if w < 0:
-                raise NegativeWeightError(key, w)
-        return Measure(self.space, self.weights)
-
-
-def linear_combine(terms: Iterable[tuple]) -> SignedMeasure:
-    """Exact linear combination of measures on one common space."""
-    terms = list(terms)
-    if not terms:
-        raise ParameterError("linear_combine needs at least one term")
-    space = terms[0][1].space
-    acc: dict = {}
-    for coeff, m in terms:
-        if m.space != space:
-            raise ParameterError("linear_combine terms must share a space")
-        c = as_rational(coeff)
-        for k, w in m.weights.items():
-            acc[k] = acc.get(k, Fraction(0)) + c * w
-    return SignedMeasure(space, acc)
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """A total rational-valued function on the atoms of one space."""
-
-    __test__ = False  # not a pytest class, despite the name
-
-    space: Space
-    values: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        vals = {}
-        for key in self.space.keys:
-            if key not in self.values:
-                raise ParameterError(f"test function missing a value at atom {key!r}")
-            vals[key] = as_rational(self.values[key])
-        for key in self.values:
-            if not self.space.has(key):
-                raise ParameterError(f"test function keyed by unknown atom {key!r}")
-        object.__setattr__(self, "values", vals)
-
-    def __call__(self, key) -> Fraction:
-        return self.values[key]
-
-
-def integrate(phi: TestFunction, mu: Measure) -> Fraction:
-    if phi.space != mu.space:
-        raise ParameterError("test function and measure live on different spaces")
-    return sum((w * phi.values[k] for k, w in mu.weights.items()), Fraction(0))
+    def __sub__(self, other: "Measure") -> "Measure":
+        """The difference; raises ``NegativeWeightError`` where other outweighs self."""
+        if self.space != other.space:
+            raise ParameterError("cannot subtract measures on different spaces")
+        acc = dict(self.weights)
+        for k, w in other.weights.items():
+            acc[k] = acc.get(k, Fraction(0)) - w
+        return Measure(self.space, acc)
 
 
 @dataclass(frozen=True)

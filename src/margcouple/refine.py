@@ -123,15 +123,12 @@ class RefineResult:
         return [(ix, own) for ix, own in sorted(self.owner.items()) if own is not None]
 
 
-def rect_inner_approx(reference: Measure, target: BoxSet, eps) -> BoxSet:
+def rect_inner_approx(reference: Measure, target: BoxSet) -> BoxSet:
     """Boxes inside the target that jointly carry all its reference mass.
 
     At finite support the constituent boxes holding at least one support
-    atom already do this with zero mass defect, so the tolerance only needs
-    to be positive; it never loosens anything here.
+    atom already do this with zero mass defect, so no tolerance is needed.
     """
-    if as_rational(eps) <= 0:
-        raise ParameterError("tolerance must be positive")
     if not isinstance(reference.space, ProductSpace):
         raise ParameterError("rect_inner_approx needs a product measure")
     coord = reference.space.coord_of
@@ -218,7 +215,7 @@ def refine_grid(reference: Measure, targets: Sequence[BoxSet], eps0) -> RefineRe
             if not boxsets_disjoint(a, b):
                 raise ParameterError("targets must be pairwise disjoint")
 
-    inner = [rect_inner_approx(reference, t, eps0 / 4) for t in targets]
+    inner = [rect_inner_approx(reference, t) for t in targets]
     boxes = [b for approx in inner for b in approx.boxes]
     coords = [reference.space.coord_of(k) for k in reference.weights]
     cols = disjointify(_axis_interval_sets(boxes, 1), [p[0] for p in coords])

@@ -418,7 +418,6 @@ def certify_trial(
     delta: Fraction,
     trial: int,
     trial_seed: Seed,
-    preimage_fn: Callable = construct_preimage,
 ) -> tuple[list[Violation], list[Fraction]]:
     """One certification round; pure given its seed, so violations replay."""
     grid = refinement.grid
@@ -431,7 +430,7 @@ def certify_trial(
         return Violation(trial, trial_seed, reason, cell, gap, mu, nu)
 
     try:
-        report = preimage_fn(reference, grid, mu, nu)
+        report = construct_preimage(reference, grid, mu, nu)
     except Error as exc:
         return [bad(f"construction-error: {exc}")], []
 
@@ -463,8 +462,6 @@ def certify_openness(
     eps,
     trials: int,
     seed: Seed,
-    *,
-    preimage_fn: Callable = construct_preimage,
 ) -> CertReport:
     """Randomized end-to-end check of the preimage construction.
 
@@ -486,9 +483,7 @@ def certify_openness(
     violations: list[Violation] = []
     min_gap: Fraction | None = None
     for t in range(trials):
-        got, gaps = certify_trial(
-            reference, refinement, targets, eps, delta, t, seed.derive(t), preimage_fn
-        )
+        got, gaps = certify_trial(reference, refinement, targets, eps, delta, t, seed.derive(t))
         violations.extend(got)
         for g in gaps:
             min_gap = g if min_gap is None else min(min_gap, g)

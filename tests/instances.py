@@ -1,6 +1,6 @@
 """Shared instance builders for the test suites.
 
-Two kinds of material live here.  The worked two-by-two example is the
+Three kinds of material live here.  The worked two-by-two example is the
 hand-checkable fixture every suite leans on: a reference joint with mass
 1/2 on each diagonal pair of a two-atom square, and a perturbed first
 marginal that moves one tenth of mass between the atoms.  The perturbation
@@ -13,6 +13,12 @@ The rest are randomized generators.  Every one takes an explicit
 Weights come from integer compositions of a smooth denominator, which
 keeps denominators bounded and leaves some atoms at weight zero so thin
 supports show up on their own.
+
+Last, :func:`per_cell_preimage` is a second route to the coupling
+construction.  It takes every cell mass by ``eval`` on the cell itself and
+accepts any rule for combining a cell's two rescalings.  Under ``max``
+(:func:`broken_preimage`) it is the unsound construction that mutation
+tests put in place of ``margcouple.verify.construct_preimage``.
 """
 
 from __future__ import annotations
@@ -24,12 +30,18 @@ from margcouple import (
     Atom,
     Box,
     BoxSet,
+    CellAlloc,
     Grid,
+    HypothesisError,
     IntervalSet,
     Measure,
+    NegativeWeightError,
+    PreimageReport,
     ProductSpace,
     SpaceDesc,
     boxsets_disjoint,
+    couple_mass,
+    tensor,
 )
 
 F = Fraction
@@ -194,3 +206,51 @@ def random_interval_family(rng: random.Random, max_sets: int = 4) -> list[Interv
         lo, hi = sorted(rng.sample(range(-8, 25), 2))
         out.append(IntervalSet.single(lo * unit, hi * unit))
     return out
+
+
+# -- the construction, cell by cell ----------------------------------------
+
+
+def per_cell_preimage(reference, grid, mu, nu, alpha_rule=min) -> PreimageReport:
+    """The construction with every cell mass taken by ``eval`` on the cell itself.
+
+    Its errors carry the library's messages word for word, so a certify run
+    that substitutes it records the same violations.
+    """
+    ref_cols = [reference.push_proj(1).eval(c) for c in grid.cols]
+    ref_rows = [reference.push_proj(2).eval(r) for r in grid.rows]
+    new_cols = [mu.eval(c) for c in grid.cols]
+    new_rows = [nu.eval(r) for r in grid.rows]
+    grid_part = Measure.zero(ProductSpace(mu.space, nu.space))
+    allocs, ref_mass = {}, {}
+    for (q, s), cell in grid.cells():
+        ref_mass[q, s] = m = reference.eval(cell)
+        if m == 0:
+            allocs[q, s] = CellAlloc(F(0), F(0), F(0))
+            continue
+        col, row = m * new_cols[q] / ref_cols[q], m * new_rows[s] / ref_rows[s]
+        kept = alpha_rule(col, row)
+        allocs[q, s] = CellAlloc(col, row, kept)
+        if kept:
+            if not (new_cols[q] and new_rows[s]):
+                raise HypothesisError(
+                    f"cell ({q}, {s}) was granted mass {kept} from a massless column or row"
+                )
+            piece = tensor(
+                mu.restrict(grid.cols[q]).scale(1 / new_cols[q]),
+                nu.restrict(grid.rows[s]).scale(1 / new_rows[s]),
+            )
+            grid_part = grid_part + piece.scale(kept)
+    try:
+        rests = [m - grid_part.push_proj(axis) for axis, m in ((1, mu), (2, nu))]
+    except NegativeWeightError as exc:
+        raise HypothesisError(f"cell couplings overdraw a marginal: {exc}") from exc
+    remainder = couple_mass(*rests)
+    coupling = grid_part + remainder
+    drops = {ix: coupling.eval(grid.cell(*ix)) - ref_mass[ix] for ix in ref_mass}
+    return PreimageReport(coupling, grid_part, remainder, allocs, drops)
+
+
+def broken_preimage(reference, grid, mu, nu) -> PreimageReport:
+    """The construction under the unsound ``max`` rule, which overdraws marginals."""
+    return per_cell_preimage(reference, grid, mu, nu, alpha_rule=max)

@@ -272,16 +272,12 @@ def test_7_worked_example():
 # -- criterion 8: a broken combination rule is detected --------------------
 
 
-def test_8_mutation_detected():
+def test_8_mutation_detected(monkeypatch):
     ref = instances.worked_reference()
     targets = instances.worked_targets()
-
-    def broken(reference, grid, mu, nu):
-        return construct_preimage(reference, grid, mu, nu, alpha_rule=max)
-
-    mutated = certify_openness(
-        ref, targets, F(1, 5), 25, Seed(MASTER), preimage_fn=broken
-    )
+    with monkeypatch.context() as mp:
+        mp.setattr("margcouple.verify.construct_preimage", instances.broken_preimage)
+        mutated = certify_openness(ref, targets, F(1, 5), 25, Seed(MASTER))
     control = certify_openness(ref, targets, F(1, 5), 25, Seed(MASTER))
     ok = len(mutated.violations) >= 1 and control.passed
     _report(

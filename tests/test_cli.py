@@ -349,6 +349,13 @@ def test_argparse_failures_exit_two(capsys):
     assert run(capsys, "certify", REFERENCE, TARGETS, "--eps", "1/5",
                "--trials", "1", "--seed", "-3")[0] == 2
     assert run(capsys)[0] == 2
+    # Arabic-Indic digits, a superscript digit and a seed past int()'s digit limit
+    for seed in ("\u0664\u0662", "\u00b2", "7" * 5000):
+        code, out, err = run(capsys, "certify", REFERENCE, TARGETS, "--eps", "1/5",
+                             "--trials", "1", "--seed", seed)
+        assert (code, out) == (2, "")
+        assert "argument --seed: seed must be an unsigned integer" in err
+        assert "7" * 100 not in err
 
 
 def test_refine_rejects_line_sets(capsys):

@@ -181,17 +181,11 @@ def test_round_trip_exact(index):
 def _violation_reports():
     """A certify report whose trials all fail, and one violation with a cell and gap."""
 
-    def broken(reference, grid, mu, nu):
-        return construct_preimage(reference, grid, mu, nu, alpha_rule=max)
-
-    failed = certify_openness(
-        instances.worked_reference(),
-        instances.worked_targets(),
-        F(1, 5),
-        10,
-        Seed(2024),
-        preimage_fn=broken,
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("margcouple.verify.construct_preimage", instances.broken_preimage)
+        failed = certify_openness(
+            instances.worked_reference(), instances.worked_targets(), F(1, 5), 10, Seed(2024)
+        )
     located = replace(failed.violations[0], cell=(0, 1), gap=F(-1, 10))
     return [failed, CertReport(2, (located,), F(1, 40))]
 
@@ -281,13 +275,9 @@ def test_round_trip_random_reports():
         assert loads(dumps(grid)) == grid
 
 
-def test_violation_round_trip(reference, targets):
-    def broken(reference, grid, mu, nu):
-        return construct_preimage(reference, grid, mu, nu, alpha_rule=max)
-
-    report = certify_openness(
-        reference, targets, F(1, 5), 10, Seed(2024), preimage_fn=broken
-    )
+def test_violation_round_trip(reference, targets, monkeypatch):
+    monkeypatch.setattr("margcouple.verify.construct_preimage", instances.broken_preimage)
+    report = certify_openness(reference, targets, F(1, 5), 10, Seed(2024))
     assert report.violations
     back = loads(dumps(report))
     assert back == report
@@ -452,6 +442,8 @@ def test_booleans_are_not_integers(doc, edit, message):
          "cert_report.violations[0].trial: expected a non-negative integer below 2**63"),
         (lambda: to_document(_worked_objects()[11]), ("lemma",), -4,
          "lemma_check.lemma: expected a non-negative integer below 2**63"),
+        (lambda: to_document(_worked_objects()[11]), ("lemma",), 7,
+         "lemma_check.lemma: unknown check rule 7"),
         (lambda: to_document(instances.worked_grid()), ("schema_version",), -1,
          "document.schema_version: expected a non-negative integer below 2**63"),
         (lambda: {"schema_version": SCHEMA_VERSION, "kind": "x"}, ("schema_version",), 10**5000,
@@ -459,7 +451,8 @@ def test_booleans_are_not_integers(doc, edit, message):
     ],
     ids=[  # a 5000-digit value cannot be shown in a test id
         "preimage-q", "preimage-s", "owner", "refine-q-huge", "trials", "trial-99",
-        "trial-equal", "trial-negative", "lemma", "schema-version", "schema-version-huge",
+        "trial-equal", "trial-negative", "lemma", "lemma-unknown", "schema-version",
+        "schema-version-huge",
     ],
 )
 def test_integers_are_counts_or_indices(doc, edit, value, message):
@@ -510,6 +503,34 @@ def test_repeated_cell_rejected(index, kind):
     with pytest.raises(SchemaError) as exc:
         from_document(doc)
     assert f"{kind}.cells[{len(cells) - 1}]: repeated cell [0, 0]" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ([(0, 0), (1, 0), (1, 1), (9, 4)], "cell list is not a full 10 x 5 grid"),
+        ([(0, 1), (1, 1)], "cell list is not a full 2 x 2 grid"),
+        # full shapes (1 x 1, and an empty grid's), but cell (1, 1)'s kept mass is missing
+        ([(0, 0)], "kept masses do not sum to the grid part's mass"),
+        ([], "kept masses do not sum to the grid part's mass"),
+    ],
+    ids=["scattered", "half-grid", "one-cell", "no-cells"],
+)
+def test_preimage_cells_fill_a_grid(cells, message):
+    doc = to_document(_worked_objects()[6])
+    entry = {(c["q"], c["s"]): c for c in doc["cells"]}
+    doc["cells"] = [dict(entry.get(ix, entry[0, 0]), q=ix[0], s=ix[1]) for ix in cells]
+    with pytest.raises(SchemaError) as exc:
+        from_document(doc)
+    assert f"preimage_report.cells: {message}" in str(exc.value)
+
+
+def test_one_cell_preimage_round_trips(reference):
+    grid = Grid((IntervalSet.single(90, 91),), (IntervalSet.single(90, 91),))
+    pair = marginal_pair(reference)
+    rep = construct_preimage(reference, grid, pair.mu, pair.nu)
+    assert list(rep.cell_allocs) == [(0, 0)]
+    assert loads(dumps(rep)) == rep
 
 
 def test_nested_kind_checked():

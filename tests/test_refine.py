@@ -201,12 +201,12 @@ def test_rect_inner_approx_keeps_support_boxes(reference):
             Box((5, 6), (5, 6)),
         )
     )
-    inner = rect_inner_approx(reference, target, F(1, 20))
+    inner = rect_inner_approx(reference, target)
     assert inner == BoxSet(target.boxes[:1])
     # zero mass defect
     assert reference.eval(target) == reference.eval(inner)
     with pytest.raises(ParameterError):
-        rect_inner_approx(reference, target, 0)
+        rect_inner_approx(reference.push_proj(1), target)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -215,7 +215,7 @@ def test_rect_inner_approx_zero_defect(seed):
     product = instances.random_product(rng)
     ref = instances.random_joint(rng, product)
     target = BoxSet(tuple(instances.random_box(rng) for _ in range(rng.randint(1, 3))))
-    inner = rect_inner_approx(ref, target, F(1, 10))
+    inner = rect_inner_approx(ref, target)
     assert boxset_within(inner, target)
     assert ref.eval(target) == ref.eval(inner)
 

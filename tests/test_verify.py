@@ -24,7 +24,6 @@ from margcouple import (
     certify_openness,
     check_band_bound,
     check_box_diff_bound,
-    construct_preimage,
     couple_mass,
     marginal_pair,
     oracle_couple,
@@ -321,13 +320,10 @@ def test_certify_guards(reference, targets):
         certify_openness(reference, targets, 0, 10, Seed(1))
 
 
-def test_certify_detects_broken_combination_rule(reference, targets):
-    def broken(reference, grid, mu, nu):
-        return construct_preimage(reference, grid, mu, nu, alpha_rule=max)
-
-    report = certify_openness(
-        reference, targets, F(1, 5), 25, Seed(2024), preimage_fn=broken
-    )
+def test_certify_detects_broken_combination_rule(reference, targets, monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr("margcouple.verify.construct_preimage", instances.broken_preimage)
+        report = certify_openness(reference, targets, F(1, 5), 25, Seed(2024))
     assert not report.passed
     assert len(report.violations) >= 1
     v = report.violations[0]
