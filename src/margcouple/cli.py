@@ -35,15 +35,29 @@ def _rational_flag(raw: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _seed_flag(raw: str) -> Seed:
-    # ASCII digits only, and no more than 2**64 - 1 has, so int() always converts them
-    if not (raw.isascii() and raw.isdigit() and len(raw) <= 20):
+def _uint(raw: str, name: str, limit: int) -> int:
+    # ASCII digits only: int() would also take signs, spaces, underscores and
+    # non-ASCII digits, and past its digit limit it raises ValueError
+    if not (raw.isascii() and raw.isdigit() and len(raw) <= len(str(limit))
+            and int(raw) <= limit):
         shown = raw if len(raw) <= 24 else f"{raw[:20]}... ({len(raw)} characters)"
-        raise argparse.ArgumentTypeError(f"seed must be an unsigned integer, got {shown!r}")
-    try:
-        return Seed(int(raw))
-    except Error as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+        raise argparse.ArgumentTypeError(
+            f"{name} must be an unsigned integer up to {limit}, got {shown!r}"
+        )
+    return int(raw)
+
+
+def _seed_flag(raw: str) -> Seed:
+    return Seed(_uint(raw, "seed", 2**64 - 1))
+
+
+def _trials_flag(raw: str) -> int:
+    # the largest trial count a cert_report document holds
+    return _uint(raw, "trials", 2**63 - 1)
+
+
+def _lemma_flag(raw: str) -> int:
+    return _uint(raw, "lemma", 5)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,12 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("reference", help="reference coupling document")
     p.add_argument("sets", help="sets document with product geometry")
     p.add_argument("--eps", type=_rational_flag, required=True, help="tolerance, e.g. 1/5")
-    p.add_argument("--trials", type=int, required=True, help="number of trials")
+    p.add_argument("--trials", type=_trials_flag, required=True, help="number of trials")
     p.add_argument("--seed", type=_seed_flag, required=True, help="64-bit run seed")
 
     p = sub.add_parser("check", help="containment checks on a coupling")
     p.add_argument("joint", help="measure document on a product space")
-    p.add_argument("--lemma", type=int, choices=(4, 5), required=True, help="which rule to check")
+    p.add_argument(
+        "--lemma", type=_lemma_flag, choices=(4, 5), required=True, help="which rule to check"
+    )
     p.add_argument(
         "--sets",
         required=True,

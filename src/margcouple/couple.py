@@ -130,8 +130,9 @@ def construct_preimage(
             raise HypothesisError(
                 f"cell ({q}, {s}) was granted mass {kept} from a massless column or row"
             )
+        # columns are pairwise disjoint and so are rows: no key lies in two cells
         for key, w in tensor(col_parts[q], row_parts[s]).weights.items():
-            acc[key] = acc.get(key, 0) + kept * w
+            acc[key] = kept * w
     grid_part = Measure(ProductSpace(mu.space, nu.space), acc)
 
     try:

@@ -14,7 +14,6 @@ A result holding such a number cannot be written either; that too is a
 from __future__ import annotations
 
 import json
-import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,12 +30,11 @@ from .space import (
     IntervalSet,
     ProductSpace,
     SpaceDesc,
+    _RATIONAL,
 )
 from .verify import CertReport, LemmaCheck, Seed, Violation
 
 SCHEMA_VERSION = 1
-
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 # every integer a document holds is a count or an index: 0 <= n < 2**63
 _INT_LIMIT = 2**63

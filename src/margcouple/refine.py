@@ -28,7 +28,7 @@ from itertools import pairwise, product
 from typing import Iterator, Sequence
 
 from .errors import ParameterError
-from .measure import Measure
+from .measure import Measure, _fsum
 from .space import (
     Box,
     BoxSet,
@@ -83,11 +83,14 @@ class Grid:
             raise ParameterError("cell masses need a product measure")
         col = _pieces_holding(self.cols, m.space.x)
         row = _pieces_holding(self.rows, m.space.y)
-        out = {ix: Fraction(0) for ix in product(range(len(self.cols)), range(len(self.rows)))}
+        cells: dict = {}
         for (kx, ky), w in m.weights.items():
             if kx in col and ky in row:
-                out[col[kx], row[ky]] += w
-        return out
+                cells.setdefault((col[kx], row[ky]), []).append(w)
+        return {
+            ix: _fsum(cells.get(ix, ()))
+            for ix in product(range(len(self.cols)), range(len(self.rows)))
+        }
 
 
 def _pieces_holding(pieces: Sequence[IntervalSet], space: SpaceDesc) -> dict:

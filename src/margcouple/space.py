@@ -11,6 +11,7 @@ set and is not the same open set as (0,2).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,15 +24,26 @@ Rational = Fraction
 Interval = tuple[Fraction, Fraction]
 
 
+# a rational string, in documents and in the library alike: p or p/q, ASCII digits
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def as_rational(value) -> Fraction:
-    """Coerce to an exact rational; floats are refused on purpose."""
-    if isinstance(value, float):
-        raise ParameterError(f"refusing float {value!r}; pass a Fraction, int or p/q string")
-    if isinstance(value, Fraction):
+    """Coerce a Fraction, int or p/q string to a Fraction; nothing else is taken.
+
+    Floats, decimals and bools are refused on purpose.  A string must be
+    ``p`` or ``p/q`` in ASCII digits with an optional sign, as in documents:
+    no spaces, decimal points, exponents or underscores.
+    """
+    if type(value) is Fraction:
         return value
+    if isinstance(value, bool) or not isinstance(value, (Fraction, int, str)):
+        raise ParameterError(f"refusing {value!r}; pass a Fraction, int or p/q string")
+    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+        raise ParameterError(f"not a p/q string: {value!r}")
     try:
         return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"not a rational: {value!r}") from exc
 
 

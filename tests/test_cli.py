@@ -30,7 +30,7 @@ from margcouple import (
     construct_preimage,
     refine_grid,
 )
-from margcouple.cli import dispatch
+from margcouple.cli import build_parser, dispatch
 from margcouple.documents import CheckDocument, SetsDocument, dumps, loads
 
 F = Fraction
@@ -356,6 +356,26 @@ def test_argparse_failures_exit_two(capsys):
         assert (code, out) == (2, "")
         assert "argument --seed: seed must be an unsigned integer" in err
         assert "7" * 100 not in err
+    # int() would read these as 3, 10, 2 and 2; a count past 2**63 - 1 could not be
+    # written back as a document integer
+    for trials in ("\u0663", "1_0", " 2", "+2", "-1", str(2**63), "7" * 5000):
+        code, out, err = run(capsys, "certify", REFERENCE, TARGETS, "--eps", "1/5",
+                             "--trials", trials, "--seed", "1")
+        assert (code, out) == (2, "")
+        assert "argument --trials: trials must be an unsigned integer up to 9223372036854775807" in err
+        assert "7" * 100 not in err
+    for lemma in ("\u0664", "+4", " 5", "0_4"):
+        code, out, err = run(capsys, "check", REFERENCE, "--lemma", lemma,
+                             "--sets", BAND_SETS, "--eps", "3/5")
+        assert (code, out) == (2, "")
+        assert "argument --lemma: lemma must be an unsigned integer up to 5" in err
+    code, out, err = run(capsys, "check", REFERENCE, "--lemma", "3", "--sets", BAND_SETS)
+    assert (code, out) == (2, "") and "argument --lemma: invalid choice" in err
+    code, out, err = run(capsys, "check", REFERENCE, "--lemma", "6", "--sets", BAND_SETS)
+    assert (code, out) == (2, "") and "argument --lemma: lemma must be an unsigned integer" in err
+    top = str(2**63 - 1)
+    args = build_parser().parse_args(["certify", "r", "s", "--eps", "1/5", "--trials", top, "--seed", "1"])
+    assert args.trials == 2**63 - 1
 
 
 def test_refine_rejects_line_sets(capsys):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import instances
 from margcouple import (
@@ -25,7 +25,9 @@ from margcouple import (
     couple_mass,
     marginal_pair,
     tensor,
+    verify,
 )
+from margcouple.measure import _fsum
 
 F = Fraction
 
@@ -292,3 +294,111 @@ def test_tensor_marginals_property(data):
     nu = instances.random_prob_measure(rng, instances.random_space(rng, "y"))
     pair = marginal_pair(tensor(mu, nu))
     assert pair.mu == mu and pair.nu == nu
+
+
+# -- one-normalisation sums --------------------------------------------------
+
+# Fermat numbers 2**(2**j) + 1 are pairwise coprime, so sums over them keep
+# a denominator of thousands of bits
+COPRIME_DENOMS = tuple(2 ** (2**j) + 1 for j in range(8, 13))
+denominators = st.one_of(st.integers(1, 30), st.sampled_from(COPRIME_DENOMS))
+signed = st.builds(F, st.integers(-(10**30), 10**30), denominators)
+nonnegative = st.builds(F, st.integers(0, 10**30), denominators)
+
+
+def _plain(ws) -> Fraction:
+    return sum(ws, F(0))
+
+
+@given(st.lists(signed, max_size=30))
+def test_fsum_is_the_fraction_sum(vs):
+    out = _fsum(vs)
+    assert type(out) is Fraction and out == _plain(vs)
+
+
+@given(st.lists(st.integers(-(10**6), 10**6), max_size=30), st.sampled_from((7, 2**127 - 1)))
+def test_fsum_over_one_shared_denominator(nums, d):
+    vs = [F(n, d) for n in nums]
+    assert _fsum(vs) == F(sum(nums), d)
+
+
+def test_fsum_edge_cases():
+    big = F(1, COPRIME_DENOMS[0])
+    for vs, total in (
+        ([], F(0)),
+        ([F(0), F(0)], F(0)),
+        ([F(2, 3)], F(2, 3)),
+        ([F(1, 3), F(-1, 3)], F(0)),
+        ([F(1, 6), F(1, 3), F(1, 2)], F(1)),
+        ([big, -big, F(-5, 7)], F(-5, 7)),
+        ([F(1, d) for d in COPRIME_DENOMS], _plain(F(1, d) for d in COPRIME_DENOMS)),
+    ):
+        out = _fsum(vs)
+        assert type(out) is Fraction and out == total
+
+
+@given(st.data())
+def test_measure_sums_match_plain_fraction_sums(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    product = instances.random_product(rng, max_atoms=4)
+    m = Measure(product, {k: data.draw(nonnegative) for k in product.keys})
+    assert m.mass() == _plain(m.weights.values())
+    for axis in (1, 2):
+        groups: dict = {}
+        for key, w in m.weights.items():
+            groups.setdefault(key[axis - 1], []).append(w)
+        assert m.push_proj(axis).weights == {k: _plain(ws) for k, ws in groups.items()}
+
+    grid = instances.random_grid(rng)
+    x, y = product.x.coord_of, product.y.coord_of
+    expected = {
+        (q, s): _plain(
+            w for (kx, ky), w in m.weights.items() if col.contains(x(kx)) and row.contains(y(ky))
+        )
+        for q, col in enumerate(grid.cols)
+        for s, row in enumerate(grid.rows)
+    }
+    masses = grid.cell_masses(m)
+    assert masses == expected and list(masses) == list(expected)
+    assert all(type(v) is Fraction for v in masses.values())
+
+
+@given(st.data())
+def test_couple_mass_matches_plain_fraction_products(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    x, y = instances.random_space(rng, "x", 4), instances.random_space(rng, "y", 4)
+    mu = Measure(x, {k: data.draw(nonnegative) for k in x.keys})
+    nu = Measure(y, {k: data.draw(nonnegative) for k in y.keys})
+    assume(nu.mass() != 0 or mu.mass() == 0)
+    if nu.mass() != 0:
+        nu = nu.scale(mu.mass() / nu.mass())
+    c = mu.mass()
+    expected = {
+        (kx, ky): wx * wy / c for kx, wx in mu.weights.items() for ky, wy in nu.weights.items()
+    }
+    assert couple_mass(mu, nu).weights == expected
+
+
+def _names(code) -> set:
+    """Global and attribute names a code object and its nested code use."""
+    out = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            out |= _names(const)
+    return out
+
+
+# the cross-checks README calls independent second routes, and the plain sums
+# the fast ones are tested against
+@pytest.mark.parametrize(
+    "fn",
+    [
+        Measure.eval,
+        Measure.sum_where,
+        barycenter,
+        verify.oracle_couple,
+        verify.tensor_via_barycenter,
+    ],
+)
+def test_cross_checks_keep_plain_fraction_sums(fn):
+    assert "_fsum" not in _names(fn.__code__)

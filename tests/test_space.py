@@ -6,6 +6,7 @@ and must never merge, and box containment has to notice a missing
 boundary line inside a would-be cover.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from margcouple import (
     BoxSet,
     IntervalSet,
     InvalidIntervalError,
+    Measure,
     ParameterError,
     ProductSpace,
     SpaceDesc,
@@ -27,6 +29,7 @@ from margcouple import (
     canonicalize,
     intervalsets_disjoint,
 )
+from margcouple.space import as_rational
 
 F = Fraction
 
@@ -56,6 +59,35 @@ def test_space_rejects_duplicates_and_floats():
         Atom("", 0)
     with pytest.raises(ParameterError):
         SpaceDesc(())
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        True, False, 0.5, Decimal("0.5"), None, (1, 2),
+        "0.5", "1e-3", " 1/2 ", "1/2\n", "\u0663/4", "1_0", "", "/2", "1/", "+-1", "1/-2", "1/0",
+    ],
+    ids=repr,
+)
+def test_as_rational_refuses_other_types_and_loose_strings(raw):
+    with pytest.raises(ParameterError):
+        as_rational(raw)
+
+
+@pytest.mark.parametrize(
+    "raw, value",
+    [("1/2", F(1, 2)), ("-3", F(-3)), ("+4/6", F(2, 3)), ("007/0014", F(1, 2)), (7, F(7)), (F(1, 3), F(1, 3))],
+)
+def test_as_rational_takes_fractions_ints_and_p_over_q(raw, value):
+    out = as_rational(raw)
+    assert out == value and type(out) is Fraction
+
+
+def test_bool_coordinates_and_weights_refused():
+    with pytest.raises(ParameterError):
+        Atom("a", True)
+    with pytest.raises(ParameterError):
+        Measure(SpaceDesc((Atom("a", 0),)), {"a": True})
 
 
 def test_space_lookup():
