@@ -17,7 +17,9 @@ and added on top; the final marginals then match by construction.
 Cell masses, of the reference and of the new coupling alike, come from one
 binning pass of :meth:`..refine.Grid.cell_masses` each: column pieces are
 pairwise disjoint and so are row pieces, so every atom falls in at most one
-cell.  No cell is evaluated by scanning all atoms against it.
+cell.  The new marginals are split into their column and row parts by the
+same binning, one pass each.  No cell, column or row is taken by scanning
+all atoms against it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     ParameterError,
 )
 from .measure import Measure, couple_mass, tensor
-from .refine import CellIndex, Grid
+from .refine import CellIndex, Grid, _pieces_holding
 from .space import ProductSpace, as_rational
 
 
@@ -80,8 +82,44 @@ class PreimageReport:
     cell_drops: dict  # CellIndex -> new cell mass minus reference cell mass
 
     def __post_init__(self):
-        if self.grid_part + self.remainder_coupling != self.coupling:
+        if not _splits(self.coupling, self.grid_part, self.remainder_coupling):
             raise InternalConsistencyError("coupling must split into grid part plus remainder")
+
+
+def _splits(total: Measure, part: Measure, rest: Measure) -> bool:
+    """Whether ``total == part + rest``, tested in integers without building the sum.
+
+    Weight by weight, c = g + r is cn·gd·rd == (gn·rd + rn·gd)·cd, with a
+    missing weight read as 0/1; no weight is zero, so the supports must
+    match as sets first.
+    """
+    if not total.space == part.space == rest.space:
+        return False
+    if total.weights.keys() != part.weights.keys() | rest.weights.keys():
+        return False
+    zero = Fraction(0)
+    for k, c in total.weights.items():
+        g, r = part.weights.get(k, zero), rest.weights.get(k, zero)
+        gn, gd, rn, rd = g.numerator, g.denominator, r.numerator, r.denominator
+        if c.numerator * gd * rd != (gn * rd + rn * gd) * c.denominator:
+            return False
+    return True
+
+
+def _normalized_parts(m: Measure, pieces, masses) -> list:
+    """m restricted to each piece and scaled to mass 1, None for a massless piece.
+
+    One binning pass over m's support replaces a ``restrict`` scan per
+    piece; the pieces are pairwise disjoint, so each atom lands in at most
+    one, and ``masses`` holds each piece's mass under m.
+    """
+    piece_of = _pieces_holding(pieces, m.space)
+    parts: list[dict] = [{} for _ in pieces]
+    for k, w in m.weights.items():
+        i = piece_of.get(k)
+        if i is not None:
+            parts[i][k] = w / masses[i]
+    return [Measure._trusted(m.space, p) if p else None for p in parts]
 
 
 def construct_preimage(
@@ -104,9 +142,8 @@ def construct_preimage(
     ref_rows = [ref_y.eval(r) for r in grid.rows]
     new_cols = [mu.eval(c) for c in grid.cols]
     new_rows = [nu.eval(r) for r in grid.rows]
-    # the new marginals restricted to each massive column and row, normalized
-    col_parts = [mu.restrict(c).scale(1 / m) if m else None for c, m in zip(grid.cols, new_cols)]
-    row_parts = [nu.restrict(r).scale(1 / m) if m else None for r, m in zip(grid.rows, new_rows)]
+    col_parts = _normalized_parts(mu, grid.cols, new_cols)
+    row_parts = _normalized_parts(nu, grid.rows, new_rows)
 
     ref_cell_mass = grid.cell_masses(reference)
     allocs: dict[CellIndex, CellAlloc] = {}
@@ -133,7 +170,8 @@ def construct_preimage(
         # columns are pairwise disjoint and so are rows: no key lies in two cells
         for key, w in tensor(col_parts[q], row_parts[s]).weights.items():
             acc[key] = kept * w
-    grid_part = Measure(ProductSpace(mu.space, nu.space), acc)
+    prod = ProductSpace(mu.space, nu.space)
+    grid_part = Measure._trusted(prod, {k: acc[k] for k in sorted(acc, key=prod.position)})
 
     try:
         mu_rest = mu - grid_part.push_proj(1)

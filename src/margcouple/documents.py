@@ -563,7 +563,7 @@ def _write(value, nl: str) -> str:
         if not value:
             return "[]"
         inner = nl + "  "
-        items = [_write(v, inner) for v in value]
+        items = [_quote(v) if type(v) is str else _write(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if t is dict:
         if not value:

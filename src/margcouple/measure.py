@@ -2,14 +2,26 @@
 
 A measure keys nonnegative weights by atom; zero weights are dropped at
 construction so equality of measures is equality of supports and weights.
-Construction checks each given key with the space's ``has`` and orders the
-weights by the atom's position in the space (x-major on a product), looked
-up in per-axis index maps; it never walks the space's full key list, so it
-costs time in the number of given weights, not in |X|·|Y|.
+Construction looks each given key up once, as the atom's position in the
+space (x-major on a product) from per-axis index maps, which both rejects
+an unknown key and orders the weights; it never walks the space's full key
+list, so it costs time in the number of given weights, not in |X|·|Y|.
+
 A difference of measures is a measure only where it stays nonnegative;
 otherwise subtraction raises, naming the first negative atom in atom
 order.  Evaluation against an open set counts strictly interior atoms
 only, matching the open-set semantics of :mod:`.space`.
+
+The public constructor ``Measure(space, weights)`` always validates.
+Results the library builds from measures that are already valid skip that
+pass through the private ``Measure._trusted``, which takes positive
+``Fraction`` weights keyed by atoms and already in atom order:
+``restrict``, ``scale``, ``push_proj``, ``+``, :func:`tensor`,
+:func:`couple_mass` and the grid part of ``construct_preimage``.  Each
+keeps the order by construction and re-sorts only where it cannot:
+``push_proj(2)`` and a sum whose right operand brings new atoms.  ``-``,
+:func:`barycenter` and everything parsed from a document still go through
+the checks.
 
 Sums of many weights go through :func:`_fsum`, which adds numerators as
 ints per denominator and normalises once, instead of paying one ``gcd``
@@ -55,11 +67,14 @@ def _fsum(values: Iterable[Fraction]) -> Fraction:
 
 
 def _normalized(space: Space, raw: Mapping) -> dict:
+    rank = {}
     for key in raw:
-        if not space.has(key):
+        r = space.position(key)
+        if r is None:
             raise ParameterError(f"weight keyed by unknown atom {key!r}")
+        rank[key] = r
     out = {}
-    for key in sorted(raw, key=space.position):
+    for key in sorted(raw, key=rank.__getitem__):
         w = as_rational(raw[key])
         # the sign of a Fraction is its numerator's: int tests, not rich comparisons
         if not w.numerator:
@@ -97,8 +112,20 @@ class Measure:
         object.__setattr__(self, "weights", _normalized(self.space, self.weights))
 
     @classmethod
+    def _trusted(cls, space: Space, weights: dict) -> "Measure":
+        """A measure on weights that are already valid, taken as they are.
+
+        Only for results the library builds itself: every key an atom of
+        ``space``, every weight a positive ``Fraction``, keys in atom order.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "space", space)
+        object.__setattr__(m, "weights", weights)
+        return m
+
+    @classmethod
     def zero(cls, space: Space) -> "Measure":
-        return cls(space, {})
+        return cls._trusted(space, {})
 
     def mass(self) -> Fraction:
         return _fsum(self.weights.values())
@@ -167,7 +194,7 @@ class Measure:
         _check_geometry(self.space, open_set)
         coord = self.space.coord_of
         kept = {k: w for k, w in self.weights.items() if open_set.contains(coord(k))}
-        return Measure(self.space, kept)
+        return Measure._trusted(self.space, kept)
 
     def push_proj(self, axis: int) -> "Measure":
         """Pushforward along a coordinate projection of a product space."""
@@ -179,21 +206,27 @@ class Measure:
         groups: dict = {}
         for (kx, ky), w in self.weights.items():
             groups.setdefault(kx if axis == 1 else ky, []).append(w)
-        return Measure(target, {k: _fsum(ws) for k, ws in groups.items()})
+        # the support is x-major, so first appearance is atom order on axis 1 only
+        keys = groups if axis == 1 else sorted(groups, key=target.position)
+        return Measure._trusted(target, {k: _fsum(groups[k]) for k in keys})
 
     def scale(self, factor) -> "Measure":
         c = as_rational(factor)
         if c < 0:
             raise ParameterError("scale factor must be nonnegative")
-        return Measure(self.space, {k: c * w for k, w in self.weights.items()})
+        if not c:
+            return Measure.zero(self.space)
+        return Measure._trusted(self.space, {k: c * w for k, w in self.weights.items()})
 
     def __add__(self, other: "Measure") -> "Measure":
         if self.space != other.space:
             raise ParameterError("cannot add measures on different spaces")
         acc = dict(self.weights)
         for k, w in other.weights.items():
-            acc[k] = acc.get(k, Fraction(0)) + w
-        return Measure(self.space, acc)
+            acc[k] = acc[k] + w if k in acc else w
+        if len(acc) > len(self.weights):  # other brought atoms, appended out of order
+            acc = {k: acc[k] for k in sorted(acc, key=self.space.position)}
+        return Measure._trusted(self.space, acc)
 
     def __sub__(self, other: "Measure") -> "Measure":
         """The difference; raises ``NegativeWeightError`` where other outweighs self."""
@@ -248,7 +281,7 @@ def tensor(mu: Measure, nu: Measure) -> Measure:
         for kx, wx in mu.weights.items()
         for ky, wy in nu.weights.items()
     }
-    return Measure(prod, weights)
+    return Measure._trusted(prod, weights)
 
 
 def couple_mass(mu: Measure, nu: Measure) -> Measure:
@@ -273,4 +306,4 @@ def couple_mass(mu: Measure, nu: Measure) -> Measure:
         for kx, nx, dx in rows
         for ky, wy in nu.weights.items()
     }
-    return Measure(prod, weights)
+    return Measure._trusted(prod, weights)

@@ -102,9 +102,9 @@ class SpaceDesc:
     def has(self, key) -> bool:
         return key in self._coords
 
-    def position(self, key) -> int:
-        """Rank of a known atom in the space's atom order."""
-        return self._index[key]
+    def position(self, key) -> int | None:
+        """Rank of the atom in the space's atom order; None for an unknown key."""
+        return self._index.get(key)
 
     def coord_of(self, key) -> Fraction:
         try:
@@ -135,9 +135,14 @@ class ProductSpace:
             and self.y.has(key[1])
         )
 
-    def position(self, key) -> int:
-        """Rank of a known pair in the x-major order of :attr:`keys`."""
-        return self.x._index[key[0]] * len(self.y.atoms) + self.y._index[key[1]]
+    def position(self, key) -> int | None:
+        """Rank of the pair in the x-major order of :attr:`keys`; None for an unknown key."""
+        if not (isinstance(key, tuple) and len(key) == 2):
+            return None
+        i, j = self.x._index.get(key[0]), self.y._index.get(key[1])
+        if i is None or j is None:
+            return None
+        return i * len(self.y.atoms) + j
 
     def coord_of(self, key) -> tuple[Fraction, Fraction]:
         if not self.has(key):

@@ -28,7 +28,7 @@ from .errors import (
     ParameterError,
 )
 from .measure import Measure, MetaMeasure, barycenter
-from .refine import Grid, RefineResult, refine_grid
+from .refine import Grid, refine_grid
 from .space import (
     Atom,
     BoxSet,
@@ -57,7 +57,11 @@ class Seed:
     value: int
 
     def __post_init__(self):
-        if not isinstance(self.value, int) or not 0 <= self.value < (1 << 64):
+        if (
+            isinstance(self.value, bool)
+            or not isinstance(self.value, int)
+            or not 0 <= self.value < (1 << 64)
+        ):
             raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.value!r}")
 
     def derive(self, index: int) -> "Seed":
@@ -412,17 +416,22 @@ class CertReport:
 
 def certify_trial(
     reference: Measure,
-    refinement: RefineResult,
-    targets: Sequence[BoxSet],
-    eps: Fraction,
+    marginals: tuple[Measure, Measure],
+    grid: Grid,
+    cell_hood: Neighborhood | None,
+    target_hood: Neighborhood,
     delta: Fraction,
     trial: int,
     trial_seed: Seed,
 ) -> tuple[list[Violation], list[Fraction]]:
-    """One certification round; pure given its seed, so violations replay."""
-    grid = refinement.grid
-    mu0 = reference.push_proj(1)
-    nu0 = reference.push_proj(2)
+    """One certification round; pure given its seed, so violations replay.
+
+    The reference's marginals and the cell and target neighborhoods (both
+    centred on the reference at eps; no cell neighborhood for a grid
+    without cells) are the same in every trial of a run, so
+    :func:`certify_openness` builds them once and passes them in.
+    """
+    mu0, nu0 = marginals
     mu = sample_in_neighborhood(mu0, grid.cols, delta, trial_seed.derive(1))
     nu = sample_in_neighborhood(nu0, grid.rows, delta, trial_seed.derive(2))
 
@@ -443,13 +452,13 @@ def certify_trial(
         if not drop > -delta:
             violations.append(bad("cell-shortfall", cell=ix, gap=drop))
             break
-    cells = [cell for _, cell in grid.cells()]
-    if cells:
-        cell_gap = Neighborhood(reference, tuple(cells), eps).gap(coupling)
+    eps = target_hood.epsilon
+    if cell_hood is not None:
+        cell_gap = cell_hood.gap(coupling)
         gaps.append(cell_gap)
         if not cell_gap > -eps:
             violations.append(bad("cell-membership", gap=cell_gap))
-    target_gap = Neighborhood(reference, tuple(targets), eps).gap(coupling)
+    target_gap = target_hood.gap(coupling)
     gaps.append(target_gap)
     if not target_gap > -eps:
         violations.append(bad("target-membership", gap=target_gap))
@@ -474,16 +483,23 @@ def certify_openness(
     targets = list(targets)
     if not targets:
         raise ParameterError("certify_openness needs at least one target set")
-    if not isinstance(trials, int) or trials < 1:
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ParameterError("trials must be a positive integer")
     eps = as_rational(eps)
     refinement = refine_grid(reference, targets, eps)
     delta = min(admissible_delta(eps), refinement.delta)
+    grid = refinement.grid
+    marginals = (reference.push_proj(1), reference.push_proj(2))
+    cells = tuple(cell for _, cell in grid.cells())
+    cell_hood = Neighborhood(reference, cells, eps) if cells else None
+    target_hood = Neighborhood(reference, tuple(targets), eps)
 
     violations: list[Violation] = []
     min_gap: Fraction | None = None
     for t in range(trials):
-        got, gaps = certify_trial(reference, refinement, targets, eps, delta, t, seed.derive(t))
+        got, gaps = certify_trial(
+            reference, marginals, grid, cell_hood, target_hood, delta, t, seed.derive(t)
+        )
         violations.extend(got)
         for g in gaps:
             min_gap = g if min_gap is None else min(min_gap, g)

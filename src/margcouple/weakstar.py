@@ -7,7 +7,8 @@ shortfalls count: exceeding the center on a set never hurts membership.
 
 The gap evaluates all sets at once on each measure with
 :meth:`Measure.eval_many`, so a neighborhood of k sets costs one pass over
-the candidate's support and one over the center's, not k of each.  It
+the candidate's support, not k of them.  The center's masses are taken on
+the first gap and kept on the neighborhood for every later candidate.  It
 never uses the grid binning behind ``construct_preimage``'s cell drops, so
 membership stays an independent check of those drops.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ParameterError
 from .measure import Measure, _check_geometry
@@ -38,12 +40,13 @@ class Neighborhood:
         for s in self.sets:
             _check_geometry(self.center.space, s)
 
+    @cached_property
+    def _center_masses(self) -> list[Fraction]:
+        return self.center.eval_many(self.sets)
+
     def gap(self, candidate: Measure) -> Fraction:
         """Worst shortfall of the candidate against the center over the sets."""
-        return min(
-            g - r
-            for g, r in zip(candidate.eval_many(self.sets), self.center.eval_many(self.sets))
-        )
+        return min(g - r for g, r in zip(candidate.eval_many(self.sets), self._center_masses))
 
     def is_member(self, candidate: Measure) -> bool:
         return self.gap(candidate) > -self.epsilon

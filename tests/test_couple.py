@@ -17,6 +17,7 @@ from margcouple import (
     Measure,
     ParameterError,
     PreimageReport,
+    ProductSpace,
     SpaceDesc,
     admissible_delta,
     construct_preimage,
@@ -87,16 +88,56 @@ def test_worked_remainder(reference, grid, perturbed):
     assert rep.grid_part + rep.remainder_coupling == rep.coupling
 
 
+def _edited(m: Measure, **weights) -> Measure:
+    """m with the weights of the named pairs ("bd" for ("b", "d")) replaced; None drops one."""
+    out = dict(m.weights)
+    for name, w in weights.items():
+        out.pop(tuple(name), None)
+        if w is not None:
+            out[tuple(name)] = w
+    return Measure(m.space, out)
+
+
+def _moved(m: Measure) -> Measure:
+    """m on a product space whose first x atom sits elsewhere, same weights."""
+    x = m.space.x
+    x = SpaceDesc((Atom(x.atoms[0].id, 99),) + x.atoms[1:])
+    return Measure(ProductSpace(x, m.space.y), dict(m.weights))
+
+
+TINY = F(1, 10**30)
+
+# edits of a correct split (coupling, grid part, remainder) and whether the guard accepts them
+SPLITS = {
+    "exact": (lambda c, g, r: (c, g, r), True),
+    "wrong remainder": (lambda c, g, r: (c, g, g), False),
+    "extra coupling atom": (lambda c, g, r: (_edited(c, ad=F(1, 10)), g, r), False),
+    "missing coupling atom": (lambda c, g, r: (_edited(c, bc=None), g, r), False),
+    "weight over": (lambda c, g, r: (_edited(c, bd=F(1, 2) + TINY), g, r), False),
+    "weight under": (lambda c, g, r: (_edited(c, bd=F(1, 2) - TINY), g, r), False),
+    "coupling on another space": (lambda c, g, r: (_moved(c), g, r), False),
+    "remainder on another space": (lambda c, g, r: (c, g, _moved(r)), False),
+    # ("b", "d") split between both parts, exactly and then off by TINY
+    "shared atom": (lambda c, g, r: (c, _edited(g, bd=F(1, 3)), _edited(r, bd=F(1, 6))), True),
+    "shared atom off": (
+        lambda c, g, r: (c, _edited(g, bd=F(1, 3)), _edited(r, bd=F(1, 6) + TINY)),
+        False,
+    ),
+}
+
+
 def test_report_split_guard(reference, grid, perturbed):
     rep = construct_preimage(reference, grid, *perturbed)
-    with pytest.raises(InternalConsistencyError):
-        PreimageReport(
-            rep.coupling,
-            rep.grid_part,
-            rep.grid_part,  # wrong remainder
-            rep.cell_allocs,
-            rep.cell_drops,
-        )
+    accepted = {}
+    for name, (split, _) in SPLITS.items():
+        parts = split(rep.coupling, rep.grid_part, rep.remainder_coupling)
+        try:
+            PreimageReport(*parts, rep.cell_allocs, rep.cell_drops)
+            accepted[name] = True
+        except InternalConsistencyError as exc:
+            assert str(exc) == "coupling must split into grid part plus remainder"
+            accepted[name] = False
+    assert accepted == {name: ok for name, (_, ok) in SPLITS.items()}
 
 
 def test_probability_inputs_enforced(reference, grid, perturbed):

@@ -525,6 +525,17 @@ def test_preimage_cells_fill_a_grid(cells, message):
     assert f"preimage_report.cells: {message}" in str(exc.value)
 
 
+def test_preimage_coupling_must_split(reference, grid, perturbed):
+    doc = to_document(construct_preimage(reference, grid, *perturbed))
+    weights = doc["coupling"]["weights"]
+    assert weights[0] == [["a", "c"], "2/5"]
+    loads(json.dumps(doc))
+    weights[0][1] = "3/10"  # the grid part still holds 2/5 there
+    with pytest.raises(SchemaError) as exc:
+        loads(json.dumps(doc))
+    assert str(exc.value) == "preimage_report: coupling must split into grid part plus remainder"
+
+
 def test_one_cell_preimage_round_trips(reference):
     grid = Grid((IntervalSet.single(90, 91),), (IntervalSet.single(90, 91),))
     pair = marginal_pair(reference)

@@ -22,6 +22,7 @@ from margcouple import (
     SpaceDesc,
     barycenter,
     canonicalize,
+    construct_preimage,
     couple_mass,
     marginal_pair,
     tensor,
@@ -219,7 +220,8 @@ def test_shuffled_keys_come_out_in_atom_order(seed):
 
 def test_malformed_product_keys_rejected(spaces):
     product = ProductSpace(*spaces)
-    for bad in ("a", ("a",), ("a", "c", "d"), ("c", "a"), ("z", "c")):
+    # "ac" is two characters that name atoms of x and y, but no pair
+    for bad in ("a", "ac", ("a",), ("a", "c", "d"), ("c", "a"), ("z", "c")):
         with pytest.raises(ParameterError):
             Measure(product, {("b", "d"): F(1, 2), bad: F(1, 2)})
 
@@ -377,6 +379,45 @@ def test_couple_mass_matches_plain_fraction_products(data):
         (kx, ky): wx * wy / c for kx, wx in mu.weights.items() for ky, wy in nu.weights.items()
     }
     assert couple_mass(mu, nu).weights == expected
+
+
+# -- results built without re-validation --------------------------------------
+
+
+def _strict_rebuild_matches(m: Measure) -> bool:
+    """m's weights are what the public constructor makes of them: same keys, order and values."""
+    strict = Measure(m.space, dict(m.weights))
+    return list(m.weights.items()) == list(strict.weights.items()) and all(
+        type(w) is Fraction for w in m.weights.values()
+    )
+
+
+@given(st.data())
+def test_trusted_results_equal_their_strict_rebuild(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    ref, grid = instances.random_instance(rng)
+    mu = instances.random_prob_measure(rng, ref.space.x)
+    nu = instances.random_prob_measure(rng, ref.space.y)
+    other = instances.random_joint(rng, ref.space)
+    factor = data.draw(st.sampled_from((F(0), F(1, 3), F(5, 2))))
+    half = F(1, 2)
+    rep = construct_preimage(ref, grid, mu, nu)
+    results = {
+        "push_proj(1)": ref.push_proj(1),
+        "push_proj(2)": ref.push_proj(2),
+        "restrict box": ref.restrict(BoxSet((instances.random_box(rng),))),
+        "restrict column": mu.restrict(grid.cols[0]),
+        "scale": ref.scale(factor),
+        "scale line": nu.scale(factor),
+        "+ new keys": ref + other,
+        "+ same keys": ref + ref.scale(factor),
+        "tensor": tensor(mu, nu),
+        "couple_mass": couple_mass(mu.scale(half), nu.scale(half)),
+        "coupling": rep.coupling,
+        "grid_part": rep.grid_part,
+        "remainder": rep.remainder_coupling,
+    }
+    assert [name for name, m in results.items() if not _strict_rebuild_matches(m)] == []
 
 
 def _names(code) -> set:

@@ -95,6 +95,7 @@ def test_space_lookup():
     assert s.keys == ("a", "b")
     assert s.coord_of("b") == F(1, 2)
     assert s.has("a") and not s.has("z")
+    assert s.position("b") == 1 and s.position("z") is None
     with pytest.raises(ParameterError):
         s.coord_of("z")
 
@@ -106,6 +107,9 @@ def test_product_space_keys_are_x_major():
     assert p.keys == (("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"))
     assert p.coord_of(("b", "c")) == (1, 0)
     assert not p.has(("c", "a"))
+    assert [p.position(k) for k in p.keys] == [0, 1, 2, 3]
+    for bad in (("c", "a"), ("a",), ("a", "c", "d"), "ac"):
+        assert p.position(bad) is None
 
 
 # -- canonical interval form ----------------------------------------------

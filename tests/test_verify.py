@@ -67,6 +67,8 @@ def test_seed_validation_and_derivation():
         Seed(1 << 64)
     with pytest.raises(ParameterError):
         Seed("7")
+    with pytest.raises(ParameterError):  # a bool is an int, but no seed
+        Seed(True)
     s = Seed(5)
     assert s.derive(3) == Seed(mix64(5 ^ 3))
     assert s.derive(3) != s.derive(4)
@@ -316,6 +318,8 @@ def test_certify_guards(reference, targets):
         certify_openness(reference, [], F(1, 5), 10, Seed(1))
     with pytest.raises(ParameterError):
         certify_openness(reference, targets, F(1, 5), 0, Seed(1))
+    with pytest.raises(ParameterError):  # a cert_report cannot hold "trials": true
+        certify_openness(reference, targets, F(1, 5), True, Seed(1))
     with pytest.raises(ParameterError):
         certify_openness(reference, targets, 0, 10, Seed(1))
 
