@@ -342,13 +342,22 @@ def _refine_body(res: RefineResult) -> dict:
     }
 
 
+def _parse_refine_cell(entry, cpath) -> tuple:
+    return _int(entry, "owner", cpath, optional=True), _list(entry, "boxes", cpath, _parse_box)
+
+
 def _parse_refine(doc, path) -> RefineResult:
     grid = _sub(doc, "grid", path, "grid")
     delta = _rational(doc, "delta", path)
-    owner = _cells(doc, path, lambda entry, cpath: _int(entry, "owner", cpath, optional=True))
+    cells = _cells(doc, path, _parse_refine_cell)
     expected = {(q, s) for q in range(len(grid.cols)) for s in range(len(grid.rows))}
-    if set(owner) != expected:
+    if set(cells) != expected:
         raise SchemaError(f"{path}.cells: cell list does not match the grid shape")
+    # a cell's boxes restate the grid; the cells keep the list's order
+    for i, ((q, s), (_, boxes)) in enumerate(cells.items()):
+        if boxes != grid.cell(q, s).boxes:
+            raise SchemaError(f"{path}.cells[{i}].boxes: not the grid's cell [{q}, {s}]")
+    owner = {ix: who for ix, (who, _) in cells.items()}
     return _build(path, RefineResult, grid, delta, owner)
 
 
@@ -395,6 +404,10 @@ def _parse_cell(entry, cpath) -> tuple:
         _rational(entry, "row_scaled", cpath),
         _rational(entry, "kept", cpath),
     )
+    if alloc.col_scaled < 0 or alloc.row_scaled < 0:
+        raise SchemaError(f"{cpath}: negative rescaled mass")
+    if alloc.kept != min(alloc.col_scaled, alloc.row_scaled):
+        raise SchemaError(f"{cpath}.kept: not the smaller of col_scaled and row_scaled")
     return alloc, _rational(entry, "drop", cpath)
 
 

@@ -18,7 +18,7 @@ class MassMismatchError(Error):
 
 
 class NegativeWeightError(Error):
-    """Promotion of a signed measure failed; reports the offending atom."""
+    """A measure or a difference of measures has a negative weight; names the atom."""
 
     def __init__(self, atom, weight):
         self.atom = atom

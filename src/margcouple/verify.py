@@ -116,11 +116,9 @@ def tensor_via_barycenter(mu: Measure, nu: Measure) -> Measure:
 # sampling
 
 
-_DENOM = 1 << 16  # drawn mass fractions use this denominator bound
-
-
-def _rand_unit(rng: random.Random, denom: int = _DENOM) -> Fraction:
-    return Fraction(rng.randrange(denom + 1), denom)
+def _rand_unit(rng: random.Random) -> Fraction:
+    # drawn mass fractions have denominator 2**16
+    return Fraction(rng.randrange((1 << 16) + 1), 1 << 16)
 
 
 def _point_in_interval(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
@@ -152,71 +150,51 @@ def _point_outside(rng: random.Random, sets, product: bool):
 
 
 class _Workspace:
-    """Mutable weights plus bookkeeping for freshly placed atoms."""
+    """Mutable weights plus the atoms freshly placed on each axis.
+
+    A line space is the one-axis case of a product.  ``weights`` is also
+    the walk order: it starts as the centre's support, :meth:`place`
+    appends to it, and a key is never removed, only set to zero.
+    """
 
     def __init__(self, center: Measure):
-        self.product = isinstance(center.space, ProductSpace)
         self.space = center.space
-        self.weights = dict(center.weights)
-        # the support, in atom order; keys without weight never gain any
-        self.order = list(center.weights)
-        self.coords = {k: center.space.coord_of(k) for k in self.order}
+        self.product = isinstance(center.space, ProductSpace)
         if self.product:
-            self._taken_x = {a.id for a in center.space.x.atoms}
-            self._taken_y = {a.id for a in center.space.y.atoms}
-            self.fresh_x: list[Atom] = []
-            self.fresh_y: list[Atom] = []
+            self.axes, prefixes = (center.space.x, center.space.y), ("sx", "sy")
         else:
-            self._taken = {a.id for a in center.space.atoms}
-            self.fresh: list[Atom] = []
-
-    @staticmethod
-    def _unique(base: str, n: int, taken: set) -> str:
-        key = f"{base}{n}"
-        while key in taken:
-            key = "_" + key
-        taken.add(key)
-        return key
+            self.axes, prefixes = (center.space,), ("s",)
+        self.taken = [(p, {a.id for a in axis.atoms}) for p, axis in zip(prefixes, self.axes)]
+        self.fresh: list[list[Atom]] = [[] for _ in self.axes]
+        self.weights = dict(center.weights)
+        self.coords = {k: center.space.coord_of(k) for k in self.weights}
 
     def place(self, coord):
-        if self.product:
-            cx, cy = coord
-            n = len(self.fresh_x)
-            kx = self._unique("sx", n, self._taken_x)
-            ky = self._unique("sy", n, self._taken_y)
-            self.fresh_x.append(Atom(kx, cx))
-            self.fresh_y.append(Atom(ky, cy))
-            key = (kx, ky)
-        else:
-            key = self._unique("s", len(self.fresh), self._taken)
-            self.fresh.append(Atom(key, coord))
-        self.order.append(key)
+        """Add a zero-weight atom at coord; an id already taken gains a leading "_"."""
+        n = len(self.fresh[0])
+        ids = []
+        for (prefix, taken), fresh, c in zip(
+            self.taken, self.fresh, coord if self.product else (coord,)
+        ):
+            key = f"{prefix}{n}"
+            while key in taken:
+                key = "_" + key
+            taken.add(key)
+            fresh.append(Atom(key, c))
+            ids.append(key)
+        key = tuple(ids) if self.product else ids[0]
         self.coords[key] = coord
         self.weights[key] = Fraction(0)
         return key
 
     def keys_in(self, s) -> list:
-        return [
-            k
-            for k in self.order
-            if self.weights.get(k) and s.contains(self.coords[k])
-        ]
+        return [k for k, w in self.weights.items() if w and s.contains(self.coords[k])]
 
     def finish(self) -> Measure:
-        if self.product:
-            if self.fresh_x:
-                space = ProductSpace(
-                    SpaceDesc(self.space.x.atoms + tuple(self.fresh_x)),
-                    SpaceDesc(self.space.y.atoms + tuple(self.fresh_y)),
-                )
-            else:
-                space = self.space
-        else:
-            space = (
-                SpaceDesc(self.space.atoms + tuple(self.fresh))
-                if self.fresh
-                else self.space
-            )
+        space = self.space
+        if self.fresh[0]:
+            axes = [SpaceDesc(a.atoms + tuple(f)) for a, f in zip(self.axes, self.fresh)]
+            space = ProductSpace(*axes) if self.product else axes[0]
         return Measure(space, {k: w for k, w in self.weights.items() if w})
 
 
@@ -273,8 +251,8 @@ def sample_in_neighborhood(center: Measure, sets: Sequence, delta, seed: Seed) -
     # mass outside every set is unconstrained
     outside = [
         key
-        for key in ws.order
-        if ws.weights.get(key) and not any(s.contains(ws.coords[key]) for s in sets)
+        for key, w in ws.weights.items()
+        if w and not any(s.contains(ws.coords[key]) for s in sets)
     ]
     if outside and rng.randrange(2):
         key = outside[rng.randrange(len(outside))]
@@ -289,7 +267,7 @@ def sample_in_neighborhood(center: Measure, sets: Sequence, delta, seed: Seed) -
             part = pool * share / total
             mode = rng.randrange(3)
             if mode == 0:
-                live = [key for key in ws.order if ws.weights.get(key)]
+                live = [key for key, w in ws.weights.items() if w]
                 if live:
                     ws.weights[live[rng.randrange(len(live))]] += part
                     continue

@@ -536,6 +536,46 @@ def test_preimage_coupling_must_split(reference, grid, perturbed):
     assert str(exc.value) == "preimage_report: coupling must split into grid part plus remainder"
 
 
+def test_preimage_cell_keeps_the_smaller_rescaling():
+    doc = to_document(_worked_objects()[6])
+    assert doc["cells"][0] == {
+        "q": 0, "s": 0, "col_scaled": "2/5", "row_scaled": "1/2", "kept": "2/5", "drop": "-1/10"
+    }
+    cases = [
+        (0, {"col_scaled": "7", "row_scaled": "9"}, "[0].kept: not the smaller of col_scaled"),
+        (1, {"col_scaled": "-1", "kept": "-1"}, "[1]: negative rescaled mass"),
+        (2, {"row_scaled": "-1", "kept": "-1"}, "[2]: negative rescaled mass"),
+    ]
+    for i, edit, message in cases:
+        bad = copy.deepcopy(doc)
+        bad["cells"][i].update(edit)
+        with pytest.raises(SchemaError) as exc:
+            from_document(bad)
+        assert str(exc.value).startswith(f"preimage_report.cells{message}")
+
+
+def test_refine_cells_restate_the_grid():
+    doc = to_document(_worked_objects()[5])
+    assert doc["cells"][2]["boxes"] == [[["1/2", "3/2"], ["-1/2", "1/2"]]]
+    unreduced = copy.deepcopy(doc)
+    unreduced["cells"][2]["boxes"] = [[["2/4", "3/2"], ["-1/2", "1/2"]]]
+    assert from_document(unreduced) == _worked_objects()[5]
+    cases = [
+        (doc["cells"][1]["boxes"], "not the grid's cell [1, 0]"),
+        ("garbage", "wrong type str"),
+        (None, "missing"),
+    ]
+    for boxes, message in cases:
+        bad = copy.deepcopy(doc)
+        if boxes is None:
+            del bad["cells"][2]["boxes"]
+        else:
+            bad["cells"][2]["boxes"] = boxes
+        with pytest.raises(SchemaError) as exc:
+            from_document(bad)
+        assert str(exc.value) == f"refine_result.cells[2].boxes: {message}"
+
+
 def test_one_cell_preimage_round_trips(reference):
     grid = Grid((IntervalSet.single(90, 91),), (IntervalSet.single(90, 91),))
     pair = marginal_pair(reference)

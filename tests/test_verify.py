@@ -1,5 +1,6 @@
 """Certification machinery: seeds, samplers, dual-route oracles, checks."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from margcouple import (
     Box,
     BoxSet,
     CertReport,
+    Grid,
     HypothesisError,
     IntervalSet,
     MassMismatchError,
@@ -33,6 +35,7 @@ from margcouple import (
     tensor_via_barycenter,
 )
 from margcouple import verify
+from margcouple.documents import dumps
 from margcouple.verify import mix64
 
 F = Fraction
@@ -176,13 +179,66 @@ def test_sampler_reaches_fresh_atoms():
     assert seen_fresh
 
 
+def _named_like_fresh_atoms():
+    """A line and a product centre whose atom ids are those the sampler would pick."""
+    pieces = tuple(IntervalSet.single(F(2 * i - 1, 2), F(2 * i + 1, 2)) for i in range(4))
+    line = SpaceDesc(tuple(Atom(f"s{i}", i) for i in range(4)))
+    mu = Measure(line, {f"s{i}": F(1, 4) for i in range(4)})
+    x = SpaceDesc(tuple(Atom(f"sx{i}", i) for i in range(3)))
+    y = SpaceDesc(tuple(Atom(f"sy{i}", i) for i in range(3)))
+    ref = Measure(
+        ProductSpace(x, y), {(f"sx{i}", f"sy{j}"): F(1, 9) for i in range(3) for j in range(3)}
+    )
+    cells = [cell for _, cell in Grid(pieces[:3], pieces[:3]).cells()]
+    return (mu, pieces, F(1, 10)), (ref, cells, F(1, 10))
+
+
+def _sampler_groups():
+    ref = instances.worked_reference()
+    grid = instances.worked_grid()
+    named_line, named_product = _named_like_fresh_atoms()
+    return {
+        "worked-line": (marginal_pair(ref).mu, grid.cols, F(1, 10)),
+        "worked-product": (ref, [cell for _, cell in grid.cells()], F(1, 40)),
+        "named-line": named_line,
+        "named-product": named_product,
+    }
+
+
+# sha256 of the dumps() of the draws at seeds 0..29, concatenated: pins the
+# sampler's RNG call order, its fresh ids and coordinates and the atom order
+SAMPLER_SHA256 = {
+    "worked-line": "55819d4b70fe3d7332aef29534aeba83016c5ea9f00bd9c5093ab45b2dfdc40f",
+    "worked-product": "f23444bfaf893d721992d39fde6b72d23783dafb0a46593dd3aa081fdbb81a74",
+    "named-line": "e4ed922c74a3606d24765d95d66d2b371841d1c295be8998b877949a7b1a3e57",
+    "named-product": "a150776efe554eb2f6e740b632341a75967ee27c64735433a4c948678932e08d",
+}
+
+
+@pytest.mark.parametrize("group", sorted(SAMPLER_SHA256))
+def test_sampler_golden_bytes(group):
+    center, sets, delta = _sampler_groups()[group]
+    digest = hashlib.sha256()
+    ids = set()
+    for k in range(30):
+        got = sample_in_neighborhood(center, sets, delta, Seed(k))
+        digest.update(dumps(got).encode("ascii"))
+        space = got.space
+        axes = (space,) if isinstance(space, SpaceDesc) else (space.x, space.y)
+        ids.update(a.id for axis in axes for a in axis.atoms)
+    assert digest.hexdigest() == SAMPLER_SHA256[group]
+    if group.startswith("named"):
+        # a fresh id that collides with a centre atom gains a leading "_"
+        assert any(i.startswith("_") for i in ids)
+
+
 class _DenseWorkspace(verify._Workspace):
     """The sampler's workspace walking every key of the space, support or not."""
 
     def __init__(self, center):
         super().__init__(center)
-        self.order = list(center.space.keys)
-        self.coords = {k: center.space.coord_of(k) for k in self.order}
+        self.weights = {k: center.weights.get(k, F(0)) for k in center.space.keys}
+        self.coords = {k: center.space.coord_of(k) for k in self.weights}
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -198,6 +254,9 @@ def test_sampler_walks_only_the_support(seed, monkeypatch):
     got = sample_in_neighborhood(center, cells, F(1, 10), draw)
     assert "keys" not in center.space.__dict__
     assert "keys" not in got.space.__dict__
+    dense = _DenseWorkspace(center)
+    assert len(dense.weights) == side * side
+    assert sum(1 for w in dense.weights.values() if w == 0) == side * side - 6
     monkeypatch.setattr(verify, "_Workspace", _DenseWorkspace)
     assert sample_in_neighborhood(center, cells, F(1, 10), draw) == got
 
