@@ -15,10 +15,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import instances
 from margcouple import (
+    Atom,
     Box,
     BoxSet,
     CellAlloc,
@@ -26,8 +27,10 @@ from margcouple import (
     Grid,
     IntervalSet,
     Measure,
+    ProductSpace,
     SchemaError,
     Seed,
+    SpaceDesc,
     certify_openness,
     check_band_bound,
     construct_preimage,
@@ -246,6 +249,265 @@ def test_writer_empty_containers_and_negative_ints(value):
 def test_writer_rejects_other_types(value):
     with pytest.raises(TypeError):
         _write(value, "\n")
+
+
+# -- measure documents, weight by weight -----------------------------------
+
+# atom ids weighted towards what json escapes, non-ASCII and astral characters
+atom_ids = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from('"\\%{}/\b\f\n\r\t\x00\x1f\x7fé \U0001f600'),
+    min_size=1,
+    max_size=5,
+)
+# small parts and parts of 1,000+ digits; the digit limit is 4300
+parts = st.integers(1, 10**6) | st.integers(10**1000, 10**1050)
+rationals = st.builds(F, st.integers(-(10**6), 10**6) | parts | parts.map(int.__neg__), parts)
+
+
+@st.composite
+def line_spaces(draw, max_atoms=4):
+    ids = draw(st.lists(atom_ids, min_size=1, max_size=max_atoms, unique=True))
+    return SpaceDesc(tuple(Atom(i, draw(rationals)) for i in ids))
+
+
+@st.composite
+def line_measures(draw):
+    space = draw(line_spaces())
+    keys = draw(st.lists(st.sampled_from(space.keys), unique=True))
+    return Measure(space, {k: abs(draw(rationals)) for k in keys})
+
+
+@st.composite
+def product_measures(draw):
+    space = ProductSpace(draw(line_spaces()), draw(line_spaces()))
+    keys = draw(st.lists(st.sampled_from(space.keys), unique=True))
+    return Measure(space, {k: abs(draw(rationals)) for k in keys})
+
+
+def _renamed(space: SpaceDesc, ids: list) -> SpaceDesc:
+    return SpaceDesc(tuple(Atom(i, a.coord) for i, a in zip(ids, space.atoms)))
+
+
+@st.composite
+def preimage_reports(draw):
+    """A report on a random instance, its atoms renamed, its marginals over one big denominator."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ref, grid = instances.random_instance(rng)
+    sx, sy = ref.space.x, ref.space.y
+    x = _renamed(sx, draw(st.lists(atom_ids, min_size=len(sx.atoms), max_size=len(sx.atoms),
+                                   unique=True)))
+    y = _renamed(sy, draw(st.lists(atom_ids, min_size=len(sy.atoms), max_size=len(sy.atoms),
+                                   unique=True)))
+    rename = {**dict(zip(sx.keys, x.keys)), **dict(zip(sy.keys, y.keys))}
+    ref = Measure(
+        ProductSpace(x, y), {(rename[kx], rename[ky]): w for (kx, ky), w in ref.weights.items()}
+    )
+    den = draw(parts)
+
+    def marginal(space):
+        cuts = sorted(draw(st.integers(0, den)) for _ in space.atoms[1:])
+        edges = [0, *cuts, den]
+        return Measure(space, {k: F(b - a, den) for k, a, b in zip(space.keys, edges, edges[1:])})
+
+    return construct_preimage(ref, grid, marginal(x), marginal(y))
+
+
+def _json_indent(obj) -> str:
+    return json.dumps(to_document(obj), indent=2, ensure_ascii=True) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(line_measures() | product_measures())
+def test_measure_dumps_equals_json_indent_encoder(m):
+    text = dumps(m)
+    assert text == _json_indent(m)
+    assert loads(text) == m
+
+
+@settings(max_examples=25, deadline=None)
+@given(preimage_reports())
+def test_preimage_dumps_equals_json_indent_encoder(rep):
+    text = dumps(rep)
+    assert text == _json_indent(rep)
+    assert loads(text) == rep
+
+
+def test_measure_dumps_examples_equal_json_indent_encoder():
+    big = F(10**1200 + 7, 3**2000)
+    x = SpaceDesc((Atom('"\\', -big), Atom("%s{}", 0), Atom("\x00\né\U0001f600", big)))
+    y = SpaceDesc((Atom("{0}", 1), Atom("\ud800", F(1, 3))))
+    line = Measure(x, {'"\\': big, "\x00\né\U0001f600": F(1, 2)})
+    joint = Measure(ProductSpace(x, y), {("%s{}", "{0}"): big, ('"\\', "\ud800"): F(5)})
+    for m in (line, joint, Measure.zero(x), Measure.zero(joint.space)):
+        assert dumps(m) == _json_indent(m)
+        assert loads(dumps(m)) == m
+
+
+_LINE = '{"kind": "space", "atoms": [{"id": "a", "coord": "0"}, {"id": "b", "coord": "1"}]}'
+_PRODUCT = (
+    '{"kind": "product_space", "x": ' + _LINE + ', "y": '
+    + _LINE.replace('"a"', '"c"').replace('"b"', '"d"') + "}"
+)
+_HUGE = "1/" + "7" * 5000  # past the int-string digit limit
+
+# (space, weights as JSON text, the SchemaError's text); json.loads sees the
+# text itself, so a repeated key stays visible
+MEASURE_FAULTS = {
+    "product-not-list": (
+        _PRODUCT, '{"a": "1"}', "measure.weights: expected a list of [[x, y], mass] pairs"),
+    "entry-one-item": (
+        _PRODUCT, '[[["a", "c"], "1/2"], [["b", "d"]]]',
+        "measure.weights[1]: expected [[x, y], mass] with atom id strings"),
+    "entry-three-items": (
+        _PRODUCT, '[[["a", "c"], "1/2"], [["b", "d"], "1/2", 3]]',
+        "measure.weights[1]: expected [[x, y], mass] with atom id strings"),
+    "entry-object": (
+        _PRODUCT, '[[["a", "c"], "1/2"], {"b": "d"}]',
+        "measure.weights[1]: expected [[x, y], mass] with atom id strings"),
+    "entry-string": (
+        _PRODUCT, '["ac", "1/2"]',
+        "measure.weights[0]: expected [[x, y], mass] with atom id strings"),
+    "pair-three-ids": (
+        _PRODUCT, '[[["a", "c", "d"], "1/2"]]',
+        "measure.weights[0]: expected [[x, y], mass] with atom id strings"),
+    "pair-object": (
+        _PRODUCT, '[[{"a": "c", "b": "d"}, "1/2"]]',
+        "measure.weights[0]: expected [[x, y], mass] with atom id strings"),
+    "id-integer": (
+        _PRODUCT, '[[["a", 1], "1/2"], [["b", "d"], "1/2"]]',
+        "measure.weights[0]: expected [[x, y], mass] with atom id strings"),
+    "id-list": (
+        _PRODUCT, '[[[["a"], "c"], "1/2"]]',
+        "measure.weights[0]: expected [[x, y], mass] with atom id strings"),
+    "id-null": (
+        _PRODUCT, '[[[null, "c"], "1/2"]]',
+        "measure.weights[0]: expected [[x, y], mass] with atom id strings"),
+    "repeated-pair": (
+        _PRODUCT, '[[["a", "c"], "1/2"], [["b", "d"], "1/2"], [["a", "c"], "0"]]',
+        "measure.weights[2]: repeated weight for atom ['a', 'c']"),
+    "product-decimal": (
+        _PRODUCT, '[[["a", "c"], "0.5"], [["b", "d"], "1/2"]]',
+        "measure.weights[0]: expected a rational string like '1/10', got '0.5'"),
+    "product-number": (
+        _PRODUCT, '[[["a", "c"], 1], [["b", "d"], "1/2"]]',
+        "measure.weights[0]: expected a rational string like '1/10', got 1"),
+    "product-float": (
+        _PRODUCT, '[[["b", "d"], 0.5]]',
+        "measure.weights[0]: expected a rational string like '1/10', got 0.5"),
+    "product-zero-denominator": (
+        _PRODUCT, '[[["a", "c"], "1/2"], [["b", "d"], "1/0"]]',
+        "measure.weights[1]: zero denominator in '1/0'"),
+    "product-over-digit-limit": (
+        _PRODUCT, '[[["a", "c"], "' + _HUGE + '"], [["b", "d"], "1/2"]]',
+        "measure.weights[0]: number too large (over {limit} digits)"),
+    "product-unknown-atom": (
+        _PRODUCT, '[[["a", "z"], "1/2"], [["b", "d"], "1/2"]]',
+        "measure: weight keyed by unknown atom ('a', 'z')"),
+    "product-negative": (
+        _PRODUCT, '[[["a", "c"], "1/2"], [["b", "d"], "-1/2"]]',
+        "measure: negative weight -1/2 at atom ('b', 'd')"),
+    "line-not-object": (
+        _LINE, '[["a", "1"]]', "measure.weights: expected an object keyed by atom id"),
+    "line-repeated-key": (
+        _LINE, '{"a": "1/2", "b": "1/2", "a": "0"}', "measure.weights.a: repeated key"),
+    "line-decimal": (
+        _LINE, '{"a": "1/2", "b": "0.5"}',
+        "measure.weights.b: expected a rational string like '1/10', got '0.5'"),
+    "line-number": (
+        _LINE, '{"a": 1, "b": "1/2"}',
+        "measure.weights.a: expected a rational string like '1/10', got 1"),
+    "line-null": (
+        _LINE, '{"a": null}', "measure.weights.a: expected a rational string like '1/10', got None"),
+    "line-zero-denominator": (
+        _LINE, '{"a": "-3/0"}', "measure.weights.a: zero denominator in '-3/0'"),
+    "line-over-digit-limit": (
+        _LINE, '{"a": "1/2", "b": "' + _HUGE + '"}',
+        "measure.weights.b: number too large (over {limit} digits)"),
+    "line-unknown-atom": (
+        _LINE, '{"a": "1/2", "z": "1/2"}', "measure: weight keyed by unknown atom 'z'"),
+    "line-negative": (
+        _LINE, '{"a": "-1/2", "b": "3/2"}', "measure: negative weight -1/2 at atom 'a'"),
+    # two faults: the first entry's shape or rational, then unknown atoms, then
+    # the first negative weight in atom order
+    "bad-rational-then-bad-shape": (
+        _PRODUCT, '[[["a", "c"], "x"], [["b"], "1/2"]]',
+        "measure.weights[0]: expected a rational string like '1/10', got 'x'"),
+    "bad-shape-then-bad-rational": (
+        _PRODUCT, '[[["b"], "1/2"], [["a", "c"], "x"]]',
+        "measure.weights[0]: expected [[x, y], mass] with atom id strings"),
+    "repeated-pair-with-bad-rational": (
+        _PRODUCT, '[[["a", "c"], "1/2"], [["a", "c"], "x"]]',
+        "measure.weights[1]: repeated weight for atom ['a', 'c']"),
+    "over-digit-limit-then-bad-shape": (
+        _PRODUCT, '[[["a", "c"], "' + _HUGE + '"], [["b", "d"]]]',
+        "measure.weights[0]: number too large (over {limit} digits)"),
+    "unknown-atom-then-bad-rational": (
+        _PRODUCT, '[[["a", "z"], "1/2"], [["b", "d"], "x"]]',
+        "measure.weights[1]: expected a rational string like '1/10', got 'x'"),
+    "negative-then-unknown-atom": (
+        _PRODUCT, '[[["a", "c"], "-1/2"], [["b", "z"], "1/2"]]',
+        "measure: weight keyed by unknown atom ('b', 'z')"),
+    "two-negatives-out-of-order": (
+        _PRODUCT, '[[["b", "d"], "-1/4"], [["a", "c"], "-1/2"]]',
+        "measure: negative weight -1/2 at atom ('a', 'c')"),
+    "line-bad-rational-then-negative": (
+        _LINE, '{"b": "x", "a": "-1/2"}',
+        "measure.weights.b: expected a rational string like '1/10', got 'x'"),
+    "line-two-negatives-out-of-order": (
+        _LINE, '{"b": "-1/4", "a": "-1/2"}', "measure: negative weight -1/2 at atom 'a'"),
+    "line-negative-unknown-atom": (
+        _LINE, '{"a": "-1/2", "z": "1/2"}', "measure: weight keyed by unknown atom 'z'"),
+    "line-bad-rational-then-repeated-key": (
+        _LINE, '{"a": "x", "b": "1/2", "b": "1/2"}', "measure.weights.b: repeated key"),
+    # faults in the space come before any weight's
+    "atom-id-integer": (
+        _LINE.replace('"id": "a"', '"id": 7'), '{"a": "x"}',
+        "measure.space.atoms[0].id: wrong type int"),
+    "atom-id-empty": (
+        _LINE.replace('"id": "b"', '"id": ""'), '{"a": "x"}',
+        "measure.space.atoms[1]: atom id must be a non-empty string, got ''"),
+    "atom-coord-decimal": (
+        _LINE.replace('"coord": "1"', '"coord": "1.0"'), '{"a": "x"}',
+        "measure.space.atoms[1].coord: expected a rational string like '1/10', got '1.0'"),
+    "atom-coord-number": (
+        _LINE.replace('"coord": "0"', '"coord": 0'), '{"a": "x"}',
+        "measure.space.atoms[0].coord: expected a rational string like '1/10', got 0"),
+    "atom-coord-missing": (
+        _LINE.replace(', "coord": "1"', ""), '{"a": "x"}', "measure.space.atoms[1].coord: missing"),
+    "atom-not-object": (
+        _LINE.replace('{"id": "a", "coord": "0"}', '["a", "0"]'), '{"a": "x"}',
+        "measure.space.atoms[0]: expected an object"),
+    "atom-repeated-key": (
+        _LINE.replace('"coord": "0"', '"coord": "0", "id": "a"'), '{"a": "x"}',
+        "measure.space.atoms[0].id: repeated key"),
+    "atom-id-twice": (
+        _LINE.replace('"id": "b"', '"id": "a"'), '{"a": "x"}',
+        "measure.space: duplicate atom id 'a'"),
+    "product-space-fault-first": (
+        _PRODUCT.replace('"coord": "1"', '"coord": "x"', 1), '[[["b"], "1/2"]]',
+        "measure.space.x.atoms[1].coord: expected a rational string like '1/10', got 'x'"),
+}
+
+
+@pytest.mark.parametrize("name", MEASURE_FAULTS)
+def test_malformed_measure_messages_word_for_word(name):
+    space, weights, message = MEASURE_FAULTS[name]
+    text = '{"schema_version": 1, "kind": "measure", "space": ' + space
+    text += ', "weights": ' + weights + "}"
+    with pytest.raises(SchemaError) as exc:
+        loads(text)
+    assert str(exc.value) == message.format(limit=sys.get_int_max_str_digits())
+
+
+def test_measure_documents_accept_what_they_name():
+    # the fault table's documents without their faults parse
+    joint = '[[["a", "c"], "1/2"], [["b", "d"], "+2/4"], [["a", "d"], "0"]]'
+    for space, weights in ((_PRODUCT, joint), (_LINE, '{"b": "1/2", "a": "-0/3"}')):
+        text = '{"schema_version": 1, "kind": "measure", "space": ' + space
+        m = loads(text + ', "weights": ' + weights + "}")
+        assert m.mass() in (1, F(1, 2))
+        assert list(m.weights) == sorted(m.weights, key=m.space.position)
 
 
 def test_dumps_does_not_use_json_dumps(monkeypatch):
