@@ -89,20 +89,25 @@ class PreimageReport:
 def _splits(total: Measure, part: Measure, rest: Measure) -> bool:
     """Whether ``total == part + rest``, tested in integers without building the sum.
 
-    Weight by weight, c = g + r is cn·gd·rd == (gn·rd + rn·gd)·cd, with a
-    missing weight read as 0/1; no weight is zero, so the supports must
-    match as sets first.
+    No weight is zero, so the supports must match as sets first.  A key
+    held by one part only must carry that part's weight, compared as
+    normalised numerator and denominator; for a key held by both, c = g + r
+    is cn·gd·rd == (gn·rd + rn·gd)·cd.
     """
     if not total.space == part.space == rest.space:
         return False
     if total.weights.keys() != part.weights.keys() | rest.weights.keys():
         return False
-    zero = Fraction(0)
     for k, c in total.weights.items():
-        g, r = part.weights.get(k, zero), rest.weights.get(k, zero)
-        gn, gd, rn, rd = g.numerator, g.denominator, r.numerator, r.denominator
-        if c.numerator * gd * rd != (gn * rd + rn * gd) * c.denominator:
-            return False
+        g, r = part.weights.get(k), rest.weights.get(k)
+        if g is None or r is None:
+            w = r if g is None else g
+            if c.numerator != w.numerator or c.denominator != w.denominator:
+                return False
+        else:
+            gn, gd, rn, rd = g.numerator, g.denominator, r.numerator, r.denominator
+            if c.numerator * gd * rd != (gn * rd + rn * gd) * c.denominator:
+                return False
     return True
 
 

@@ -8,7 +8,16 @@ Parsing is strict and every complaint names the offending field: a key,
 weight or cell given twice, a boolean for an integer, a nested document of
 the wrong kind, a number with more digits than the interpreter converts.
 A result holding such a number cannot be written either; that too is a
-``SchemaError``, not a traceback.
+``SchemaError``, not a traceback, as is a float or a bool given where a
+rational belongs.
+
+Measure weights, the bulk of most documents, cost one small fixed step
+each.  A line measure writes an object keyed by atom id, a product measure
+a list of ``[[x, y], "p/q"]`` entries that :func:`_write` lays out from one
+format string per indent level.  Reading tests each entry with exact type
+checks and one ``_RATIONAL`` match, and builds a field's path only for its
+error; the weights then go through the strict ``Measure(space, weights)``,
+which rejects unknown atoms and negative weights.
 """
 
 from __future__ import annotations
@@ -41,30 +50,49 @@ _INT_LIMIT = 2**63
 
 
 def format_rational(x: Fraction) -> str:
-    if type(x) is not Fraction:
-        x = Fraction(x)
+    """x as "p/q", or "p" when q == 1; only a Fraction or an int is written."""
+    if type(x) is not Fraction and type(x) is not int:  # a float or a bool would pass str()
+        raise SchemaError(f"cannot write a {type(x).__name__} as a rational")
     try:
-        return str(x)  # "p/q", or "p" when q == 1
+        return str(x)
     except ValueError:  # beyond the interpreter's int-string digit limit
         limit = sys.get_int_max_str_digits()
         raise SchemaError(f"number too large to write (over {limit} digits)") from None
 
 
+def _fraction(raw) -> Fraction | None:
+    """raw as a Fraction if it is a rational string the interpreter converts, else None."""
+    if isinstance(raw, str) and _RATIONAL.fullmatch(raw):
+        num, _, den = raw.partition("/")
+        try:
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        except (ZeroDivisionError, ValueError):  # ValueError: past the int-string digit limit
+            pass
+    return None
+
+
 def parse_rational(raw, path: str) -> Fraction:
+    value = _fraction(raw)
+    if value is None:
+        raise _rational_error(raw, path)
+    return value
+
+
+def _rational_error(raw, path: str) -> SchemaError:
+    """Why _fraction refused raw, naming the field at path."""
     if not isinstance(raw, str) or not _RATIONAL.fullmatch(raw):
         try:
             shown = repr(raw)
         except ValueError:  # an int beyond the int-string digit limit
             shown = "a number too large to show"
-        raise SchemaError(f"{path}: expected a rational string like '1/10', got {shown}")
+        return SchemaError(f"{path}: expected a rational string like '1/10', got {shown}")
     num, _, den = raw.partition("/")
     try:
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
-    except ZeroDivisionError:
-        raise SchemaError(f"{path}: zero denominator in {raw!r}") from None
+        int(num), int(den or 1)
     except ValueError:  # beyond the interpreter's int-string digit limit
         limit = sys.get_int_max_str_digits()
-        raise SchemaError(f"{path}: number too large (over {limit} digits)") from None
+        return SchemaError(f"{path}: number too large (over {limit} digits)")
+    return SchemaError(f"{path}: zero denominator in {raw!r}")
 
 
 class _RepeatedKey(dict):
@@ -182,7 +210,16 @@ def _parse_atom(entry, path) -> Atom:
 
 
 def _parse_space(doc, path) -> SpaceDesc:
-    return _build(path, SpaceDesc, _list(doc, "atoms", path, _parse_atom))
+    atoms = []
+    for i, entry in enumerate(_field(doc, "atoms", path, list)):
+        # exact types: a _RepeatedKey object or any odd field goes to _parse_atom, which names it
+        ident = entry.get("id") if type(entry) is dict else None
+        coord = _fraction(entry.get("coord")) if type(ident) is str and ident else None
+        if coord is None:
+            atoms.append(_parse_atom(entry, f"{path}.atoms[{i}]"))
+        else:
+            atoms.append(Atom(ident, coord))
+    return _build(path, SpaceDesc, atoms)
 
 
 def _parse_product(doc, path) -> ProductSpace:
@@ -193,9 +230,15 @@ def _parse_product(doc, path) -> ProductSpace:
 # measures
 
 
+class _PairWeights(list):
+    """A product measure's [[x, y], "p/q"] entries, which _write lays out from one template."""
+
+
 def _measure_body(m: Measure) -> dict:
     if isinstance(m.space, ProductSpace):
-        weights = [[[kx, ky], format_rational(w)] for (kx, ky), w in m.weights.items()]
+        weights = _PairWeights(
+            [[[kx, ky], format_rational(w)] for (kx, ky), w in m.weights.items()]
+        )
     else:
         weights = {k: format_rational(w) for k, w in m.weights.items()}
     return {"space": _tagged(m.space), "weights": weights}
@@ -205,28 +248,31 @@ def _parse_measure(doc, path) -> Measure:
     space = _sub(doc, "space", path, "space", "product_space")
     raw = _field(doc, "weights", path)
     weights = {}
+    # one pass of exact type checks; a field's path is built only for its error
     if isinstance(space, ProductSpace):
         if not isinstance(raw, list):
             raise SchemaError(f"{path}.weights: expected a list of [[x, y], mass] pairs")
         for i, entry in enumerate(raw):
-            wpath = f"{path}.weights[{i}]"
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not isinstance(entry[0], list)
-                or len(entry[0]) != 2
-                or not all(isinstance(k, str) for k in entry[0])
+            pair = entry[0] if type(entry) is list and len(entry) == 2 else None
+            if type(pair) is not list or len(pair) != 2 or not (
+                type(pair[0]) is str and type(pair[1]) is str
             ):
-                raise SchemaError(f"{wpath}: expected [[x, y], mass] with atom id strings")
-            key = (entry[0][0], entry[0][1])
+                raise SchemaError(
+                    f"{path}.weights[{i}]: expected [[x, y], mass] with atom id strings"
+                )
+            key = (pair[0], pair[1])
             if key in weights:
-                raise SchemaError(f"{wpath}: repeated weight for atom {entry[0]!r}")
-            weights[key] = parse_rational(entry[1], wpath)
+                raise SchemaError(f"{path}.weights[{i}]: repeated weight for atom {pair!r}")
+            w = weights[key] = _fraction(entry[1])
+            if w is None:
+                raise _rational_error(entry[1], f"{path}.weights[{i}]")
     else:
         if not isinstance(raw, dict):
             raise SchemaError(f"{path}.weights: expected an object keyed by atom id")
         for k, v in raw.items():
-            weights[k] = parse_rational(v, f"{path}.weights.{k}")
+            w = weights[k] = _fraction(v)
+            if w is None:
+                raise _rational_error(v, f"{path}.weights.{k}")
     return _build(path, Measure, space, weights)
 
 
@@ -567,22 +613,33 @@ def _write(value, nl: str) -> str:
     nl is a newline plus the indent of the line value starts on.  Each
     container is joined into one string, which keeps the peak memory below
     json's.  Only dict (str keys), list, str, int, bool and None are
-    written; any other type, a float included, raises TypeError.
+    written; any other type, a float included, raises TypeError.  A product
+    measure's weight list (``_PairWeights``) is laid out entry by entry from
+    one format string: its ids are quoted into the template and its masses,
+    written by :func:`format_rational`, need no escaping.
     """
     t = type(value)
     if t is str:
         return _quote(value)
-    if t is list:
+    if t is list or t is _PairWeights:
         if not value:
             return "[]"
         inner = nl + "  "
-        items = [_quote(v) if type(v) is str else _write(v, inner) for v in value]
+        if t is _PairWeights:
+            i2, i3 = inner + "  ", inner + "    "
+            entry = "[" + i2 + "[" + i3 + "%s," + i3 + "%s" + i2 + "]," + i2 + '"%s"' + inner + "]"
+            items = [entry % (_quote(x), _quote(y), w) for (x, y), w in value]
+        else:
+            items = [_quote(v) if type(v) is str else _write(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if t is dict:
         if not value:
             return "{}"
         inner = nl + "  "
-        items = [_quote(k) + ": " + _write(v, inner) for k, v in value.items()]
+        items = [
+            _quote(k) + ": " + (_quote(v) if type(v) is str else _write(v, inner))
+            for k, v in value.items()
+        ]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if t is int:
         return repr(value)

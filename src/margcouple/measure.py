@@ -276,10 +276,11 @@ def tensor(mu: Measure, nu: Measure) -> Measure:
     if not isinstance(mu.space, SpaceDesc) or not isinstance(nu.space, SpaceDesc):
         raise ParameterError("tensor takes line measures")
     prod = ProductSpace(mu.space, nu.space)
+    # wx * wy as one Fraction, so one gcd per weight instead of two
+    rows = [(kx, wx.numerator, wx.denominator) for kx, wx in mu.weights.items()]
+    cols = [(ky, wy.numerator, wy.denominator) for ky, wy in nu.weights.items()]
     weights = {
-        (kx, ky): wx * wy
-        for kx, wx in mu.weights.items()
-        for ky, wy in nu.weights.items()
+        (kx, ky): Fraction(nx * ny, dx * dy) for kx, nx, dx in rows for ky, ny, dy in cols
     }
     return Measure._trusted(prod, weights)
 

@@ -26,6 +26,7 @@ from margcouple import (
     CertReport,
     Grid,
     IntervalSet,
+    LemmaCheck,
     Measure,
     ProductSpace,
     SchemaError,
@@ -61,6 +62,18 @@ def test_format_rational():
     assert format_rational(F(-1, 2)) == "-1/2"
     assert format_rational(F(4)) == "4"
     assert format_rational(F(0)) == "0"
+    # str() would write these as "3602879701896397/36028797018963968", "1" and "1/2"
+    for value, name in ((0.1, "float"), (True, "bool"), (False, "bool"), ("1/2", "str"),
+                        (None, "NoneType"), (1.0, "float")):
+        with pytest.raises(SchemaError) as exc:
+            format_rational(value)
+        assert str(exc.value) == f"cannot write a {name} as a rational"
+    with pytest.raises(SchemaError) as exc:
+        dumps(CheckDocument(4, LemmaCheck(0.5, F(1, 4), True)))
+    assert str(exc.value) == "cannot write a float as a rational"
+    with pytest.raises(SchemaError) as exc:
+        dumps(CheckDocument(4, LemmaCheck(F(1, 2), True, True)))
+    assert str(exc.value) == "cannot write a bool as a rational"
 
 
 def test_parse_rational_strict():
