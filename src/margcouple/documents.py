@@ -615,7 +615,7 @@ def _write(value, nl: str) -> str:
     json's.  Only dict (str keys), list, str, int, bool and None are
     written; any other type, a float included, raises TypeError.  A product
     measure's weight list (``_PairWeights``) is laid out entry by entry from
-    one format string: its ids are quoted into the template and its masses,
+    one format string: its ids are quoted and filled in, and its masses,
     written by :func:`format_rational`, need no escaping.
     """
     t = type(value)
