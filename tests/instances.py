@@ -198,6 +198,24 @@ def random_nested_intervals(rng: random.Random) -> tuple[IntervalSet, IntervalSe
     return outer, inner
 
 
+def random_line_set(rng: random.Random, anchors) -> IntervalSet:
+    """An interval set of zero to three intervals, unrelated to any other draw.
+
+    About half the endpoints are taken from ``anchors`` (pass atom
+    coordinates to put atoms exactly on endpoints), the rest from a half
+    lattice.  A third of the multi-interval draws abut, sharing endpoints.
+    """
+    n = rng.randint(0, 3)
+    pool = {F(c, 2) for c in rng.sample(range(-16, 50), 8)}
+    pool.update(a for a in anchors if rng.random() < 0.5)
+    pool = sorted(pool)
+    if n > 1 and rng.random() < 1 / 3:
+        pts = sorted(rng.sample(pool, n + 1))
+        return IntervalSet(tuple(zip(pts, pts[1:])))
+    pts = sorted(rng.sample(pool, 2 * n))
+    return IntervalSet(tuple(zip(pts[::2], pts[1::2])))
+
+
 def random_interval_family(rng: random.Random, max_sets: int = 4) -> list[IntervalSet]:
     """Possibly overlapping interval sets, raw material for disjointify."""
     out = []

@@ -328,7 +328,20 @@ def test_check_hypothesis_violation_exits_two(capsys):
         capsys, "check", REFERENCE, "--lemma", "4", "--sets", BAND_SETS, "--eps", "1/2"
     )
     assert code == 2
-    assert "band mass" in err
+    assert err == "error: marginal band mass 1/2 is not under 1/2\n"
+    # both marginal hypotheses fail: the column one is reported
+    code, out, err = run(
+        capsys, "check", REFERENCE, "--lemma", "5", "--sets", BOXDIFF_SETS,
+        "--eps1", "1/2", "--eps2", "1/2",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: first marginal band mass 1/2 is not under 1/2\n"
+    code, out, err = run(
+        capsys, "check", REFERENCE, "--lemma", "5", "--sets", BOXDIFF_SETS,
+        "--eps1", "3/5", "--eps2", "1/2",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: second marginal band mass 1/2 is not under 1/2\n"
 
 
 def test_check_flag_and_shape_errors(capsys):

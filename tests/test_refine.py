@@ -35,6 +35,7 @@ from margcouple import (
     RefineResult,
     SpaceDesc,
     boxset_within,
+    boxsets_disjoint,
     canonicalize,
     disjointify,
     intervalsets_disjoint,
@@ -273,3 +274,87 @@ def test_refine_grid_splits_masses_exactly(seed):
         for cell in cells:
             assert boxset_within(cell, target)
         assert sum((ref.eval(c) for c in cells), F(0)) == ref.eval(target)
+
+
+# -- the pointwise route ---------------------------------------------------
+
+
+def pointwise_refine(ref: Measure, targets: list[BoxSet], eps0):
+    """refine_grid's inner approximations, grid, delta and owner by point tests.
+
+    Every support point is tested against every target box with
+    ``coord_of`` and ``Box.contains``, and every support coordinate is
+    passed to ``disjointify`` as forbidden, repeats and all.
+    """
+    points = [ref.space.coord_of(k) for k in ref.weights]
+    inner = [BoxSet(tuple(b for b in t.boxes if any(b.contains(p) for p in points))) for t in targets]
+    boxes = [b for approx in inner for b in approx.boxes]
+    cols = disjointify(
+        [IntervalSet.single(*iv) for iv in dict.fromkeys(b.col for b in boxes)], [x for x, _ in points]
+    )
+    rows = disjointify(
+        [IntervalSet.single(*iv) for iv in dict.fromkeys(b.row for b in boxes)], [y for _, y in points]
+    )
+    grid = Grid(tuple(cols), tuple(rows))
+    owner = {
+        ix: next((i for i, t in enumerate(targets) if boxset_within(cell, t)), None)
+        for ix, cell in grid.cells()
+    }
+    m = sum(o is not None for o in owner.values())
+    return inner, grid, eps0 / (4 * m) if m else eps0 / 4, owner
+
+
+def edge_targets(rng: random.Random, ref: Measure) -> list[BoxSet]:
+    """Disjoint targets whose box edges sit on support coordinates about half the time.
+
+    Many boxes hold no support atom; the last target lies beyond every atom.
+    """
+    xs = [a.coord for a in ref.space.x.atoms]
+    ys = [a.coord for a in ref.space.y.atoms]
+
+    def span(coords):
+        ends = set()
+        while len(ends) < 2:
+            ends.add(rng.choice(coords) if rng.random() < 0.5 else F(rng.randrange(-16, 50), 2))
+        return tuple(sorted(ends))
+
+    targets: list[BoxSet] = []
+    want = rng.randint(1, 4)
+    for _ in range(50):
+        if len(targets) == want:
+            break
+        candidate = BoxSet(tuple(Box(span(xs), span(ys)) for _ in range(rng.randint(1, 3))))
+        if all(boxsets_disjoint(candidate, t) for t in targets):
+            targets.append(candidate)
+    return targets + [BoxSet((Box((40, 41), (40, 41)),))]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_refine_grid_matches_pointwise_route(seed):
+    rng = random.Random(61000 + seed)
+    ref = instances.random_joint(rng, instances.random_product(rng))
+    targets = edge_targets(rng, ref) if seed % 2 else instances.random_disjoint_targets(rng)
+    inner, grid, delta, owner = pointwise_refine(ref, targets, F(1, 6))
+    assert [rect_inner_approx(ref, t) for t in targets] == inner
+    rr = refine_grid(ref, targets, F(1, 6))
+    assert (rr.grid, rr.delta, rr.owner) == (grid, delta, owner)
+
+
+def test_refine_grid_pointwise_on_edges():
+    # atoms on a 4 x 4 lattice; box edges run through atoms, one of them in the support
+    x = SpaceDesc(tuple(Atom(f"x{i}", i) for i in range(4)))
+    y = SpaceDesc(tuple(Atom(f"y{i}", i) for i in range(4)))
+    weights = {("x1", "y1"): F(1, 2), ("x1", "y3"): F(1, 4), ("x3", "y3"): F(1, 4)}
+    ref = Measure(ProductSpace(x, y), weights)
+    targets = [
+        BoxSet((Box((0, 2), (0, 2)), Box((0, 1), (0, 1)))),  # the first holds (1, 1); the second nothing
+        BoxSet((Box((2, 4), (2, 4)),)),  # holds (3, 3)
+        BoxSet((Box((1, 2), (2, 3)),)),  # (1, 3) is its corner: no support inside
+    ]
+    inner, grid, delta, owner = pointwise_refine(ref, targets, F(1, 5))
+    assert inner == [BoxSet(targets[0].boxes[:1]), targets[1], BoxSet()]
+    assert [rect_inner_approx(ref, t) for t in targets] == inner
+    rr = refine_grid(ref, targets, F(1, 5))
+    assert (rr.grid, rr.delta, rr.owner) == (grid, delta, owner)
+    assert rr.owned() == [((0, 0), 0), ((1, 1), 1)]
+    assert rr.delta == F(1, 40)

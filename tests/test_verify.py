@@ -285,10 +285,12 @@ def test_band_bound_worked(reference):
 
 
 def test_band_bound_hypothesis_violation(reference):
-    with pytest.raises(HypothesisError):
+    with pytest.raises(HypothesisError) as exc:
         check_band_bound(reference, OUTER, INNER, OUTER, F(1, 2))
-    with pytest.raises(ParameterError):
+    assert str(exc.value) == "marginal band mass 1/2 is not under 1/2"
+    with pytest.raises(ParameterError) as exc:
         check_band_bound(reference, OUTER, INNER, OUTER, 0)
+    assert str(exc.value) == "tolerance must be positive"
 
 
 def test_box_diff_bound_worked(reference):
@@ -299,12 +301,21 @@ def test_box_diff_bound_worked(reference):
 
 
 def test_box_diff_bound_hypothesis_violation(reference):
-    with pytest.raises(HypothesisError):
-        check_box_diff_bound(reference, OUTER, INNER, OUTER, INNER, F(1, 2), F(3, 5))
-    with pytest.raises(HypothesisError):
-        check_box_diff_bound(reference, OUTER, INNER, OUTER, INNER, F(3, 5), F(1, 2))
-    with pytest.raises(ParameterError):
-        check_box_diff_bound(reference, OUTER, INNER, OUTER, INNER, 0, F(1, 2))
+    for eps_col, eps_row, message in [
+        (F(1, 2), F(3, 5), "first marginal band mass 1/2 is not under 1/2"),
+        (F(3, 5), F(1, 2), "second marginal band mass 1/2 is not under 1/2"),
+        # both fail: the column hypothesis is reported first
+        (F(1, 2), F(1, 3), "first marginal band mass 1/2 is not under 1/2"),
+        (F(1, 3), F(1, 2), "first marginal band mass 1/2 is not under 1/3"),
+    ]:
+        with pytest.raises(HypothesisError) as exc:
+            check_box_diff_bound(reference, OUTER, INNER, OUTER, INNER, eps_col, eps_row)
+        assert str(exc.value) == message
+    for eps_col, eps_row in [(0, F(1, 2)), (F(1, 2), 0), (-1, F(1, 100))]:
+        # a tolerance that is no tolerance is refused before any hypothesis is tested
+        with pytest.raises(ParameterError) as exc:
+            check_box_diff_bound(reference, OUTER, INNER, OUTER, INNER, eps_col, eps_row)
+        assert str(exc.value) == "tolerances must be positive"
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -328,12 +339,7 @@ def test_checks_never_exceed_their_bounds(seed):
     assert res.ok and res.lhs <= res.bound
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_check_values_match_pointwise_sums(seed):
-    rng = random.Random(53000 + seed)
-    ref = instances.random_joint(rng, instances.random_product(rng))
-    co, ci = instances.random_nested_intervals(rng)
-    ro, ri = instances.random_nested_intervals(rng)
+def _assert_checks_match_pointwise_sums(ref, co, ci, ro, ri):
     points = [(ref.space.coord_of(k), w) for k, w in ref.weights.items()]
 
     def mass(pred):
@@ -351,6 +357,54 @@ def test_check_values_match_pointwise_sums(seed):
     assert res.bound == mass(
         lambda x, y: co.contains(x) and not ci.contains(x) and ro.contains(y)
     ) + mass(lambda x, y: co.contains(x) and ro.contains(y) and not ri.contains(y))
+    # at eps equal to a band mass the hypothesis fails, so the bands are the marginals'
+    if col_band:
+        with pytest.raises(HypothesisError) as exc:
+            check_band_bound(ref, co, ci, ri, col_band)
+        assert str(exc.value) == f"marginal band mass {col_band} is not under {col_band}"
+    if row_band:
+        with pytest.raises(HypothesisError) as exc:
+            check_box_diff_bound(ref, co, ci, ro, ri, col_band + 1, row_band)
+        assert str(exc.value) == f"second marginal band mass {row_band} is not under {row_band}"
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_check_values_match_pointwise_sums(seed):
+    rng = random.Random(53000 + seed)
+    ref = instances.random_joint(rng, instances.random_product(rng))
+    co, ci = instances.random_nested_intervals(rng)
+    ro, ri = instances.random_nested_intervals(rng)
+    _assert_checks_match_pointwise_sums(ref, co, ci, ro, ri)
+    # unrelated sets: disjoint, overlapping, empty and multi-interval, with
+    # atoms sitting exactly on endpoints about half the time
+    xs = [a.coord for a in ref.space.x.atoms]
+    ys = [a.coord for a in ref.space.y.atoms]
+    for _ in range(10):
+        co, ci = (instances.random_line_set(rng, xs) for _ in range(2))
+        ro, ri = (instances.random_line_set(rng, ys) for _ in range(2))
+        _assert_checks_match_pointwise_sums(ref, co, ci, ro, ri)
+
+
+def test_check_values_on_endpoints_and_empty_sets():
+    # one atom on each side of every endpoint and one on it; the open sets hold none of the ends
+    x = SpaceDesc(tuple(Atom(f"x{i}", F(i, 2)) for i in range(7)))
+    y = SpaceDesc(tuple(Atom(f"y{i}", F(i, 2)) for i in range(7)))
+    ref = Measure(ProductSpace(x, y), {k: F(1, 49) for k in ProductSpace(x, y).keys})
+    empty = IntervalSet()
+    pair = IntervalSet(((F(0), F(1)), (F(1), F(2))))  # abutting: 1 is no member
+    whole = IntervalSet.single(F(0), F(3))
+    for co, ci, ro, ri in [
+        (whole, pair, whole, pair),
+        (pair, whole, pair, whole),
+        (empty, empty, empty, empty),
+        (whole, empty, pair, empty),
+        (empty, whole, empty, pair),
+        (IntervalSet.single(F(1, 2), F(1)), IntervalSet.single(F(1), F(3, 2)), pair, whole),
+    ]:
+        _assert_checks_match_pointwise_sums(ref, co, ci, ro, ri)
+    res = check_band_bound(ref, whole, pair, whole, 1)
+    # x in {1, 2, 5/2}: in (0, 3) but not in (0, 1) u (1, 2); y in (0, 3) for 5 of 7 rows
+    assert (res.lhs, res.bound) == (F(15, 49), F(21, 49))
 
 
 # -- certification ---------------------------------------------------------
