@@ -103,9 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="line sets document: [outer, inner, row] for rule 4, "
         "[col outer, col inner, row outer, row inner] for rule 5",
     )
-    p.add_argument("--eps", type=_rational_flag, help="tolerance for rule 4")
-    p.add_argument("--eps1", type=_rational_flag, help="column tolerance for rule 5")
-    p.add_argument("--eps2", type=_rational_flag, help="row tolerance for rule 5")
+    p.add_argument("--eps", type=_rational_flag, help="tolerance for rule 4 only")
+    p.add_argument("--eps1", type=_rational_flag, help="column tolerance for rule 5 only")
+    p.add_argument("--eps2", type=_rational_flag, help="row tolerance for rule 5 only")
     return parser
 
 
@@ -195,6 +195,10 @@ def _run(args) -> int:
         if doc.geometry != "line":
             raise SchemaError(f"{args.sets}: check takes line geometry sets")
         sets: Sequence[IntervalSet] = doc.sets
+        others = ("eps1", "eps2") if args.lemma == 4 else ("eps",)
+        stray = [f"--{name}" for name in others if getattr(args, name) is not None]
+        if stray:
+            raise SchemaError(f"check --lemma {args.lemma} does not take {' or '.join(stray)}")
         if args.lemma == 4:
             if args.eps is None:
                 raise SchemaError("check --lemma 4 needs --eps")

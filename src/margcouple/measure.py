@@ -25,10 +25,13 @@ the checks.
 
 Sums of many weights go through :func:`_fsum`, which adds numerators as
 ints per denominator and normalises once, instead of paying one ``gcd``
-per added ``Fraction``: ``mass``, ``push_proj``, ``eval_many`` and
+per added ``Fraction``: ``mass``, ``push_proj``, ``Measure._patterns`` and
 :meth:`..refine.Grid.cell_masses`.  The result is the same ``Fraction``,
-since a ``Fraction`` is normalised whichever route builds it.  ``eval``,
-``sum_where`` and :func:`barycenter` keep plain ``Fraction`` sums on
+since a ``Fraction`` is normalised whichever route builds it.
+``_patterns``, one bitmask per distinct coordinate and axis, serves
+``eval_many``, the two checks of :mod:`.verify` and ``refine_grid``.
+``eval``, ``sum_where`` and
+:func:`barycenter` test point by point with plain ``Fraction`` sums on
 purpose, as do the oracles of :mod:`.verify`: they are the independent
 routes the fast ones are checked against.
 """
@@ -87,11 +90,8 @@ def _normalized(space: Space, raw: Mapping) -> dict:
 
 def _masks(space: SpaceDesc, keys: Iterable, bits: Mapping) -> dict:
     """Atom id -> OR of the bits of the open intervals holding its coordinate."""
-    out = {}
-    for k in keys:
-        c = space.coord_of(k)
-        out[k] = sum(bit for (lo, hi), bit in bits.items() if lo < c < hi)
-    return out
+    coords = {k: space.coord_of(k) for k in keys}
+    return {k: sum(bit for (lo, hi), bit in bits.items() if lo < c < hi) for k, c in coords.items()}
 
 
 def _check_geometry(space: Space, open_set: OpenSet) -> None:
@@ -137,8 +137,8 @@ class Measure:
         """Total weight of atoms whose coordinate satisfies ``pred``.
 
         The predicate receives a rational for line measures and a coordinate
-        pair for product measures.  This is the point-filtering primitive
-        behind evaluation of open sets and of set differences.
+        pair for product measures.  ``eval`` filters points through it, the
+        route that the pattern sums of ``eval_many`` are checked against.
         """
         coord = self.space.coord_of
         return sum((w for k, w in self.weights.items() if pred(coord(k))), Fraction(0))
@@ -147,46 +147,50 @@ class Measure:
         _check_geometry(self.space, open_set)
         return self.sum_where(open_set.contains)
 
+    def _patterns(self, cols: Iterable, rows: Iterable = ()) -> tuple[dict, dict, dict]:
+        """Each distinct interval's bit, per axis, and the exact mass per pattern.
+
+        ``cols`` are open intervals on the x axis (a line measure's only
+        axis), ``rows`` on the y axis.  Each distinct support coordinate is
+        compared once with each distinct interval of its axis, strictly as in
+        ``contains``; its mask is the OR of the bits of the intervals holding
+        it.  Weights are summed per ``(x mask, y mask)`` pattern.  A line
+        measure's atoms lie in every row.
+        """
+        col_bit = {iv: 1 << i for i, iv in enumerate(dict.fromkeys(cols))}
+        row_bit = {iv: 1 << i for i, iv in enumerate(dict.fromkeys(rows))}
+        groups: dict = {}
+        if isinstance(self.space, ProductSpace):
+            x_mask = _masks(self.space.x, {kx for kx, _ in self.weights}, col_bit)
+            y_mask = _masks(self.space.y, {ky for _, ky in self.weights}, row_bit)
+            for (kx, ky), w in self.weights.items():
+                groups.setdefault((x_mask[kx], y_mask[ky]), []).append(w)
+        else:
+            x_mask = _masks(self.space, self.weights, col_bit)
+            every_row = (1 << len(row_bit)) - 1
+            for k, w in self.weights.items():
+                groups.setdefault((x_mask[k], every_row), []).append(w)
+        return col_bit, row_bit, {p: _fsum(ws) for p, ws in groups.items()}
+
     def eval_many(self, sets: Sequence[OpenSet]) -> list[Fraction]:
         """``[self.eval(s) for s in sets]``, in one pass over the support.
 
-        Every distinct interval the sets use gets one bit: the intervals of
-        an interval set, the columns and rows of a box set.  Each support
-        atom's coordinate is compared once with each distinct interval of
-        its axis, giving it a bitmask per axis, and the weights are summed
-        per pattern of masks.  A set's mass is the sum of the patterns that
-        one of its boxes hits, tested with integer ``&``; an interval acts
-        as a box whose row holds every atom.  Boxes may overlap and atoms
-        may sit on endpoints: the comparisons are the strict ones of
-        ``contains``, and a pattern counts once however many boxes hit it.
+        Boxes' columns and rows, or intervals (boxes whose row holds every
+        atom), go through :meth:`_patterns`.  A set's mass sums the patterns
+        one of its boxes hits, tested with integer ``&``, each pattern once.
         """
         for s in sets:
             _check_geometry(self.space, s)
-        product = isinstance(self.space, ProductSpace)
-        boxes = [
-            [(b.col, b.row) for b in s.boxes] if product else [(iv, None) for iv in s.intervals]
-            for s in sets
-        ]
-        cols: dict = {}
-        rows: dict = {}
-        hits = [
-            [(cols.setdefault(c, 1 << len(cols)), rows.setdefault(r, 1 << len(rows)))
-             for c, r in bs]
-            for bs in boxes
-        ]
-        if product:
-            x_mask = _masks(self.space.x, {kx for kx, _ in self.weights}, cols)
-            y_mask = _masks(self.space.y, {ky for _, ky in self.weights}, rows)
-            patterns = {k: (x_mask[k[0]], y_mask[k[1]]) for k in self.weights}
+        if isinstance(self.space, ProductSpace):
+            boxes = [[(b.col, b.row) for b in s.boxes] for s in sets]
         else:
-            x_mask = _masks(self.space, self.weights, cols)
-            patterns = {k: (x_mask[k], 1) for k in self.weights}
-        groups: dict = {}
-        for k, w in self.weights.items():
-            groups.setdefault(patterns[k], []).append(w)
-        sums = {p: _fsum(ws) for p, ws in groups.items()}
+            boxes = [[(iv, None) for iv in s.intervals] for s in sets]
+        col_bit, row_bit, masses = self._patterns(
+            (c for bs in boxes for c, _ in bs), (r for bs in boxes for _, r in bs)
+        )
+        hits = [[(col_bit[c], row_bit[r]) for c, r in bs] for bs in boxes]
         return [
-            _fsum(w for (mx, my), w in sums.items() if any(mx & c and my & r for c, r in h))
+            _fsum(w for (mx, my), w in masses.items() if any(mx & c and my & r for c, r in h))
             for h in hits
         ]
 

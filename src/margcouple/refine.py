@@ -126,18 +126,21 @@ class RefineResult:
         return [(ix, own) for ix, own in sorted(self.owner.items()) if own is not None]
 
 
+def _holding_mass(reference: Measure, boxes: Sequence[Box]) -> list[Box]:
+    """The boxes of positive mass; weights are positive, so those holding a support atom."""
+    masses = reference.eval_many([BoxSet((b,)) for b in boxes])
+    return [b for b, m in zip(boxes, masses) if m]
+
+
 def rect_inner_approx(reference: Measure, target: BoxSet) -> BoxSet:
     """Boxes inside the target that jointly carry all its reference mass.
 
-    At finite support the constituent boxes holding at least one support
-    atom already do this with zero mass defect, so no tolerance is needed.
+    At finite support the constituent boxes of positive mass already do
+    this with zero mass defect, so no tolerance is needed.
     """
     if not isinstance(reference.space, ProductSpace):
         raise ParameterError("rect_inner_approx needs a product measure")
-    coord = reference.space.coord_of
-    points = [coord(k) for k in reference.weights]
-    kept = tuple(b for b in target.boxes if any(b.contains(p) for p in points))
-    return BoxSet(kept)
+    return BoxSet(tuple(_holding_mass(reference, target.boxes)))
 
 
 def disjointify(sets: Sequence[IntervalSet], forbidden: Sequence) -> list[IntervalSet]:
@@ -218,11 +221,11 @@ def refine_grid(reference: Measure, targets: Sequence[BoxSet], eps0) -> RefineRe
             if not boxsets_disjoint(a, b):
                 raise ParameterError("targets must be pairwise disjoint")
 
-    inner = [rect_inner_approx(reference, t) for t in targets]
-    boxes = [b for approx in inner for b in approx.boxes]
-    coords = [reference.space.coord_of(k) for k in reference.weights]
-    cols = disjointify(_axis_interval_sets(boxes, 1), [p[0] for p in coords])
-    rows = disjointify(_axis_interval_sets(boxes, 2), [p[1] for p in coords])
+    boxes = _holding_mass(reference, [b for t in targets for b in t.boxes])
+    # no cut on a support coordinate, looked up once per distinct atom of its axis
+    xs, ys = ({k[i] for k in reference.weights} for i in (0, 1))
+    cols = disjointify(_axis_interval_sets(boxes, 1), [reference.space.x.coord_of(k) for k in xs])
+    rows = disjointify(_axis_interval_sets(boxes, 2), [reference.space.y.coord_of(k) for k in ys])
     grid = Grid(tuple(cols), tuple(rows))
 
     owner: dict[CellIndex, int | None] = {}

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .couple import admissible_delta, construct_preimage
 from .errors import (
@@ -27,7 +27,7 @@ from .errors import (
     MassMismatchError,
     ParameterError,
 )
-from .measure import Measure, MetaMeasure, barycenter
+from .measure import Measure, MetaMeasure, _fsum, barycenter
 from .refine import Grid, refine_grid
 from .space import (
     Atom,
@@ -287,7 +287,7 @@ def sample_in_neighborhood(center: Measure, sets: Sequence, delta, seed: Seed) -
 
 
 # ---------------------------------------------------------------------------
-# containment validators
+# containment validators: every mass, marginal bands too, sums one pass of patterns
 
 
 @dataclass(frozen=True)
@@ -299,14 +299,16 @@ class LemmaCheck:
     ok: bool
 
 
-def _band_mass(m: Measure, outer: Callable, inner: Callable) -> Fraction:
-    """Mass of m on the points inside ``outer`` but not inside ``inner``."""
-    return m.sum_where(lambda z: outer(z) and not inner(z))
-
-
-def _rect(col: IntervalSet, row: IntervalSet) -> Callable:
-    """Membership in the product set col x row."""
-    return lambda p: col.contains(p[0]) and row.contains(p[1])
+def _patterns(joint: Measure, cols: Sequence[IntervalSet], rows: Sequence[IntervalSet]):
+    """Bits of each column and row set, and the joint's mass on the patterns where pred holds."""
+    if not isinstance(joint.space, ProductSpace):
+        raise ParameterError("a containment check takes a product measure")
+    col_bit, row_bit, masses = joint._patterns(
+        (iv for s in cols for iv in s.intervals), (iv for s in rows for iv in s.intervals)
+    )
+    col_bits = [sum(col_bit[iv] for iv in s.intervals) for s in cols]
+    row_bits = [sum(row_bit[iv] for iv in s.intervals) for s in rows]
+    return col_bits, row_bits, lambda pred: _fsum(w for p, w in masses.items() if pred(*p))
 
 
 def check_band_bound(
@@ -322,10 +324,11 @@ def check_band_bound(
     eps = as_rational(eps)
     if eps <= 0:
         raise ParameterError("tolerance must be positive")
-    band = _band_mass(joint.push_proj(1), col_outer.contains, col_inner.contains)
+    (outer, inner), (row,), mass = _patterns(joint, (col_outer, col_inner), (row_set,))
+    band = mass(lambda mx, my: mx & outer and not mx & inner)
     if not band < eps:
         raise HypothesisError(f"marginal band mass {band} is not under {eps}")
-    lhs = _band_mass(joint, _rect(col_outer, row_set), _rect(col_inner, row_set))
+    lhs = mass(lambda mx, my: mx & outer and not mx & inner and my & row)
     if lhs > band:
         raise InternalConsistencyError("band mass exceeded its marginal majorant")
     return LemmaCheck(lhs, band, lhs < eps)
@@ -349,17 +352,16 @@ def check_box_diff_bound(
     eps_col, eps_row = as_rational(eps_col), as_rational(eps_row)
     if eps_col <= 0 or eps_row <= 0:
         raise ParameterError("tolerances must be positive")
-    col_band = _band_mass(joint.push_proj(1), col_outer.contains, col_inner.contains)
+    (co, ci), (ro, ri), mass = _patterns(joint, (col_outer, col_inner), (row_outer, row_inner))
+    col_band = mass(lambda mx, my: mx & co and not mx & ci)
     if not col_band < eps_col:
         raise HypothesisError(f"first marginal band mass {col_band} is not under {eps_col}")
-    row_band = _band_mass(joint.push_proj(2), row_outer.contains, row_inner.contains)
+    row_band = mass(lambda mx, my: my & ro and not my & ri)
     if not row_band < eps_row:
         raise HypothesisError(f"second marginal band mass {row_band} is not under {eps_row}")
-    outer = _rect(col_outer, row_outer)
-    lhs = _band_mass(joint, outer, _rect(col_inner, row_inner))
-    both_bands = (
-        _band_mass(joint, outer, _rect(col_inner, row_outer))
-        + _band_mass(joint, outer, _rect(col_outer, row_inner))
+    lhs = mass(lambda mx, my: mx & co and my & ro and not (mx & ci and my & ri))
+    both_bands = mass(lambda mx, my: mx & co and my & ro and not mx & ci) + mass(
+        lambda mx, my: mx & co and my & ro and not my & ri
     )
     if lhs > both_bands:
         raise InternalConsistencyError("difference mass exceeded its two-band majorant")

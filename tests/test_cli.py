@@ -356,6 +356,26 @@ def test_check_flag_and_shape_errors(capsys):
     assert "rule 5" in err
 
 
+def test_check_refuses_the_other_rules_tolerances(capsys):
+    band = ("check", REFERENCE, "--lemma", "4", "--sets", BAND_SETS, "--eps", "3/5")
+    boxdiff = ("check", REFERENCE, "--lemma", "5", "--sets", BOXDIFF_SETS,
+               "--eps1", "3/5", "--eps2", "3/5")
+    for argv, message in [
+        (band + ("--eps1", "1/9", "--eps2", "1/9"), "check --lemma 4 does not take --eps1 or --eps2"),
+        (band + ("--eps1", "1/9"), "check --lemma 4 does not take --eps1"),
+        (band + ("--eps2", "1/9"), "check --lemma 4 does not take --eps2"),
+        # refused even where the rule's own tolerance is missing
+        (band[:-2] + ("--eps2", "1/9"), "check --lemma 4 does not take --eps2"),
+        (boxdiff + ("--eps", "1/9"), "check --lemma 5 does not take --eps"),
+        (boxdiff[:-4] + ("--eps", "3/5"), "check --lemma 5 does not take --eps"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    # each rule alone still runs
+    assert run(capsys, *band)[0] == 0
+    assert run(capsys, *boxdiff)[0] == 0
+
+
 def test_argparse_failures_exit_two(capsys):
     assert run(capsys, "unknown-command")[0] == 2
     assert run(capsys, "refine", REFERENCE, TARGETS, "--eps0", "0.2")[0] == 2

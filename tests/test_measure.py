@@ -442,4 +442,5 @@ def _names(code) -> set:
     ],
 )
 def test_cross_checks_keep_plain_fraction_sums(fn):
-    assert "_fsum" not in _names(fn.__code__)
+    names = _names(fn.__code__)
+    assert "_fsum" not in names and "_patterns" not in names
