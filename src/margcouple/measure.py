@@ -30,10 +30,9 @@ per added ``Fraction``: ``mass``, ``push_proj``, ``Measure._patterns`` and
 since a ``Fraction`` is normalised whichever route builds it.
 ``_patterns``, one bitmask per distinct coordinate and axis, serves
 ``eval_many``, the two checks of :mod:`.verify` and ``refine_grid``.
-``eval``, ``sum_where`` and
-:func:`barycenter` test point by point with plain ``Fraction`` sums on
-purpose, as do the oracles of :mod:`.verify`: they are the independent
-routes the fast ones are checked against.
+``eval``, ``sum_where`` and :func:`barycenter` test point by point with
+plain ``Fraction`` sums on purpose, as do the oracles of :mod:`.verify`:
+they are the independent routes the fast ones are checked against.
 """
 
 from __future__ import annotations
@@ -90,8 +89,11 @@ def _normalized(space: Space, raw: Mapping) -> dict:
 
 def _masks(space: SpaceDesc, keys: Iterable, bits: Mapping) -> dict:
     """Atom id -> OR of the bits of the open intervals holding its coordinate."""
-    coords = {k: space.coord_of(k) for k in keys}
-    return {k: sum(bit for (lo, hi), bit in bits.items() if lo < c < hi) for k, c in coords.items()}
+    out = {}
+    for k in keys:
+        c = space.coord_of(k)
+        out[k] = sum(bit for (lo, hi), bit in bits.items() if lo < c < hi)
+    return out
 
 
 def _check_geometry(space: Space, open_set: OpenSet) -> None:

@@ -291,6 +291,13 @@ def test_band_bound_hypothesis_violation(reference):
     with pytest.raises(ParameterError) as exc:
         check_band_bound(reference, OUTER, INNER, OUTER, 0)
     assert str(exc.value) == "tolerance must be positive"
+    line = reference.push_proj(1)
+    with pytest.raises(ParameterError) as exc:
+        check_band_bound(line, OUTER, INNER, OUTER, 1)
+    assert str(exc.value) == "a containment check takes a product measure"
+    with pytest.raises(ParameterError) as exc:
+        check_box_diff_bound(line, OUTER, INNER, OUTER, INNER, 1, 1)
+    assert str(exc.value) == "a containment check takes a product measure"
 
 
 def test_box_diff_bound_worked(reference):
