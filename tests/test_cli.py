@@ -411,6 +411,25 @@ def test_argparse_failures_exit_two(capsys):
     assert args.trials == 2**63 - 1
 
 
+def test_dispatch_after_a_refused_flag_matches_a_fresh_process(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    code, out, err = run(capsys, "refine", REFERENCE, TARGETS, "--eps0", "0.2")
+    assert (code, out) == (2, "")
+    assert err == (
+        "usage: margcouple refine [-h] --eps0 EPS0 reference sets\n"
+        "margcouple refine: error: argument --eps0: argument: expected a rational "
+        "string like '1/10', got '0.2'\n"
+    )
+    code, out, err = run(capsys, "refine", REFERENCE, TARGETS, "--eps0", "1/5")
+    assert (code, err) == (0, "")
+    fresh = subprocess.run(
+        [sys.executable, "-m", "margcouple.cli", "refine", REFERENCE, TARGETS, "--eps0", "1/5"],
+        capture_output=True,
+    )
+    assert fresh.returncode == 0
+    assert out.encode() == fresh.stdout
+
+
 def test_refine_rejects_line_sets(capsys):
     code, _, err = run(capsys, "refine", REFERENCE, BAND_SETS, "--eps0", "1/5")
     assert code == 2

@@ -196,6 +196,69 @@ def test_random_marginals_always_exact(seed):
     assert rep.coupling.mass() == 1
 
 
+# -- the remainder's marginals ---------------------------------------------
+
+
+def _emptied(m: Measure, piece: IntervalSet, rng: random.Random) -> Measure:
+    """m with the mass of one grid piece moved onto an atom outside it, if there is one."""
+    coord = m.space.coord_of
+    outside = [k for k in m.space.keys if not piece.contains(coord(k))]
+    if not outside:
+        return m
+    weights = {k: w for k, w in m.weights.items() if not piece.contains(coord(k))}
+    k = rng.choice(outside)
+    weights[k] = weights.get(k, F(0)) + m.eval(piece)
+    return Measure(m.space, weights)
+
+
+def _remainder_case(seed: int):
+    """A random instance; mu often leaves a column massless and nu a row."""
+    rng = random.Random(53000 + seed)
+    ref, grid = instances.random_instance(rng)
+    mu = instances.random_prob_measure(rng, ref.space.x)
+    nu = instances.random_prob_measure(rng, ref.space.y)
+    if rng.random() < 0.5:
+        mu = _emptied(mu, rng.choice(grid.cols), rng)
+    if rng.random() < 0.5:
+        nu = _emptied(nu, rng.choice(grid.rows), rng)
+    return ref, grid, mu, nu
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_remainder_marginals_are_what_the_cells_leave(seed):
+    ref, grid, mu, nu = _remainder_case(seed)
+    rep = construct_preimage(ref, grid, mu, nu)
+    left = marginal_pair(rep.remainder_coupling)
+    assert left.mu == mu - rep.grid_part.push_proj(1)
+    assert left.nu == nu - rep.grid_part.push_proj(2)
+    pair = marginal_pair(rep.coupling)
+    assert pair.mu == mu and pair.nu == nu
+
+
+def test_remainder_cases_reach_the_edges():
+    """The seeds above hold atoms outside the grid, massless pieces and unkept cells."""
+    seen = set()
+    for seed in range(60):
+        ref, grid, mu, nu = _remainder_case(seed)
+        rep = construct_preimage(ref, grid, mu, nu)
+        for m, pieces, axis in ((mu, grid.cols, "column"), (nu, grid.rows, "row")):
+            coord = m.space.coord_of
+            if any(not any(p.contains(coord(k)) for p in pieces) for k in m.weights):
+                seen.add(f"atom outside every {axis}")
+            if any(m.eval(p) == 0 for p in pieces):
+                seen.add(f"massless {axis}")
+        ref_cells = grid.cell_masses(ref)
+        if any(a.kept == 0 and ref_cells[ix] > 0 for ix, a in rep.cell_allocs.items()):
+            seen.add("unkept cell of positive reference mass")
+    assert seen == {
+        "atom outside every column",
+        "atom outside every row",
+        "massless column",
+        "massless row",
+        "unkept cell of positive reference mass",
+    }
+
+
 # -- the binned construction against a per-cell oracle ---------------------
 
 

@@ -28,7 +28,7 @@ from margcouple import (
     tensor,
     verify,
 )
-from margcouple.measure import _fsum
+from margcouple.measure import _fsum, _masks
 
 F = Fraction
 
@@ -146,6 +146,44 @@ def test_eval_many_wrong_geometry(line, spaces):
     joint = Measure(ProductSpace(*spaces), {("a", "c"): F(1)})
     with pytest.raises(ParameterError):
         joint.eval_many([BoxSet(), IntervalSet()])
+
+
+# -- the per-axis mask kernel ----------------------------------------------
+
+
+def _bits(ivs) -> dict:
+    return {iv: 1 << i for i, iv in enumerate(dict.fromkeys(ivs))}
+
+
+def _pointwise_masks(space: SpaceDesc, bits: dict) -> dict:
+    """Each atom's mask by the open-set rule ``lo < c < hi``, interval by interval."""
+    return {a.id: sum(bit for (lo, hi), bit in bits.items() if lo < a.coord < hi) for a in space.atoms}
+
+
+# intervals from several sets on the half-integer lattice: they overlap, abut
+# and share endpoints, and atoms (repeated coordinates too) sit on endpoints
+@given(line_measures(), st.lists(intervals.map(tuple), max_size=8))
+def test_masks_match_the_pointwise_rule(m, ivs):
+    bits = _bits(ivs)
+    assert _masks(m.space, m.space.keys, bits) == _pointwise_masks(m.space, bits)
+
+
+def test_masks_worked_cases():
+    coords = (F(-2), F(0), F(1, 2), F(1), F(3, 2), F(2), F(3), F(9, 2), F(9, 2))
+    space = SpaceDesc(tuple(Atom(f"p{i}", c) for i, c in enumerate(coords)))
+    abutting = _bits([(F(0), F(1)), (F(1), F(2))])
+    # -2 and 9/2 lie outside both; 0, 1 and 2 are endpoints, so in neither
+    assert list(_masks(space, space.keys, abutting).values()) == [0, 0, 1, 0, 2, 0, 0, 0, 0]
+    for ivs in (
+        [],  # no intervals
+        [(F(0), F(2))],  # one interval, atoms on both ends
+        [(F(0), F(2)), (F(1), F(3)), (F(1, 2), F(2))],  # overlapping; 2 ends two of them
+        [(F(-1), F(5)), (F(0), F(1)), (F(1), F(9, 2))],  # nested and abutting at 1
+    ):
+        bits = _bits(ivs)
+        assert _masks(space, space.keys, bits) == _pointwise_masks(space, bits)
+    # only the given keys are classified
+    assert _masks(space, ["p2"], abutting) == {"p2": 1}
 
 
 def test_push_proj(spaces):

@@ -358,3 +358,41 @@ def test_refine_grid_pointwise_on_edges():
     assert (rr.grid, rr.delta, rr.owner) == (grid, delta, owner)
     assert rr.owned() == [((0, 0), 0), ((1, 1), 1)]
     assert rr.delta == F(1, 40)
+
+
+def test_refine_grid_midpoint_target_need_not_own_the_cell():
+    # the first target's second box holds no atom, so it is no grid input; it
+    # holds the midpoint (2, 1/2) of cell (1, 0) = (1, 3) x (0, 1), which the
+    # target does not cover
+    x = SpaceDesc((Atom("x0", F(1, 2)), Atom("x1", F(5, 4))))
+    y = SpaceDesc((Atom("y0", F(1, 2)), Atom("y1", F(11, 2))))
+    ref = Measure(ProductSpace(x, y), {("x0", "y0"): F(1, 2), ("x1", "y1"): F(1, 2)})
+    targets = [
+        BoxSet((Box((0, 1), (0, 1)), Box((F(3, 2), 4), (0, 1)))),
+        BoxSet((Box((1, 3), (5, 6)),)),
+    ]
+    rr = refine_grid(ref, targets, F(1, 5))
+    assert rr.grid.cell(1, 0) == BoxSet((Box((1, 3), (0, 1)),))
+    assert targets[0].contains((F(2), F(1, 2)))
+    assert rr.owner == {(0, 0): 0, (0, 1): None, (1, 0): None, (1, 1): 1}
+    assert rr.owner == pointwise_refine(ref, targets, F(1, 5))[3]
+
+
+def test_refine_grid_cells_of_multi_interval_pieces():
+    # (0, 3) and (1, 2) split the x axis into the pieces (0, 1) u (2, 3) and (1, 2)
+    x = SpaceDesc(tuple(Atom(f"x{i}", F(c, 2)) for i, c in enumerate((1, 3, 5))))
+    y = SpaceDesc(tuple(Atom(f"y{i}", F(c, 2)) for i, c in enumerate((1, 3, 5))))
+    weights = {("x0", "y0"): F(1, 4), ("x1", "y1"): F(1, 4), ("x2", "y0"): F(1, 4), ("x2", "y2"): F(1, 4)}
+    ref = Measure(ProductSpace(x, y), weights)
+    targets = [
+        BoxSet((Box((0, 3), (0, 1)),)),
+        BoxSet((Box((1, 2), (1, 2)),)),
+        # holds no atom, but the midpoint of cell (0, 1)'s first box, (0, 1) x (1, 2)
+        BoxSet((Box((0, 1), (1, 2)),)),
+    ]
+    rr = refine_grid(ref, targets, F(1, 5))
+    assert rr.grid.cols == (iset((0, 1), (2, 3)), iset((1, 2)))
+    assert rr.grid.cell(0, 1) == BoxSet((Box((0, 1), (1, 2)), Box((2, 3), (1, 2))))
+    assert rr.owner == {(0, 0): 0, (0, 1): None, (1, 0): 0, (1, 1): 1}
+    assert rr.owner == pointwise_refine(ref, targets, F(1, 5))[3]
+    assert rr.delta == F(1, 60)
