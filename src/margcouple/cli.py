@@ -10,6 +10,7 @@ deterministic byte for byte for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -222,10 +223,13 @@ def _run(args) -> int:
     raise SchemaError(f"unknown command {args.command!r}")
 
 
+# parsing leaves no state on a parser, so one per process serves every call
+_parser = functools.cache(build_parser)
+
+
 def dispatch(argv: Sequence[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

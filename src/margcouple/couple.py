@@ -18,8 +18,12 @@ Cell masses, of the reference and of the new coupling alike, come from one
 binning pass of :meth:`..refine.Grid.cell_masses` each: column pieces are
 pairwise disjoint and so are row pieces, so every atom falls in at most one
 cell.  The new marginals are split into their column and row parts by the
-same binning, one pass each.  No cell, column or row is taken by scanning
-all atoms against it.
+same binning, one pass each.  Column and row masses, of the reference
+marginals and of the new ones, still take one ``eval`` scan per piece: 4k
+scans on a k × k grid.  What the cells leave of each marginal is read off
+the allocations, never by projecting the grid part: every part has mass
+1, so the grid part's marginal on a piece is the piece's part times the
+mass its cells kept.
 """
 
 from __future__ import annotations
@@ -127,6 +131,16 @@ def _normalized_parts(m: Measure, pieces, masses) -> list:
     return [Measure._trusted(m.space, p) if p else None for p in parts]
 
 
+def _taken(m: Measure, parts, kept) -> Measure:
+    """The grid part's marginal on m's axis, without a pass over the grid part.
+
+    A cell holds kept × (column part ⊗ row part) and every part has mass 1,
+    so each piece contributes its part times the mass its cells kept.
+    """
+    taken = {key: k * w for part, k in zip(parts, kept) if k for key, w in part.weights.items()}
+    return Measure._trusted(m.space, {key: taken[key] for key in m.weights if key in taken})
+
+
 def construct_preimage(
     reference: Measure, grid: Grid, mu: Measure, nu: Measure
 ) -> PreimageReport:
@@ -153,6 +167,8 @@ def construct_preimage(
     ref_cell_mass = grid.cell_masses(reference)
     allocs: dict[CellIndex, CellAlloc] = {}
     acc: dict = {}
+    col_kept = [Fraction(0)] * len(grid.cols)
+    row_kept = [Fraction(0)] * len(grid.rows)
     for (q, s), ref_mass in ref_cell_mass.items():
         if ref_mass == 0:
             allocs[(q, s)] = CellAlloc(Fraction(0), Fraction(0), Fraction(0))
@@ -175,12 +191,14 @@ def construct_preimage(
         # columns are pairwise disjoint and so are rows: no key lies in two cells
         for key, w in tensor(col_parts[q], row_parts[s]).weights.items():
             acc[key] = kept * w
+        col_kept[q] += kept
+        row_kept[s] += kept
     prod = ProductSpace(mu.space, nu.space)
     grid_part = Measure._trusted(prod, {k: acc[k] for k in sorted(acc, key=prod.position)})
 
     try:
-        mu_rest = mu - grid_part.push_proj(1)
-        nu_rest = nu - grid_part.push_proj(2)
+        mu_rest = mu - _taken(mu, col_parts, col_kept)
+        nu_rest = nu - _taken(nu, row_parts, row_kept)
     except NegativeWeightError as exc:
         raise HypothesisError(
             f"cell couplings overdraw a marginal: {exc}"

@@ -17,19 +17,20 @@ Results the library builds from measures that are already valid skip that
 pass through the private ``Measure._trusted``, which takes positive
 ``Fraction`` weights keyed by atoms and already in atom order:
 ``restrict``, ``scale``, ``push_proj``, ``+``, :func:`tensor`,
-:func:`couple_mass` and the grid part of ``construct_preimage``.  Each
-keeps the order by construction and re-sorts only where it cannot:
-``push_proj(2)`` and a sum whose right operand brings new atoms.  ``-``,
-:func:`barycenter` and everything parsed from a document still go through
-the checks.
+:func:`couple_mass`, and the grid part of ``construct_preimage`` with its
+marginals.  Each keeps the order by construction and re-sorts only where
+it cannot: ``push_proj(2)`` and a sum whose right operand brings new
+atoms.  ``-``, :func:`barycenter` and everything parsed from a document
+still go through the checks.
 
 Sums of many weights go through :func:`_fsum`, which adds numerators as
 ints per denominator and normalises once, instead of paying one ``gcd``
 per added ``Fraction``: ``mass``, ``push_proj``, ``Measure._patterns`` and
 :meth:`..refine.Grid.cell_masses`.  The result is the same ``Fraction``,
 since a ``Fraction`` is normalised whichever route builds it.
-``_patterns``, one bitmask per distinct coordinate and axis, serves
-``eval_many``, the two checks of :mod:`.verify` and ``refine_grid``.
+``_patterns``, one bitmask per distinct coordinate and axis found by
+bisecting the sorted interval endpoints, serves ``eval_many``, the two
+checks of :mod:`.verify` and ``refine_grid``.
 ``eval``, ``sum_where`` and :func:`barycenter` test point by point with
 plain ``Fraction`` sums on purpose, as do the oracles of :mod:`.verify`:
 they are the independent routes the fast ones are checked against.
@@ -37,8 +38,10 @@ they are the independent routes the fast ones are checked against.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -88,11 +91,24 @@ def _normalized(space: Space, raw: Mapping) -> dict:
 
 
 def _masks(space: SpaceDesc, keys: Iterable, bits: Mapping) -> dict:
-    """Atom id -> OR of the bits of the open intervals holding its coordinate."""
+    """Atom id -> OR of the bits of the open intervals holding its coordinate.
+
+    The sorted distinct endpoints cut the axis into slots: slot 2i + 1 is
+    endpoint i, slot 2i the open gap below it.  An interval holds the slots
+    strictly between its ends' slots; one difference array gives every
+    slot's mask, and each coordinate finds its slot by bisection.
+    """
+    ends = sorted({e for iv in bits for e in iv})
+    diff = [0] * (2 * len(ends) + 1)
+    for (lo, hi), bit in bits.items():
+        diff[2 * bisect_left(ends, lo) + 2] += bit
+        diff[2 * bisect_left(ends, hi) + 1] -= bit
+    slot_mask = list(accumulate(diff))
     out = {}
     for k in keys:
         c = space.coord_of(k)
-        out[k] = sum(bit for (lo, hi), bit in bits.items() if lo < c < hi)
+        i = bisect_left(ends, c)
+        out[k] = slot_mask[2 * i + (i < len(ends) and ends[i] == c)]
     return out
 
 
@@ -153,11 +169,12 @@ class Measure:
         """Each distinct interval's bit, per axis, and the exact mass per pattern.
 
         ``cols`` are open intervals on the x axis (a line measure's only
-        axis), ``rows`` on the y axis.  Each distinct support coordinate is
-        compared once with each distinct interval of its axis, strictly as in
-        ``contains``; its mask is the OR of the bits of the intervals holding
-        it.  Weights are summed per ``(x mask, y mask)`` pattern.  A line
-        measure's atoms lie in every row.
+        axis), ``rows`` on the y axis.  Each distinct support atom of an axis
+        is placed by bisection among the sorted distinct endpoints of its
+        axis's intervals; its mask, the OR of the bits of the intervals
+        holding it strictly as in ``contains``, is read off its slot (see
+        :func:`_masks`).  Weights are summed per ``(x mask, y mask)``
+        pattern.  A line measure's atoms lie in every row.
         """
         col_bit = {iv: 1 << i for i, iv in enumerate(dict.fromkeys(cols))}
         row_bit = {iv: 1 << i for i, iv in enumerate(dict.fromkeys(rows))}

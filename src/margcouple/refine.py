@@ -157,9 +157,8 @@ def disjointify(sets: Sequence[IntervalSet], forbidden: Sequence) -> list[Interv
     sets = list(sets)
     if not sets:
         return []
-    forb = sorted({as_rational(c) for c in forbidden})
+    forb = {as_rational(c) for c in forbidden}
     ends = sorted({e for s in sets for e in s.endpoints()})
-    relevant = sorted(set(ends) | set(forb))
 
     def family_at(p) -> frozenset:
         return frozenset(i for i, s in enumerate(sets) if s.contains(p))
@@ -167,15 +166,14 @@ def disjointify(sets: Sequence[IntervalSet], forbidden: Sequence) -> list[Interv
     # a nibble replaces the cut at a forbidden endpoint e by two off-center
     # cuts; the gap between them becomes a dedicated piece around e
     nibbles: dict[Fraction, tuple[Fraction, Fraction, frozenset]] = {}
-    for e in ends:
-        if e not in forb:
-            continue
-        fam = family_at(e)
-        if not fam:
-            continue
-        left = max(c for c in relevant if c < e)
-        right = min(c for c in relevant if c > e)
-        nibbles[e] = ((left + e) / 2, (e + right) / 2, fam)
+    fams = {e: family_at(e) for e in ends if e in forb}
+    if any(fams.values()):
+        relevant = sorted(forb.union(ends))
+        for e, fam in fams.items():
+            if fam:
+                # e lies inside an input, whose ends are relevant on both sides
+                j = bisect_left(relevant, e)
+                nibbles[e] = ((relevant[j - 1] + e) / 2, (e + relevant[j + 1]) / 2, fam)
 
     pieces: list[tuple[Fraction, Fraction, frozenset]] = []
     for u, v in pairwise(ends):
@@ -230,9 +228,11 @@ def refine_grid(reference: Measure, targets: Sequence[BoxSet], eps0) -> RefineRe
 
     owner: dict[CellIndex, int | None] = {}
     for ix, cell in grid.cells():
-        owner[ix] = next(
-            (i for i, t in enumerate(targets) if boxset_within(cell, t)), None
-        )
+        (x0, x1), (y0, y1) = cell.boxes[0].col, cell.boxes[0].row
+        mid = ((x0 + x1) / 2, (y0 + y1) / 2)
+        # targets are pairwise disjoint: only the one holding this point can hold the cell
+        i = next((i for i, t in enumerate(targets) if t.contains(mid)), None)
+        owner[ix] = i if i is not None and boxset_within(cell, targets[i]) else None
     m = sum(1 for o in owner.values() if o is not None)
     delta = eps0 / (4 * m) if m else eps0 / 4
     return RefineResult(grid, delta, owner)
