@@ -157,7 +157,10 @@ def _bits(ivs) -> dict:
 
 def _pointwise_masks(space: SpaceDesc, bits: dict) -> dict:
     """Each atom's mask by the open-set rule ``lo < c < hi``, interval by interval."""
-    return {a.id: sum(bit for (lo, hi), bit in bits.items() if lo < a.coord < hi) for a in space.atoms}
+    return {
+        a.id: sum(bit for (lo, hi), bit in bits.items() if lo < a.coord < hi)
+        for a in space.atoms
+    }
 
 
 # intervals from several sets on the half-integer lattice: they overlap, abut

@@ -382,8 +382,8 @@ def test_refine_grid_cells_of_multi_interval_pieces():
     # (0, 3) and (1, 2) split the x axis into the pieces (0, 1) u (2, 3) and (1, 2)
     x = SpaceDesc(tuple(Atom(f"x{i}", F(c, 2)) for i, c in enumerate((1, 3, 5))))
     y = SpaceDesc(tuple(Atom(f"y{i}", F(c, 2)) for i, c in enumerate((1, 3, 5))))
-    weights = {("x0", "y0"): F(1, 4), ("x1", "y1"): F(1, 4), ("x2", "y0"): F(1, 4), ("x2", "y2"): F(1, 4)}
-    ref = Measure(ProductSpace(x, y), weights)
+    keys = [("x0", "y0"), ("x1", "y1"), ("x2", "y0"), ("x2", "y2")]
+    ref = Measure(ProductSpace(x, y), dict.fromkeys(keys, F(1, 4)))
     targets = [
         BoxSet((Box((0, 3), (0, 1)),)),
         BoxSet((Box((1, 2), (1, 2)),)),
