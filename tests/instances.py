@@ -226,6 +226,51 @@ def random_interval_family(rng: random.Random, max_sets: int = 4) -> list[Interv
     return out
 
 
+# -- benchmark-sized instances ---------------------------------------------
+
+
+def sparse_reference(rng: random.Random, n: int, density: Fraction) -> Measure:
+    """An n × n reference on round(density·n²) support pairs.
+
+    Atom i of each axis lies strictly inside (i, i + 1), so grids and boxes
+    cut at integers place every atom strictly inside or outside.
+    """
+    x, y = (
+        SpaceDesc(tuple(Atom(f"{p}{i}", i + F(rng.randrange(1, 8), 8)) for i in range(n)))
+        for p in "xy"
+    )
+    picked = sorted(rng.sample(range(n * n), max(1, round(density * n * n))))
+    raw = {(f"x{c // n}", f"y{c % n}"): rng.randint(1, 9) for c in picked}
+    total = sum(raw.values())
+    return Measure(ProductSpace(x, y), {k: F(r, total) for k, r in raw.items()})
+
+
+def _cuts(n: int, k: int) -> list[int]:
+    return [round(j * n / k) for j in range(k + 1)]
+
+
+def block_grid(n: int, k: int) -> Grid:
+    """A k × k grid of integer blocks over [0, n]."""
+    cuts = _cuts(n, k)
+    pieces = tuple(IntervalSet.single(a, b) for a, b in zip(cuts, cuts[1:]))
+    return Grid(pieces, pieces)
+
+
+def tile_targets(rng: random.Random, n: int, count: int) -> list[BoxSet]:
+    """count disjoint targets, each two tiles of a 4 × 4 lattice of open boxes over [0, n]²."""
+    c = _cuts(n, 4)
+    tiles = [Box((c[a], c[a + 1]), (c[b], c[b + 1])) for a in range(4) for b in range(4)]
+    rng.shuffle(tiles)
+    return [BoxSet(tuple(tiles[2 * t : 2 * t + 2])) for t in range(count)]
+
+
+def perturbed_probability(rng: random.Random, m: Measure) -> Measure:
+    """m with each weight moved by at most a tenth, renormalised to mass 1."""
+    raw = {k: w * (20 + rng.randint(-2, 2)) for k, w in m.weights.items()}
+    total = sum(raw.values())
+    return Measure(m.space, {k: w / total for k, w in raw.items()})
+
+
 # -- the construction, cell by cell ----------------------------------------
 
 
