@@ -17,13 +17,17 @@ and added on top; the final marginals then match by construction.
 Cell masses, of the reference and of the new coupling alike, come from one
 binning pass of :meth:`..refine.Grid.cell_masses` each: column pieces are
 pairwise disjoint and so are row pieces, so every atom falls in at most one
-cell.  The new marginals are split into their column and row parts by the
-same binning, one pass each.  Column and row masses, of the reference
-marginals and of the new ones, still take one ``eval`` scan per piece: 4k
-scans on a k × k grid.  What the cells leave of each marginal is read off
-the allocations, never by projecting the grid part: every part has mass
-1, so the grid part's marginal on a piece is the piece's part times the
-mass its cells kept.
+cell.  The reference's are kept on it, so a certify run bins them once.
+The new marginals are split into their column and row parts by the same
+binning, one pass each, which also sums each piece's mass.  Column and row
+masses still take one ``eval`` scan per piece: 2k scans, on the reference
+marginals only, on a k × k grid.  Those marginals are the reference's
+cached ``push_proj``, and each part's unit mass, which
+:func:`..measure.tensor` checks in every cell the part serves, is summed
+once.  What the cells leave of each marginal is read off the allocations,
+never by projecting the grid part: every part has mass 1, so the grid
+part's marginal on a piece is the piece's part times the mass its cells
+kept.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .errors import (
     NegativeWeightError,
     ParameterError,
 )
-from .measure import Measure, couple_mass, tensor
+from .measure import Measure, _fsum, couple_mass, tensor
 from .refine import CellIndex, Grid, _pieces_holding
 from .space import ProductSpace, as_rational
 
@@ -115,20 +119,24 @@ def _splits(total: Measure, part: Measure, rest: Measure) -> bool:
     return True
 
 
-def _normalized_parts(m: Measure, pieces, masses) -> list:
-    """m restricted to each piece and scaled to mass 1, None for a massless piece.
+def _normalized_parts(m: Measure, pieces) -> tuple[list, list]:
+    """m's mass on each piece, and m restricted to it and scaled to mass 1 (None if massless).
 
-    One binning pass over m's support replaces a ``restrict`` scan per
-    piece; the pieces are pairwise disjoint, so each atom lands in at most
-    one, and ``masses`` holds each piece's mass under m.
+    One binning pass over m's support replaces an ``eval`` and a
+    ``restrict`` scan per piece; the pieces are pairwise disjoint, so each
+    atom lands in at most one.
     """
     piece_of = _pieces_holding(pieces, m.space)
-    parts: list[dict] = [{} for _ in pieces]
+    binned: list[dict] = [{} for _ in pieces]
     for k, w in m.weights.items():
         i = piece_of.get(k)
         if i is not None:
-            parts[i][k] = w / masses[i]
-    return [Measure._trusted(m.space, p) if p else None for p in parts]
+            binned[i][k] = w
+    masses = [_fsum(p.values()) for p in binned]
+    return masses, [
+        Measure._trusted(m.space, {k: w / c for k, w in p.items()}) if p else None
+        for p, c in zip(binned, masses)
+    ]
 
 
 def _taken(m: Measure, parts, kept) -> Measure:
@@ -159,10 +167,8 @@ def construct_preimage(
     ref_x, ref_y = reference.push_proj(1), reference.push_proj(2)
     ref_cols = [ref_x.eval(c) for c in grid.cols]
     ref_rows = [ref_y.eval(r) for r in grid.rows]
-    new_cols = [mu.eval(c) for c in grid.cols]
-    new_rows = [nu.eval(r) for r in grid.rows]
-    col_parts = _normalized_parts(mu, grid.cols, new_cols)
-    row_parts = _normalized_parts(nu, grid.rows, new_rows)
+    new_cols, col_parts = _normalized_parts(mu, grid.cols)
+    new_rows, row_parts = _normalized_parts(nu, grid.rows)
 
     ref_cell_mass = grid.cell_masses(reference)
     allocs: dict[CellIndex, CellAlloc] = {}

@@ -34,6 +34,15 @@ checks of :mod:`.verify` and ``refine_grid``.
 ``eval``, ``sum_where`` and :func:`barycenter` test point by point with
 plain ``Fraction`` sums on purpose, as do the oracles of :mod:`.verify`:
 they are the independent routes the fast ones are checked against.
+
+A measure's ``weights`` are never mutated after construction, by the
+library or by its callers, so values that depend only on them are computed
+once and kept on the instance: ``mass()``, each ``push_proj(axis)`` (the
+same ``Measure`` on every call) and, through the private ``_cached``, a
+neighbourhood's centre masses keyed by its tuple of sets and
+:meth:`..refine.Grid.cell_masses` keyed by the grid.  Within a ``certify``
+run the reference's marginals and cell masses and every centre's set
+masses are therefore built once, not once per trial.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
@@ -145,8 +155,27 @@ class Measure:
     def zero(cls, space: Space) -> "Measure":
         return cls._trusted(space, {})
 
-    def mass(self) -> Fraction:
+    @cached_property
+    def _mass(self) -> Fraction:
         return _fsum(self.weights.values())
+
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def _cached(self, key, build: Callable):
+        """``build()``, computed on the first call with ``key`` and kept on the measure.
+
+        The keys in use: an axis (1, 2) for ``push_proj``, a tuple of sets for
+        a neighbourhood's centre masses, a grid for its cell masses.
+        """
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
+
+    def mass(self) -> Fraction:
+        return self._mass
 
     def support(self) -> tuple:
         return tuple(self.weights)
@@ -220,11 +249,14 @@ class Measure:
         return Measure._trusted(self.space, kept)
 
     def push_proj(self, axis: int) -> "Measure":
-        """Pushforward along a coordinate projection of a product space."""
+        """Pushforward along a coordinate projection of a product space, built once per axis."""
         if not isinstance(self.space, ProductSpace):
             raise ParameterError("push_proj needs a product measure")
         if axis not in (1, 2):
             raise ParameterError(f"axis must be 1 or 2, got {axis!r}")
+        return self._cached(axis, lambda: self._project(axis))
+
+    def _project(self, axis: int) -> "Measure":
         target = self.space.x if axis == 1 else self.space.y
         groups: dict = {}
         for (kx, ky), w in self.weights.items():

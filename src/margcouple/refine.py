@@ -78,9 +78,16 @@ class Grid:
                 yield (q, s), self.cell(q, s)
 
     def cell_masses(self, m: Measure) -> dict[CellIndex, Fraction]:
-        """Every cell's mass, ``m.eval(self.cell(q, s))``, in one pass over the atoms."""
+        """Every cell's mass, ``m.eval(self.cell(q, s))``, in one pass over the atoms.
+
+        Kept on the measure, keyed by the grid, so a run's reference is
+        binned once, not once per trial; callers must not mutate the result.
+        """
         if not isinstance(m.space, ProductSpace):
             raise ParameterError("cell masses need a product measure")
+        return m._cached(self, lambda: self._bin(m))
+
+    def _bin(self, m: Measure) -> dict[CellIndex, Fraction]:
         col = _pieces_holding(self.cols, m.space.x)
         row = _pieces_holding(self.rows, m.space.y)
         cells: dict = {}

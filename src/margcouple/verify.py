@@ -154,10 +154,12 @@ class _Workspace:
 
     A line space is the one-axis case of a product.  ``weights`` is also
     the walk order: it starts as the centre's support, :meth:`place`
-    appends to it, and a key is never removed, only set to zero.
+    appends to it, and a key is never removed, only set to zero.  Each key
+    is tested against the sets once, when it joins the walk, and recorded
+    in walk order in ``members`` (per set) or in ``outside`` (no set).
     """
 
-    def __init__(self, center: Measure):
+    def __init__(self, center: Measure, sets: Sequence):
         self.space = center.space
         self.product = isinstance(center.space, ProductSpace)
         if self.product:
@@ -166,8 +168,19 @@ class _Workspace:
             self.axes, prefixes = (center.space,), ("s",)
         self.taken = [(p, {a.id for a in axis.atoms}) for p, axis in zip(prefixes, self.axes)]
         self.fresh: list[list[Atom]] = [[] for _ in self.axes]
-        self.weights = dict(center.weights)
-        self.coords = {k: center.space.coord_of(k) for k in self.weights}
+        self.sets = sets
+        self.members: list[list] = [[] for _ in sets]
+        self.outside: list = []
+        self.weights: dict = {}
+        for k, w in center.weights.items():
+            self.record(k, center.space.coord_of(k), w)
+
+    def record(self, key, coord, weight) -> None:
+        """Append key to the walk with its weight, and to the list of each set holding coord."""
+        self.weights[key] = weight
+        held = [keys for keys, s in zip(self.members, self.sets) if s.contains(coord)]
+        for keys in held or [self.outside]:
+            keys.append(key)
 
     def place(self, coord):
         """Add a zero-weight atom at coord; an id already taken gains a leading "_"."""
@@ -183,12 +196,12 @@ class _Workspace:
             fresh.append(Atom(key, c))
             ids.append(key)
         key = tuple(ids) if self.product else ids[0]
-        self.coords[key] = coord
-        self.weights[key] = Fraction(0)
+        self.record(key, coord, Fraction(0))
         return key
 
-    def keys_in(self, s) -> list:
-        return [k for k, w in self.weights.items() if w and s.contains(self.coords[k])]
+    def live(self, keys) -> list:
+        """The keys that carry weight now, in walk order."""
+        return [k for k in keys if self.weights[k]]
 
     def finish(self) -> Measure:
         space = self.space
@@ -215,16 +228,16 @@ def sample_in_neighborhood(center: Measure, sets: Sequence, delta, seed: Seed) -
         raise MassMismatchError("sampler perturbs probability measures")
     sets = list(sets)
     rng = random.Random(seed.value)
-    ws = _Workspace(center)
+    ws = _Workspace(center, sets)
 
     pool = Fraction(0)
     k = len(sets)
     if k:
         cap = delta / (2 * k)
-        for s in sets:
+        for members in ws.members:
             if rng.randrange(4) == 0:
                 continue
-            inside = ws.keys_in(s)
+            inside = ws.live(members)
             m = sum((ws.weights[key] for key in inside), Fraction(0))
             if m == 0:
                 continue
@@ -237,10 +250,10 @@ def sample_in_neighborhood(center: Measure, sets: Sequence, delta, seed: Seed) -
             pool += r
 
     # reshuffle: move one atom of a set to a fresh position inside the set
-    for s in sets:
+    for s, members in zip(sets, ws.members):
         if rng.randrange(3):
             continue
-        inside = ws.keys_in(s)
+        inside = ws.live(members)
         if not inside:
             continue
         key = inside[rng.randrange(len(inside))]
@@ -249,11 +262,7 @@ def sample_in_neighborhood(center: Measure, sets: Sequence, delta, seed: Seed) -
         ws.weights[ws.place(_point_inside(rng, s))] = moved
 
     # mass outside every set is unconstrained
-    outside = [
-        key
-        for key, w in ws.weights.items()
-        if w and not any(s.contains(ws.coords[key]) for s in sets)
-    ]
+    outside = ws.live(ws.outside)
     if outside and rng.randrange(2):
         key = outside[rng.randrange(len(outside))]
         r = ws.weights[key] * _rand_unit(rng)
@@ -267,7 +276,7 @@ def sample_in_neighborhood(center: Measure, sets: Sequence, delta, seed: Seed) -
             part = pool * share / total
             mode = rng.randrange(3)
             if mode == 0:
-                live = [key for key, w in ws.weights.items() if w]
+                live = ws.live(ws.weights)
                 if live:
                     ws.weights[live[rng.randrange(len(live))]] += part
                     continue

@@ -8,7 +8,8 @@ shortfalls count: exceeding the center on a set never hurts membership.
 The gap evaluates all sets at once on each measure with
 :meth:`Measure.eval_many`, so a neighborhood of k sets costs one pass over
 the candidate's support, not k of them.  The center's masses are taken on
-the first gap and kept on the neighborhood for every later candidate.  It
+the first gap from the center's own cache, keyed by the sets, so every
+neighborhood of one center over the same sets evaluates them once.  It
 never uses the grid binning behind ``construct_preimage``'s cell drops, so
 membership stays an independent check of those drops.
 """
@@ -41,8 +42,9 @@ class Neighborhood:
             _check_geometry(self.center.space, s)
 
     @cached_property
-    def _center_masses(self) -> list[Fraction]:
-        return self.center.eval_many(self.sets)
+    def _center_masses(self) -> tuple[Fraction, ...]:
+        center = self.center
+        return center._cached(self.sets, lambda: tuple(center.eval_many(self.sets)))
 
     def gap(self, candidate: Measure) -> Fraction:
         """Worst shortfall of the candidate against the center over the sets."""

@@ -1,0 +1,242 @@
+"""Values a certify run computes once, and the exact work its trials repeat.
+
+A measure keeps its mass, its marginals, its masses on a tuple of sets and
+its cell masses on a grid; ``_normalized_parts`` sums each piece's mass in
+its binning pass; the sampler's workspace tests each atom against the sets
+once.  The counts below are taken with monkeypatched counters, never with
+timing: work that depends only on the run must not grow with the number of
+trials.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+from fractions import Fraction
+from functools import cached_property
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import instances
+from margcouple import (
+    BoxSet,
+    Grid,
+    IntervalSet,
+    Measure,
+    Neighborhood,
+    Seed,
+    SpaceDesc,
+    certify_openness,
+    construct_preimage,
+    couple,
+    marginal_pair,
+    sample_in_neighborhood,
+    tensor,
+    verify,
+)
+from margcouple.couple import _normalized_parts
+from margcouple.measure import _fsum
+
+F = Fraction
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+# -- work counts -------------------------------------------------------------
+
+
+def _certify_counts(trials: int, monkeypatch) -> tuple[Counter, Counter]:
+    """Real projections and binnings of the reference, and set evaluations of each centre."""
+    rng = random.Random(7)
+    reference = instances.sparse_reference(rng, 12, F(1, 2))
+    targets = instances.tile_targets(rng, 12, 7)
+    built: Counter = Counter()
+    evaluated: list = []
+    project, eval_many, bin_cells = Measure._project, Measure.eval_many, Grid._bin
+
+    def counting_project(self, axis):
+        if self is reference:
+            built[axis] += 1
+        return project(self, axis)
+
+    def counting_bin(self, m):
+        if m is reference:
+            built["cells"] += 1
+        return bin_cells(self, m)
+
+    def counting_eval_many(self, sets):
+        evaluated.append(self)
+        return eval_many(self, sets)
+
+    monkeypatch.setattr(Measure, "_project", counting_project)
+    monkeypatch.setattr(Measure, "eval_many", counting_eval_many)
+    monkeypatch.setattr(Grid, "_bin", counting_bin)
+    report = certify_openness(reference, targets, F(1, 5), trials, Seed(11))
+    assert report.passed and report.trials == trials
+    centres = {"reference": reference, "mu0": reference.push_proj(1)}
+    centres["nu0"] = reference.push_proj(2)
+    return built, Counter({n: sum(1 for m in evaluated if m is c) for n, c in centres.items()})
+
+
+def test_run_values_are_computed_once_whatever_the_trial_count(monkeypatch):
+    one = _certify_counts(1, monkeypatch)
+    eight = _certify_counts(8, monkeypatch)
+    assert one == eight
+    built, evaluated = eight
+    assert built == {1: 1, 2: 1, "cells": 1}
+    # refine_grid's box masses, the cell and the target neighbourhoods;
+    # each sampler's self-check
+    assert evaluated == {"reference": 3, "mu0": 1, "nu0": 1}
+
+
+def test_each_part_mass_is_summed_once(monkeypatch):
+    rng = random.Random(20)
+    reference = instances.sparse_reference(rng, 20, F(3, 10))
+    pair = marginal_pair(reference)
+    mu = instances.perturbed_probability(rng, pair.mu)
+    nu = instances.perturbed_probability(rng, pair.nu)
+    summed: Counter = Counter()
+
+    def counting_mass(self):
+        summed[id(self)] += 1
+        return _fsum(self.weights.values())
+
+    prop = cached_property(counting_mass)
+    prop.__set_name__(Measure, "_mass")
+    monkeypatch.setattr(Measure, "_mass", prop)
+    used: list = []
+
+    def recording_tensor(a, b):
+        used.extend((a, b))
+        return tensor(a, b)
+
+    monkeypatch.setattr(couple, "tensor", recording_tensor)
+    construct_preimage(reference, instances.block_grid(20, 5), mu, nu)
+    uses = Counter(id(p) for p in used)
+    assert max(uses.values()) > 1  # a part serves several cells
+    assert {summed[i] for i in uses} == {1}
+
+
+def _placed(center: Measure, result: Measure) -> int:
+    if isinstance(center.space, SpaceDesc):
+        return len(result.space.atoms) - len(center.space.atoms)
+    return len(result.space.x.atoms) - len(center.space.x.atoms)
+
+
+@pytest.mark.parametrize("geometry", ["line", "product"])
+def test_sampler_tests_each_atom_once_per_set(geometry, monkeypatch):
+    rng = random.Random(16)
+    reference = instances.sparse_reference(rng, 16, F(1, 2))
+    grid = instances.block_grid(16, 4)
+    if geometry == "line":
+        center, sets = reference.push_proj(1), grid.cols
+    else:
+        center, sets = reference, tuple(cell for _, cell in grid.cells())
+    calls = Counter()
+    for cls in (IntervalSet, BoxSet):
+        contains = cls.contains
+
+        def counting(self, point, contains=contains):
+            calls["contains"] += 1
+            return contains(self, point)
+
+        monkeypatch.setattr(cls, "contains", counting)
+    for k in range(12):
+        calls.clear()
+        got = sample_in_neighborhood(center, sets, F(1, 40), Seed(k))
+        atoms = len(center.weights) + _placed(center, got)
+        assert calls["contains"] <= atoms * len(sets)
+
+
+# -- properties of the cached and binned values ------------------------------
+
+
+def _pieces_and_line_measure(rng: random.Random):
+    """Disjoint pieces and a line measure with atoms on, inside and beside their endpoints."""
+    pieces = instances.random_axis_pieces(rng)
+    ends = sorted({e for p in pieces for e in p.endpoints()})
+    pool = set(ends) | {(a + b) / 2 for a, b in zip(ends, ends[1:])}
+    pool |= {ends[0] - 1, ends[-1] + 1}
+    coords = sorted(rng.sample(sorted(pool), rng.randint(1, len(pool))))
+    space = SpaceDesc(tuple(instances.Atom(f"a{i}", c) for i, c in enumerate(coords)))
+    return pieces, instances.random_prob_measure(rng, space)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds)
+def test_normalized_parts_masses_equal_eval(seed):
+    rng = random.Random(seed)
+    pieces, m = _pieces_and_line_measure(rng)
+    masses, parts = _normalized_parts(m, pieces)
+    assert masses == [m.eval(p) for p in pieces]
+    for piece, mass, part in zip(pieces, masses, parts):
+        if mass == 0:
+            assert part is None
+        else:
+            assert part == m.restrict(piece).scale(1 / mass)
+
+
+def _placement_pool(rng: random.Random, center: Measure, sets) -> list:
+    line = isinstance(center.space, SpaceDesc)
+    ends = set()
+    for s in sets:
+        if line:
+            ends.update(s.endpoints())
+        else:
+            ends.update(e for b in s.boxes for e in (*b.col, *b.row))
+    ends.update(F(c, 2) for c in rng.sample(range(-20, 60), 6))
+    pool = sorted(ends)
+    if line:
+        return pool
+    return [(rng.choice(pool), rng.choice(pool)) for _ in range(12)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.sampled_from(["line", "product"]))
+def test_workspace_membership_equals_a_fresh_scan(seed, geometry):
+    rng = random.Random(seed)
+    if geometry == "line":
+        center = instances.random_prob_measure(rng, instances.random_space(rng, "x"))
+        anchors = [a.coord for a in center.space.atoms]
+        sets = [instances.random_line_set(rng, anchors) for _ in range(rng.randint(0, 4))]
+    else:
+        center = instances.random_joint(rng, instances.random_product(rng))
+        sets = instances.random_disjoint_targets(rng)
+    ws = verify._Workspace(center, sets)
+    coords = {k: center.space.coord_of(k) for k in center.weights}
+    pool = _placement_pool(rng, center, sets)
+    for step in range(rng.randint(1, 7)):
+        if step:  # the first check is of the centre's support alone
+            coord = rng.choice(pool)
+            coords[ws.place(coord)] = coord
+        walk = list(ws.weights)
+        assert walk == list(coords)
+        assert ws.members == [[k for k in walk if s.contains(coords[k])] for s in sets]
+        assert ws.outside == [k for k in walk if not any(s.contains(coords[k]) for s in sets)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds)
+def test_cached_values_equal_fresh_sums(seed):
+    rng = random.Random(seed)
+    joint = instances.random_joint(rng, instances.random_product(rng))
+    assert joint.mass() == _fsum(joint.weights.values()) == sum(joint.weights.values(), F(0))
+    assert joint.mass() is joint.mass()
+    for axis, space in ((1, joint.space.x), (2, joint.space.y)):
+        sums: dict = {}
+        for key, w in joint.weights.items():
+            k = key[axis - 1]
+            sums[k] = sums.get(k, F(0)) + w
+        fresh = Measure(space, sums)
+        assert joint.push_proj(axis) == fresh
+        assert list(joint.push_proj(axis).weights) == list(fresh.weights)
+        assert joint.push_proj(axis) is joint.push_proj(axis)
+        assert joint.push_proj(axis).mass() == joint.mass()
+    sets = tuple(instances.random_disjoint_targets(rng))
+    first, again = (Neighborhood(joint, list(sets), 1)._center_masses for _ in range(2))
+    assert first == tuple(joint.eval(s) for s in sets)
+    assert again is first
+    grid = instances.random_grid(rng)
+    assert grid.cell_masses(joint) == {ix: joint.eval(cell) for ix, cell in grid.cells()}
+    assert grid.cell_masses(joint) is grid.cell_masses(joint)

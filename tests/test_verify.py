@@ -235,10 +235,10 @@ def test_sampler_golden_bytes(group):
 class _DenseWorkspace(verify._Workspace):
     """The sampler's workspace walking every key of the space, support or not."""
 
-    def __init__(self, center):
-        super().__init__(center)
-        self.weights = {k: center.weights.get(k, F(0)) for k in center.space.keys}
-        self.coords = {k: center.space.coord_of(k) for k in self.weights}
+    def __init__(self, center, sets=()):
+        super().__init__(Measure.zero(center.space), sets)
+        for k in center.space.keys:
+            self.record(k, center.space.coord_of(k), center.weights.get(k, F(0)))
 
 
 @pytest.mark.parametrize("seed", range(3))
