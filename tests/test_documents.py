@@ -650,6 +650,74 @@ def test_grid_document_shape():
         from_document(doc)
 
 
+_DROP = object()
+
+# the record kinds, each exactly its class's fields in order: (kind, edits to
+# the worked instance's document as (key path, new value or _DROP), the
+# SchemaError's text); with two faults the field read first wins
+RECORD_FAULTS = {
+    "product-x-missing": ("product_space", [(("x",), _DROP)], "product_space.x: missing"),
+    "product-y-not-object": ("product_space", [(("y",), [])], "product_space.y: wrong type list"),
+    "product-y-wrong-kind": (
+        "product_space", [(("y", "kind"), "measure")],
+        "product_space.y.kind: expected space, got 'measure'"),
+    "product-x-and-y-faults": (
+        "product_space", [(("y", "kind"), "grid"), (("x", "atoms"), _DROP)],
+        "product_space.x.atoms: missing"),
+    "product-nested-in-measure": ("measure", [(("space", "y"), _DROP)], "measure.space.y: missing"),
+    "grid-rows-missing": ("grid", [(("rows",), _DROP)], "grid.rows: missing"),
+    "grid-cols-not-list": ("grid", [(("cols",), {})], "grid.cols: wrong type dict"),
+    "grid-cols-bad-interval": (
+        "grid", [(("cols", 0), [["-1/2"]])], "grid.cols[0][0]: expected [lo, hi]"),
+    "grid-rows-bad-interval": (
+        "grid", [(("rows", 1), [["3/2", "1/2"]])], "grid.rows[1]: empty interval (3/2, 1/2)"),
+    "grid-rows-bad-rational": (
+        "grid", [(("rows", 0, 0, 1), "0.5")],
+        "grid.rows[0][0][1]: expected a rational string like '1/10', got '0.5'"),
+    "grid-cols-and-rows-faults": (
+        "grid", [(("rows", 0), [["-1/2"]]), (("cols", 1), "x")],
+        "grid.cols[1]: expected a list of intervals"),
+    "grid-overlapping-pieces": (
+        "grid", [(("cols", 1), [["0", "3/2"]])],
+        "grid: grid column pieces must be pairwise disjoint"),
+    "pair-nu-missing": ("marginal_pair", [(("nu",), _DROP)], "marginal_pair.nu: missing"),
+    "pair-mu-null": ("marginal_pair", [(("mu",), None)], "marginal_pair.mu: wrong type NoneType"),
+    "pair-mu-wrong-kind": (
+        "marginal_pair", [(("mu", "kind"), "space")],
+        "marginal_pair.mu.kind: expected measure, got 'space'"),
+    "pair-mu-and-nu-faults": (
+        "marginal_pair", [(("nu",), _DROP), (("mu", "weights", "a"), "x")],
+        "marginal_pair.mu.weights.a: expected a rational string like '1/10', got 'x'"),
+    "pair-unequal-masses": (
+        "marginal_pair", [(("nu", "weights", "c"), "1")],
+        "marginal_pair: marginals carry masses 1 and 3/2"),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_FAULTS)
+def test_malformed_record_messages_word_for_word(name):
+    kind, edits, message = RECORD_FAULTS[name]
+    reference = instances.worked_reference()
+    doc = to_document(
+        {
+            "product_space": reference.space,
+            "measure": reference,
+            "grid": instances.worked_grid(),
+            "marginal_pair": marginal_pair(reference),
+        }[kind]
+    )
+    for keys, value in edits:
+        *walk, last = keys
+        parent = functools.reduce(lambda node, key: node[key], walk, doc)
+        if value is _DROP:
+            del parent[last]
+        else:
+            parent[last] = value
+    with pytest.raises(SchemaError) as exc:
+        from_document(doc)
+    assert str(exc.value) == message
+
+
 def test_sets_document_geometry_dispatch(targets):
     line = SetsDocument((IntervalSet.single(0, 1),))
     prod = SetsDocument(tuple(targets))

@@ -420,6 +420,11 @@ def test_couple_mass_matches_plain_fraction_products(data):
         (kx, ky): wx * wy / c for kx, wx in mu.weights.items() for ky, wy in nu.weights.items()
     }
     assert couple_mass(mu, nu).weights == expected
+    if c:  # the same products at c = 1, through tensor
+        mu1, nu1 = mu.scale(1 / c), nu.scale(1 / c)
+        assert tensor(mu1, nu1).weights == {
+            (kx, ky): wx * wy for kx, wx in mu1.weights.items() for ky, wy in nu1.weights.items()
+        }
 
 
 # -- results built without re-validation --------------------------------------

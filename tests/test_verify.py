@@ -19,6 +19,7 @@ from margcouple import (
     Measure,
     Neighborhood,
     ParameterError,
+    PreimageReport,
     ProductSpace,
     Seed,
     SpaceDesc,
@@ -457,6 +458,40 @@ def test_certify_detects_broken_combination_rule(reference, targets, monkeypatch
     assert v.mu is not None and v.nu is not None
     control = certify_openness(reference, targets, F(1, 5), 25, Seed(2024))
     assert control.passed
+
+
+def _product_preimage(reference, grid, mu, nu):
+    """A report whose coupling is mu x nu, all of it remainder, with no cells."""
+    coupling = tensor(mu, nu)
+    return PreimageReport(coupling, Measure.zero(coupling.space), coupling, {}, {})
+
+
+def test_certify_records_cell_then_target_membership(reference, targets, monkeypatch):
+    eps = F(1, 5)
+    monkeypatch.setattr(verify, "construct_preimage", _product_preimage)
+    report = certify_openness(reference, targets, eps, 6, Seed(7))
+    cells = tuple(cell for _, cell in refine_grid(reference, targets, eps).grid.cells())
+    cell_hood = Neighborhood(reference, cells, eps)
+    target_hood = Neighborhood(reference, tuple(targets), eps)
+    # the product of near-diagonal marginals holds about 1/4 on each diagonal cell, not 1/2
+    assert [(v.trial, v.reason) for v in report.violations] == [
+        (t, reason) for t in range(6) for reason in ("cell-membership", "target-membership")
+    ]
+    for cell_v, target_v in zip(report.violations[::2], report.violations[1::2]):
+        coupling = tensor(cell_v.mu, cell_v.nu)
+        assert cell_v.gap == cell_hood.gap(coupling) <= -eps
+        assert target_v.gap == target_hood.gap(coupling) <= -eps
+    assert report.min_observed_gap == min(v.gap for v in report.violations)
+
+
+def test_certify_without_cells_checks_the_targets_only(reference):
+    # the targets hold no reference mass, so the grid has no cells; the sampler
+    # places fresh atoms below 3 on both axes, outside the target
+    far = [BoxSet((Box((3, 4), (3, 4)),))]
+    assert refine_grid(reference, far, F(1, 5)).grid.cols == ()
+    report = certify_openness(reference, far, F(1, 5), 10, Seed(3))
+    assert report.passed
+    assert report.min_observed_gap == 0
 
 
 def test_cert_report_passed_property():
