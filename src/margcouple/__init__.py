@@ -48,7 +48,6 @@ from .space import (
     BoxSet,
     IntervalSet,
     ProductSpace,
-    Rational,
     SpaceDesc,
     box_within,
     boxes_disjoint,
@@ -95,7 +94,6 @@ __all__ = [
     "ParameterError",
     "PreimageReport",
     "ProductSpace",
-    "Rational",
     "RefineResult",
     "SchemaError",
     "Seed",

@@ -19,15 +19,13 @@ binning pass of :meth:`..refine.Grid.cell_masses` each: column pieces are
 pairwise disjoint and so are row pieces, so every atom falls in at most one
 cell.  The reference's are kept on it, so a certify run bins them once.
 The new marginals are split into their column and row parts by the same
-binning, one pass each, which also sums each piece's mass.  Column and row
-masses still take one ``eval`` scan per piece: 2k scans, on the reference
-marginals only, on a k × k grid.  Those marginals are the reference's
-cached ``push_proj``, and each part's unit mass, which
-:func:`..measure.tensor` checks in every cell the part serves, is summed
-once.  What the cells leave of each marginal is read off the allocations,
-never by projecting the grid part: every part has mass 1, so the grid
-part's marginal on a piece is the piece's part times the mass its cells
-kept.
+binning, one pass each, which also sums each piece's mass.  The reference
+marginals' column and row masses are taken by ``eval`` on the reference's
+cached ``push_proj``.  Each part's unit mass, which :func:`..measure.tensor`
+checks in every cell the part serves, is summed once.  What the cells
+leave of each marginal is read off the allocations: every part has mass 1,
+so the grid part's marginal on a piece is the piece's part times the mass
+its cells kept.
 """
 
 from __future__ import annotations
@@ -122,9 +120,8 @@ def _splits(total: Measure, part: Measure, rest: Measure) -> bool:
 def _normalized_parts(m: Measure, pieces) -> tuple[list, list]:
     """m's mass on each piece, and m restricted to it and scaled to mass 1 (None if massless).
 
-    One binning pass over m's support replaces an ``eval`` and a
-    ``restrict`` scan per piece; the pieces are pairwise disjoint, so each
-    atom lands in at most one.
+    One binning pass over m's support; the pieces are pairwise disjoint, so
+    each atom lands in at most one.
     """
     piece_of = _pieces_holding(pieces, m.space)
     binned: list[dict] = [{} for _ in pieces]

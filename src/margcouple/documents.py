@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote  # json's C string encoder
 
@@ -60,39 +60,28 @@ def format_rational(x: Fraction) -> str:
         raise SchemaError(f"number too large to write (over {limit} digits)") from None
 
 
-def _fraction(raw) -> Fraction | None:
-    """raw as a Fraction if it is a rational string the interpreter converts, else None."""
+def _fraction(raw) -> Fraction | str:
+    """raw as a Fraction if it is a rational string the interpreter converts, else why not."""
     if isinstance(raw, str) and _RATIONAL.fullmatch(raw):
         num, _, den = raw.partition("/")
         try:
             return Fraction(int(num), int(den)) if den else Fraction(int(num))
-        except (ZeroDivisionError, ValueError):  # ValueError: past the int-string digit limit
-            pass
-    return None
+        except ZeroDivisionError:
+            return f"zero denominator in {raw!r}"
+        except ValueError:  # beyond the interpreter's int-string digit limit
+            return f"number too large (over {sys.get_int_max_str_digits()} digits)"
+    try:
+        shown = repr(raw)
+    except ValueError:  # an int beyond the int-string digit limit
+        shown = "a number too large to show"
+    return f"expected a rational string like '1/10', got {shown}"
 
 
 def parse_rational(raw, path: str) -> Fraction:
     value = _fraction(raw)
-    if value is None:
-        raise _rational_error(raw, path)
+    if type(value) is str:
+        raise SchemaError(f"{path}: {value}")
     return value
-
-
-def _rational_error(raw, path: str) -> SchemaError:
-    """Why _fraction refused raw, naming the field at path."""
-    if not isinstance(raw, str) or not _RATIONAL.fullmatch(raw):
-        try:
-            shown = repr(raw)
-        except ValueError:  # an int beyond the int-string digit limit
-            shown = "a number too large to show"
-        return SchemaError(f"{path}: expected a rational string like '1/10', got {shown}")
-    num, _, den = raw.partition("/")
-    try:
-        int(num), int(den or 1)
-    except ValueError:  # beyond the interpreter's int-string digit limit
-        limit = sys.get_int_max_str_digits()
-        return SchemaError(f"{path}: number too large (over {limit} digits)")
-    return SchemaError(f"{path}: zero denominator in {raw!r}")
 
 
 class _RepeatedKey(dict):
@@ -201,10 +190,6 @@ def _space_body(space: SpaceDesc) -> dict:
     return {"atoms": [{"id": a.id, "coord": format_rational(a.coord)} for a in space.atoms]}
 
 
-def _product_body(space: ProductSpace) -> dict:
-    return {"x": _tagged(space.x), "y": _tagged(space.y)}
-
-
 def _parse_atom(entry, path) -> Atom:
     return _build(path, Atom, _field(entry, "id", path, str), _rational(entry, "coord", path))
 
@@ -215,15 +200,11 @@ def _parse_space(doc, path) -> SpaceDesc:
         # exact types: a _RepeatedKey object or any odd field goes to _parse_atom, which names it
         ident = entry.get("id") if type(entry) is dict else None
         coord = _fraction(entry.get("coord")) if type(ident) is str and ident else None
-        if coord is None:
-            atoms.append(_parse_atom(entry, f"{path}.atoms[{i}]"))
-        else:
+        if type(coord) is Fraction:
             atoms.append(Atom(ident, coord))
+        else:
+            atoms.append(_parse_atom(entry, f"{path}.atoms[{i}]"))
     return _build(path, SpaceDesc, atoms)
-
-
-def _parse_product(doc, path) -> ProductSpace:
-    return ProductSpace(_sub(doc, "x", path, "space"), _sub(doc, "y", path, "space"))
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +245,15 @@ def _parse_measure(doc, path) -> Measure:
             if key in weights:
                 raise SchemaError(f"{path}.weights[{i}]: repeated weight for atom {pair!r}")
             w = weights[key] = _fraction(entry[1])
-            if w is None:
-                raise _rational_error(entry[1], f"{path}.weights[{i}]")
+            if type(w) is str:
+                raise SchemaError(f"{path}.weights[{i}]: {w}")
     else:
         if not isinstance(raw, dict):
             raise SchemaError(f"{path}.weights: expected an object keyed by atom id")
         for k, v in raw.items():
             w = weights[k] = _fraction(v)
-            if w is None:
-                raise _rational_error(v, f"{path}.weights.{k}")
+            if type(w) is str:
+                raise SchemaError(f"{path}.weights.{k}: {w}")
     return _build(path, Measure, space, weights)
 
 
@@ -355,22 +336,6 @@ def _parse_sets(doc, path) -> SetsDocument:
 # grids and refinements
 
 
-def _grid_body(grid: Grid) -> dict:
-    return {
-        "cols": [_intervalset_json(c) for c in grid.cols],
-        "rows": [_intervalset_json(r) for r in grid.rows],
-    }
-
-
-def _parse_grid(doc, path) -> Grid:
-    return _build(
-        path,
-        Grid,
-        _list(doc, "cols", path, _parse_intervalset),
-        _list(doc, "rows", path, _parse_intervalset),
-    )
-
-
 def _refine_body(res: RefineResult) -> dict:
     cells = [
         {
@@ -409,19 +374,6 @@ def _parse_refine(doc, path) -> RefineResult:
 
 # ---------------------------------------------------------------------------
 # reports
-
-
-def _pair_body(pair: MarginalPair) -> dict:
-    return {
-        "mu": _tagged(pair.mu),
-        "nu": _tagged(pair.nu),
-    }
-
-
-def _parse_pair(doc, path) -> MarginalPair:
-    return _build(
-        path, MarginalPair, _sub(doc, "mu", path, "measure"), _sub(doc, "nu", path, "measure")
-    )
 
 
 def _preimage_body(rep: PreimageReport) -> dict:
@@ -569,26 +521,55 @@ def _parse_check(doc, path) -> CheckDocument:
 # dispatch
 
 
-# kind -> (class, body without the kind tag, parser); nested documents use it too
-_KINDS = {
-    "space": (SpaceDesc, _space_body, _parse_space),
-    "product_space": (ProductSpace, _product_body, _parse_product),
-    "measure": (Measure, _measure_body, _parse_measure),
-    "sets": (SetsDocument, _sets_body, _parse_sets),
-    "grid": (Grid, _grid_body, _parse_grid),
-    "refine_result": (RefineResult, _refine_body, _parse_refine),
-    "marginal_pair": (MarginalPair, _pair_body, _parse_pair),
-    "preimage_report": (PreimageReport, _preimage_body, _parse_preimage),
-    "cert_report": (CertReport, _cert_body, _parse_cert),
-    "lemma_check": (CheckDocument, _check_body, _parse_check),
-}
-
-
 def _tagged(obj) -> dict:
     for kind, (cls, body, _) in _KINDS.items():
         if isinstance(obj, cls):
             return {"kind": kind, **body(obj)}
     raise SchemaError(f"no document form for {type(obj).__name__}")
+
+
+def _record(cls, write, read) -> tuple:
+    """A kind whose fields are exactly cls's attributes, in order, each through one codec.
+
+    ``write(value)`` gives a field's JSON; ``read(doc, name, path)`` parses it.
+    """
+    names = [f.name for f in fields(cls)]
+
+    def body(obj) -> dict:
+        return {name: write(getattr(obj, name)) for name in names}
+
+    def parse(doc, path):
+        return _build(path, cls, *[read(doc, name, path) for name in names])
+
+    return cls, body, parse
+
+
+def _nested(kind: str) -> tuple:
+    """The codec of a field holding one sub-document of the given kind."""
+    return _tagged, lambda doc, name, path: _sub(doc, name, path, kind)
+
+
+def _write_intervalsets(sets) -> list:
+    return [_intervalset_json(s) for s in sets]
+
+
+def _read_intervalsets(doc, name, path) -> tuple:
+    return _list(doc, name, path, _parse_intervalset)
+
+
+# kind -> (class, body without the kind tag, parser); nested documents use it too
+_KINDS = {
+    "space": (SpaceDesc, _space_body, _parse_space),
+    "product_space": _record(ProductSpace, *_nested("space")),
+    "measure": (Measure, _measure_body, _parse_measure),
+    "sets": (SetsDocument, _sets_body, _parse_sets),
+    "grid": _record(Grid, _write_intervalsets, _read_intervalsets),
+    "refine_result": (RefineResult, _refine_body, _parse_refine),
+    "marginal_pair": _record(MarginalPair, *_nested("measure")),
+    "preimage_report": (PreimageReport, _preimage_body, _parse_preimage),
+    "cert_report": (CertReport, _cert_body, _parse_cert),
+    "lemma_check": (CheckDocument, _check_body, _parse_check),
+}
 
 
 def to_document(obj) -> dict:

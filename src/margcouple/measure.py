@@ -21,7 +21,9 @@ pass through the private ``Measure._trusted``, which takes positive
 marginals.  Each keeps the order by construction and re-sorts only where
 it cannot: ``push_proj(2)`` and a sum whose right operand brings new
 atoms.  ``-``, :func:`barycenter` and everything parsed from a document
-still go through the checks.
+still go through the checks.  :func:`tensor` and :func:`couple_mass`
+share one product loop, one ``Fraction`` wx·wy/c per weight (c = 1 in
+:func:`tensor`, the common mass in :func:`couple_mass`).
 
 Sums of many weights go through :func:`_fsum`, which adds numerators as
 ints per denominator and normalises once, instead of paying one ``gcd``
@@ -42,7 +44,7 @@ same ``Measure`` on every call) and, through the private ``_cached``, a
 neighbourhood's centre masses keyed by its tuple of sets and
 :meth:`..refine.Grid.cell_masses` keyed by the grid.  Within a ``certify``
 run the reference's marginals and cell masses and every centre's set
-masses are therefore built once, not once per trial.
+masses are therefore built once.
 """
 
 from __future__ import annotations
@@ -311,9 +313,6 @@ class MetaMeasure:
             comps.append((c, m))
         object.__setattr__(self, "components", tuple(comps))
 
-    def mass(self) -> Fraction:
-        return sum((c for c, _ in self.components), Fraction(0))
-
 
 def barycenter(meta: MetaMeasure) -> Measure:
     """Collapse a measure on measures to its weighted average on the base."""
@@ -324,20 +323,24 @@ def barycenter(meta: MetaMeasure) -> Measure:
     return Measure(meta.space, acc)
 
 
+def _product(mu: Measure, nu: Measure, c: int | Fraction) -> Measure:
+    """The weights wx * wy / c on the product space, each built as one Fraction."""
+    cn, cd = c.numerator, c.denominator
+    rows = [(kx, wx.numerator * cd, wx.denominator * cn) for kx, wx in mu.weights.items()]
+    cols = [(ky, wy.numerator, wy.denominator) for ky, wy in nu.weights.items()]
+    weights = {
+        (kx, ky): Fraction(nx * ny, dx * dy) for kx, nx, dx in rows for ky, ny, dy in cols
+    }
+    return Measure._trusted(ProductSpace(mu.space, nu.space), weights)
+
+
 def tensor(mu: Measure, nu: Measure) -> Measure:
     """Product of two probability measures, weight by weight."""
     if mu.mass() != 1 or nu.mass() != 1:
         raise MassMismatchError("tensor takes probability measures")
     if not isinstance(mu.space, SpaceDesc) or not isinstance(nu.space, SpaceDesc):
         raise ParameterError("tensor takes line measures")
-    prod = ProductSpace(mu.space, nu.space)
-    # wx * wy as one Fraction, so one gcd per weight instead of two
-    rows = [(kx, wx.numerator, wx.denominator) for kx, wx in mu.weights.items()]
-    cols = [(ky, wy.numerator, wy.denominator) for ky, wy in nu.weights.items()]
-    weights = {
-        (kx, ky): Fraction(nx * ny, dx * dy) for kx, nx, dx in rows for ky, ny, dy in cols
-    }
-    return Measure._trusted(prod, weights)
+    return _product(mu, nu, 1)
 
 
 def couple_mass(mu: Measure, nu: Measure) -> Measure:
@@ -351,15 +354,6 @@ def couple_mass(mu: Measure, nu: Measure) -> Measure:
         raise MassMismatchError(f"cannot couple masses {c} and {nu.mass()}")
     if not isinstance(mu.space, SpaceDesc) or not isinstance(nu.space, SpaceDesc):
         raise ParameterError("couple_mass takes line measures")
-    prod = ProductSpace(mu.space, nu.space)
     if c == 0:
-        return Measure.zero(prod)
-    # wx * wy / c as one Fraction, so one gcd per weight instead of four
-    cn, cd = c.numerator, c.denominator
-    rows = [(kx, wx.numerator * cd, wx.denominator * cn) for kx, wx in mu.weights.items()]
-    weights = {
-        (kx, ky): Fraction(nx * wy.numerator, dx * wy.denominator)
-        for kx, nx, dx in rows
-        for ky, wy in nu.weights.items()
-    }
-    return Measure._trusted(prod, weights)
+        return Measure.zero(ProductSpace(mu.space, nu.space))
+    return _product(mu, nu, c)

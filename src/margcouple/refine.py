@@ -81,7 +81,7 @@ class Grid:
         """Every cell's mass, ``m.eval(self.cell(q, s))``, in one pass over the atoms.
 
         Kept on the measure, keyed by the grid, so a run's reference is
-        binned once, not once per trial; callers must not mutate the result.
+        binned once; callers must not mutate the result.
         """
         if not isinstance(m.space, ProductSpace):
             raise ParameterError("cell masses need a product measure")

@@ -20,7 +20,6 @@ from typing import Iterable, Union
 
 from .errors import InvalidIntervalError, ParameterError
 
-Rational = Fraction
 Interval = tuple[Fraction, Fraction]
 
 
@@ -128,12 +127,7 @@ class ProductSpace:
         return tuple((ax.id, ay.id) for ax in self.x.atoms for ay in self.y.atoms)
 
     def has(self, key) -> bool:
-        return (
-            isinstance(key, tuple)
-            and len(key) == 2
-            and self.x.has(key[0])
-            and self.y.has(key[1])
-        )
+        return self.position(key) is not None
 
     def position(self, key) -> int | None:
         """Rank of the pair in the x-major order of :attr:`keys`; None for an unknown key."""

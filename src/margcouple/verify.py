@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .couple import admissible_delta, construct_preimage
+from .couple import construct_preimage
 from .errors import (
     Error,
     HypothesisError,
@@ -405,24 +405,19 @@ class CertReport:
 
 def certify_trial(
     reference: Measure,
-    marginals: tuple[Measure, Measure],
     grid: Grid,
-    cell_hood: Neighborhood | None,
-    target_hood: Neighborhood,
+    hoods: Sequence[tuple[str, Neighborhood]],
     delta: Fraction,
     trial: int,
     trial_seed: Seed,
 ) -> tuple[list[Violation], list[Fraction]]:
     """One certification round; pure given its seed, so violations replay.
 
-    The reference's marginals and the cell and target neighborhoods (both
-    centred on the reference at eps; no cell neighborhood for a grid
-    without cells) are the same in every trial of a run, so
-    :func:`certify_openness` builds them once and passes them in.
+    ``hoods`` pairs each membership check's violation reason with its
+    neighborhood; :func:`certify_openness` builds them once per run.
     """
-    mu0, nu0 = marginals
-    mu = sample_in_neighborhood(mu0, grid.cols, delta, trial_seed.derive(1))
-    nu = sample_in_neighborhood(nu0, grid.rows, delta, trial_seed.derive(2))
+    mu = sample_in_neighborhood(reference.push_proj(1), grid.cols, delta, trial_seed.derive(1))
+    nu = sample_in_neighborhood(reference.push_proj(2), grid.rows, delta, trial_seed.derive(2))
 
     def bad(reason, cell=None, gap=None):
         return Violation(trial, trial_seed, reason, cell, gap, mu, nu)
@@ -441,16 +436,11 @@ def certify_trial(
         if not drop > -delta:
             violations.append(bad("cell-shortfall", cell=ix, gap=drop))
             break
-    eps = target_hood.epsilon
-    if cell_hood is not None:
-        cell_gap = cell_hood.gap(coupling)
-        gaps.append(cell_gap)
-        if not cell_gap > -eps:
-            violations.append(bad("cell-membership", gap=cell_gap))
-    target_gap = target_hood.gap(coupling)
-    gaps.append(target_gap)
-    if not target_gap > -eps:
-        violations.append(bad("target-membership", gap=target_gap))
+    for reason, hood in hoods:
+        gap = hood.gap(coupling)
+        gaps.append(gap)
+        if not gap > -hood.epsilon:
+            violations.append(bad(reason, gap=gap))
     return violations, gaps
 
 
@@ -476,19 +466,18 @@ def certify_openness(
         raise ParameterError("trials must be a positive integer")
     eps = as_rational(eps)
     refinement = refine_grid(reference, targets, eps)
-    delta = min(admissible_delta(eps), refinement.delta)
-    grid = refinement.grid
-    marginals = (reference.push_proj(1), reference.push_proj(2))
-    cells = tuple(cell for _, cell in grid.cells())
-    cell_hood = Neighborhood(reference, cells, eps) if cells else None
-    target_hood = Neighborhood(reference, tuple(targets), eps)
+    grid, delta = refinement.grid, refinement.delta
+    # cells first, and no cell neighborhood for a grid without cells
+    sets = {
+        "cell-membership": tuple(cell for _, cell in grid.cells()),
+        "target-membership": tuple(targets),
+    }
+    hoods = [(reason, Neighborhood(reference, s, eps)) for reason, s in sets.items() if s]
 
     violations: list[Violation] = []
     min_gap: Fraction | None = None
     for t in range(trials):
-        got, gaps = certify_trial(
-            reference, marginals, grid, cell_hood, target_hood, delta, t, seed.derive(t)
-        )
+        got, gaps = certify_trial(reference, grid, hoods, delta, t, seed.derive(t))
         violations.extend(got)
         for g in gaps:
             min_gap = g if min_gap is None else min(min_gap, g)
