@@ -21,7 +21,6 @@ from .measure import Measure, tensor
 from .refine import Grid, RefineResult, refine_grid
 from .space import BoxSet, IntervalSet, ProductSpace
 from .verify import (
-    CertReport,
     Seed,
     certify_openness,
     check_band_bound,
