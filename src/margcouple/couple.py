@@ -30,9 +30,9 @@ its cells kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import (
     HypothesisError,
     InternalConsistencyError,
@@ -45,7 +45,7 @@ from .refine import CellIndex, Grid, _pieces_holding
 from .space import ProductSpace, as_rational
 
 
-@dataclass(frozen=True)
+@record
 class MarginalPair:
     mu: Measure
     nu: Measure
@@ -70,7 +70,7 @@ def admissible_delta(eps) -> Fraction:
     return eps / 2
 
 
-@dataclass(frozen=True)
+@record
 class CellAlloc:
     """Mass granted to a cell: reference mass rescaled per axis, minimum kept."""
 
@@ -79,7 +79,7 @@ class CellAlloc:
     kept: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class PreimageReport:
     coupling: Measure
     grid_part: Measure

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote  # json's C string encoder
 
+from ._record import record
 from .couple import CellAlloc, MarginalPair, PreimageReport
 from .errors import Error, SchemaError
 from .measure import Measure
@@ -299,7 +299,7 @@ def _parse_product_set(entry, path) -> BoxSet:
     return _build(f"{path}.boxes", BoxSet, _list(entry, "boxes", path, _parse_box))
 
 
-@dataclass(frozen=True)
+@record
 class SetsDocument:
     """An ordered list of open sets, all of one geometry."""
 
@@ -489,7 +489,7 @@ def _parse_cert(doc, path) -> CertReport:
     )
 
 
-@dataclass(frozen=True)
+@record
 class CheckDocument:
     """Outcome of a containment check, tagged with the rule it ran."""
 
@@ -533,7 +533,7 @@ def _record(cls, write, read) -> tuple:
 
     ``write(value)`` gives a field's JSON; ``read(doc, name, path)`` parses it.
     """
-    names = [f.name for f in fields(cls)]
+    names = cls._fields
 
     def body(obj) -> dict:
         return {name: write(getattr(obj, name)) for name in names}

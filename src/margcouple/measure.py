@@ -50,13 +50,13 @@ masses are therefore built once.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
+from ._record import factory, record
 from .errors import (
     MassMismatchError,
     NegativeWeightError,
@@ -131,12 +131,12 @@ def _check_geometry(space: Space, open_set: OpenSet) -> None:
         raise ParameterError("a product measure evaluates box sets only")
 
 
-@dataclass(frozen=True)
+@record
 class Measure:
     """A nonnegative finitely supported measure on a ground space."""
 
     space: Space
-    weights: dict = field(default_factory=dict)
+    weights: dict = factory(dict)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _normalized(self.space, self.weights))
@@ -295,7 +295,7 @@ class Measure:
         return Measure(self.space, acc)
 
 
-@dataclass(frozen=True)
+@record
 class MetaMeasure:
     """A finitely supported measure on measures over one common base space."""
 

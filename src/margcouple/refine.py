@@ -22,11 +22,11 @@ inside every input interval containing it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import pairwise, product
 from typing import Iterator, Sequence
 
+from ._record import factory, record
 from .errors import ParameterError
 from .measure import Measure, _fsum
 from .space import (
@@ -44,7 +44,7 @@ from .space import (
 CellIndex = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@record
 class Grid:
     """Column pieces times row pieces; cells are the implied products."""
 
@@ -118,11 +118,11 @@ def _pieces_holding(pieces: Sequence[IntervalSet], space: SpaceDesc) -> dict:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class RefineResult:
     grid: Grid
     delta: Fraction
-    owner: dict = field(default_factory=dict)  # cell index -> target index or None
+    owner: dict = factory(dict)  # cell index -> target index or None
 
     def __post_init__(self):
         object.__setattr__(self, "delta", as_rational(self.delta))

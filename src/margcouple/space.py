@@ -12,12 +12,12 @@ set and is not the same open set as (0,2).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import pairwise
 from typing import Iterable, Union
 
+from ._record import record
 from .errors import InvalidIntervalError, ParameterError
 
 Interval = tuple[Fraction, Fraction]
@@ -57,7 +57,7 @@ def _interval(raw) -> Interval:
     return (lo, hi)
 
 
-@dataclass(frozen=True)
+@record
 class Atom:
     """A named point of a ground space."""
 
@@ -70,7 +70,7 @@ class Atom:
         object.__setattr__(self, "coord", as_rational(self.coord))
 
 
-@dataclass(frozen=True)
+@record
 class SpaceDesc:
     """An ordered finite list of atoms on the line; ids unique, coords free."""
 
@@ -115,7 +115,7 @@ class SpaceDesc:
 ProductKey = tuple[str, str]
 
 
-@dataclass(frozen=True)
+@record
 class ProductSpace:
     """The product of two line spaces; atoms are all pairs, x-major order."""
 
@@ -147,7 +147,7 @@ class ProductSpace:
 Space = Union[SpaceDesc, ProductSpace]
 
 
-@dataclass(frozen=True)
+@record
 class IntervalSet:
     """A canonical finite union of open intervals: sorted, pairwise disjoint.
 
@@ -219,7 +219,7 @@ def intervalsets_disjoint(a: IntervalSet, b: IntervalSet) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@record
 class Box:
     """An open axis-aligned rectangle: col x row, both open intervals."""
 
@@ -235,7 +235,7 @@ class Box:
         return self.col[0] < as_rational(px) < self.col[1] and self.row[0] < as_rational(py) < self.row[1]
 
 
-@dataclass(frozen=True)
+@record
 class BoxSet:
     """A finite union of open boxes; constituents may overlap each other."""
 

@@ -15,10 +15,10 @@ weight-by-weight multiplication.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import record
 from .couple import construct_preimage
 from .errors import (
     Error,
@@ -50,7 +50,7 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-@dataclass(frozen=True)
+@record
 class Seed:
     """A 64-bit seed; derivation is xor with an index, then mix64."""
 
@@ -299,7 +299,7 @@ def sample_in_neighborhood(center: Measure, sets: Sequence, delta, seed: Seed) -
 # containment validators: every mass, marginal bands too, sums one pass of patterns
 
 
-@dataclass(frozen=True)
+@record
 class LemmaCheck:
     """Outcome of a containment validator: lhs, its proof-side majorant, verdict."""
 
@@ -381,7 +381,7 @@ def check_box_diff_bound(
 # certification
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     trial: int
     seed: Seed
@@ -392,7 +392,7 @@ class Violation:
     nu: Measure | None = None
 
 
-@dataclass(frozen=True)
+@record
 class CertReport:
     trials: int
     violations: tuple = ()

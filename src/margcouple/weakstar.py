@@ -16,16 +16,16 @@ membership stays an independent check of those drops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._record import record
 from .errors import ParameterError
 from .measure import Measure, _check_geometry
 from .space import as_rational
 
 
-@dataclass(frozen=True)
+@record
 class Neighborhood:
     center: Measure
     sets: tuple

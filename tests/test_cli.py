@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import instances
+import margcouple
 from margcouple import (
     Atom,
     CertReport,
@@ -200,6 +201,19 @@ def test_module_entry_point():
     assert proc.returncode == 0
     mu, nu = instances.worked_perturbed()
     assert loads(proc.stdout) == MarginalPair(mu, nu)
+
+
+def test_cold_import_skips_dataclasses_and_inspect():
+    # every command-line run pays this import; the two modules were most of it
+    src = str(Path(margcouple.__file__).resolve().parents[1])
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import margcouple.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"
 
 
 # -- failure exit code -----------------------------------------------------

@@ -11,7 +11,6 @@ import hashlib
 import json
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,6 +31,7 @@ from margcouple import (
     SchemaError,
     Seed,
     SpaceDesc,
+    Violation,
     certify_openness,
     check_band_bound,
     construct_preimage,
@@ -202,7 +202,8 @@ def _violation_reports():
         failed = certify_openness(
             instances.worked_reference(), instances.worked_targets(), F(1, 5), 10, Seed(2024)
         )
-    located = replace(failed.violations[0], cell=(0, 1), gap=F(-1, 10))
+    v = failed.violations[0]
+    located = Violation(v.trial, v.seed, v.reason, (0, 1), F(-1, 10), v.mu, v.nu)
     return [failed, CertReport(2, (located,), F(1, 40))]
 
 
