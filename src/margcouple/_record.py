@@ -1,10 +1,11 @@
 """Frozen value classes, made by one small decorator instead of ``dataclasses``.
 
 Importing :mod:`dataclasses` pulls in :mod:`inspect`, and its decorator
-generates six methods per class through separate ``exec`` calls; together
-that was most of ``import margcouple``, which every run of the command line
-pays before any work.  :func:`record` gives the package's value classes the
-same behaviour with one ``exec`` per class.  What it keeps:
+compiles six methods per class from generated source; together that was
+most of ``import margcouple``, which every run of the command line pays
+before any work.  :func:`record` gives the package's value classes the
+behaviour they used, from one ``exec`` of three methods per class and
+three methods shared by all.  What it keeps:
 
 * ``__init__`` taking the annotated fields, in order, positionally or by
   keyword, with class-level defaults; a :class:`factory` default is built
@@ -39,8 +40,6 @@ class FrozenInstanceError(AttributeError):
 
 class factory:
     """A field default built by ``make()`` for each instance: ``owner: dict = factory(dict)``."""
-
-    __slots__ = ("make",)
 
     def __init__(self, make):
         self.make = make
