@@ -55,10 +55,6 @@ GRID = Grid((IV,), (IV,))
 CHECK = LemmaCheck(F(1, 5), F(1, 2), True)
 
 
-def _fields(cls, values):
-    return dict(zip(_FIELDS[cls], values))
-
-
 _FIELDS = {
     Atom: ("id", "coord"),
     SpaceDesc: ("atoms",),
@@ -215,6 +211,14 @@ _REPRS = {
 CLASSES = list(_ARGS)
 
 
+def _kwargs(cls, values):
+    return dict(zip(_FIELDS[cls], values))
+
+
+def _key(obj):
+    return tuple(getattr(obj, f) for f in _FIELDS[type(obj)])
+
+
 def test_the_table_covers_twenty_classes():
     assert len(CLASSES) == 20
     assert set(_FIELDS) == set(_REPRS) == set(CLASSES)
@@ -224,16 +228,10 @@ def test_the_table_covers_twenty_classes():
 def test_positional_and_keyword_construction_agree(cls):
     for args in _ARGS[cls]:
         by_position = cls(*args)
-        by_keyword = cls(**_fields(cls, args))
+        by_keyword = cls(**_kwargs(cls, args))
         assert by_position == by_keyword
         assert not by_position != by_keyword
-        assert tuple(getattr(by_position, f) for f in _FIELDS[cls]) == tuple(
-            getattr(by_keyword, f) for f in _FIELDS[cls]
-        )
-
-
-def _key(obj):
-    return tuple(getattr(obj, f) for f in _FIELDS[type(obj)])
+        assert _key(by_position) == _key(by_keyword)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -319,7 +317,7 @@ def test_missing_or_extra_argument_is_a_type_error(cls):
     cls(*args[:required])
     if required:
         with pytest.raises(TypeError, match=names[0]):
-            cls(**{k: v for k, v in _fields(cls, args).items() if k != names[0]})
+            cls(**{k: v for k, v in _kwargs(cls, args).items() if k != names[0]})
         with pytest.raises(TypeError, match=names[required - 1]):
             cls(*args[: required - 1])
     with pytest.raises(TypeError):
