@@ -390,6 +390,37 @@ def test_check_refuses_the_other_rules_tolerances(capsys):
     assert run(capsys, *boxdiff)[0] == 0
 
 
+def test_check_rule_texts_word_for_word(capsys):
+    for argv, message in [
+        (("--lemma", "4", "--sets", BAND_SETS), "check --lemma 4 needs --eps"),
+        (("--lemma", "5", "--sets", BOXDIFF_SETS, "--eps1", "3/5"),
+         "check --lemma 5 needs --eps1 and --eps2"),
+        (("--lemma", "5", "--sets", BOXDIFF_SETS, "--eps2", "3/5"),
+         "check --lemma 5 needs --eps1 and --eps2"),
+        (("--lemma", "4", "--sets", BOXDIFF_SETS, "--eps", "3/5"),
+         f"{BOXDIFF_SETS}: rule 4 takes [outer, inner, row], got 4 sets"),
+        (("--lemma", "5", "--sets", BAND_SETS, "--eps1", "3/5", "--eps2", "3/5"),
+         f"{BAND_SETS}: rule 5 takes [col outer, col inner, row outer, row inner], got 3 sets"),
+    ]:
+        code, out, err = run(capsys, "check", REFERENCE, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command")
+    check = {a.dest: a for a in commands.choices["check"]._actions}
+    assert check["lemma"].choices == (4, 5)
+    assert {name: action.help for name, action in check.items()} == {
+        "help": "show this help message and exit",
+        "joint": "measure document on a product space",
+        "lemma": "which rule to check",
+        "sets": "line sets document: [outer, inner, row] for rule 4, "
+        "[col outer, col inner, row outer, row inner] for rule 5",
+        "eps": "tolerance for rule 4 only",
+        "eps1": "column tolerance for rule 5 only",
+        "eps2": "row tolerance for rule 5 only",
+    }
+    assert list(check) == ["help", "joint", "lemma", "sets", "eps", "eps1", "eps2"]
+
+
 def test_argparse_failures_exit_two(capsys):
     assert run(capsys, "unknown-command")[0] == 2
     assert run(capsys, "refine", REFERENCE, TARGETS, "--eps0", "0.2")[0] == 2

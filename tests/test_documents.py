@@ -692,6 +692,40 @@ RECORD_FAULTS = {
     "pair-unequal-masses": (
         "marginal_pair", [(("nu", "weights", "c"), "1")],
         "marginal_pair: marginals carry masses 1 and 3/2"),
+    "cert-trials-missing": ("cert_report", [(("trials",), _DROP)], "cert_report.trials: missing"),
+    "cert-min-gap-decimal": (
+        "cert_report", [(("min_observed_gap",), "0.5")],
+        "cert_report.min_observed_gap: expected a rational string like '1/10', got '0.5'"),
+    "cert-violations-not-list": (
+        "cert_report", [(("violations",), {})], "cert_report.violations: wrong type dict"),
+    "violation-trial-bool": (
+        "cert_report", [(("violations", 0, "trial"), True)],
+        "cert_report.violations[0].trial: wrong type bool"),
+    "violation-seed-signed": (
+        "cert_report", [(("violations", 0, "seed"), "-1")],
+        "cert_report.violations[0].seed: expected an unsigned integer string"),
+    "violation-seed-past-64-bits": (
+        "cert_report", [(("violations", 0, "seed"), "18446744073709551616")],
+        "cert_report.violations[0].seed: seed must be a 64-bit unsigned integer, "
+        "got 18446744073709551616"),
+    "violation-reason-int": (
+        "cert_report", [(("violations", 0, "reason"), 7)],
+        "cert_report.violations[0].reason: wrong type int"),
+    "violation-cell-short": (
+        "cert_report", [(("violations", 0, "cell"), [0])],
+        "cert_report.violations[0].cell: expected [q, s] or null"),
+    "violation-gap-not-rational": (
+        "cert_report", [(("violations", 0, "gap"), "x")],
+        "cert_report.violations[0].gap: expected a rational string like '1/10', got 'x'"),
+    "violation-mu-wrong-kind": (
+        "cert_report", [(("violations", 0, "mu", "kind"), "space")],
+        "cert_report.violations[0].mu.kind: expected measure, got 'space'"),
+    "violation-nu-list": (
+        "cert_report", [(("violations", 0, "nu"), [])],
+        "cert_report.violations[0].nu: expected an object"),
+    "violation-trial-not-below-trials": (
+        "cert_report", [(("violations", 0, "trial"), 2)],
+        "cert_report.violations[0].trial: expected below trials (2)"),
 }
 
 
@@ -701,11 +735,12 @@ def test_malformed_record_messages_word_for_word(name):
     reference = instances.worked_reference()
     doc = to_document(
         {
-            "product_space": reference.space,
-            "measure": reference,
-            "grid": instances.worked_grid(),
-            "marginal_pair": marginal_pair(reference),
-        }[kind]
+            "product_space": lambda: reference.space,
+            "measure": lambda: reference,
+            "grid": instances.worked_grid,
+            "marginal_pair": lambda: marginal_pair(reference),
+            "cert_report": lambda: _violation_reports()[1],
+        }[kind]()
     )
     for keys, value in edits:
         *walk, last = keys

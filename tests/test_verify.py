@@ -21,6 +21,7 @@ from margcouple import (
     ParameterError,
     PreimageReport,
     ProductSpace,
+    RefineResult,
     Seed,
     SpaceDesc,
     admissible_delta,
@@ -324,6 +325,38 @@ def test_box_diff_bound_hypothesis_violation(reference):
         with pytest.raises(ParameterError) as exc:
             check_box_diff_bound(reference, OUTER, INNER, OUTER, INNER, eps_col, eps_row)
         assert str(exc.value) == "tolerances must be positive"
+
+
+_REF = instances.worked_reference()
+_LINE = _REF.push_proj(1)
+_ROW = IntervalSet.single(0, 1)
+
+
+# every place that takes a tolerance, each with its own text
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda eps: admissible_delta(eps), "tolerance must be positive"),
+        (lambda eps: RefineResult(instances.worked_grid(), eps), "refinement delta must be positive"),
+        (lambda eps: refine_grid(_REF, instances.worked_targets(), eps), "eps0 must be positive"),
+        (lambda eps: Neighborhood(_LINE, (_ROW,), eps), "neighborhood tolerance must be positive"),
+        (lambda eps: sample_in_neighborhood(_LINE, (_ROW,), eps, Seed(1)), "delta must be positive"),
+        (lambda eps: check_band_bound(_REF, OUTER, INNER, OUTER, eps), "tolerance must be positive"),
+        (lambda eps: check_box_diff_bound(_REF, OUTER, INNER, OUTER, INNER, eps, 1),
+         "tolerances must be positive"),
+        (lambda eps: check_box_diff_bound(_REF, OUTER, INNER, OUTER, INNER, 1, eps),
+         "tolerances must be positive"),
+    ],
+)
+def test_positive_tolerance_texts_word_for_word(call, text):
+    for eps in (0, F(-1, 3), "-2", "0/7"):
+        with pytest.raises(ParameterError) as exc:
+            call(eps)
+        assert str(exc.value) == text
+    # what is no rational at all keeps the coercion's own text
+    with pytest.raises(ParameterError) as exc:
+        call(0.5)
+    assert str(exc.value) == "refusing 0.5; pass a Fraction, int or p/q string"
 
 
 @pytest.mark.parametrize("seed", range(40))
