@@ -20,8 +20,8 @@ three methods shared by all.  What it keeps:
   of another class (``NotImplemented``).  A dict-valued field makes the
   record unhashable, as before.
 * The repr ``Name(field=value, ...)``, which error messages embed.
-* The field names, in order, as the class attribute ``_fields``; documents
-  derive some kinds' bodies from them.
+* The field names, in order, as the class attribute ``_fields``, which only
+  the repr reads; documents declare their own fields, in document order.
 
 The generated functions carry the class's module name and qualified name,
 so they look like methods written in the class body to anything that walks

@@ -12,20 +12,31 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import documents
 from .couple import construct_preimage, marginal_pair
 from .errors import Error, SchemaError
 from .measure import Measure, tensor
 from .refine import Grid, RefineResult, refine_grid
-from .space import BoxSet, IntervalSet, ProductSpace
+from .space import BoxSet, ProductSpace
 from .verify import (
     Seed,
     certify_openness,
     check_band_bound,
     check_box_diff_bound,
 )
+
+# check rule -> (name of its check in this module, looked up when called so a
+# rebinding of the name is seen; {tolerance flag: what it bounds}; roles of its sets)
+_RULES = {
+    4: ("check_band_bound", {"eps": "tolerance"}, ("outer", "inner", "row")),
+    5: (
+        "check_box_diff_bound",
+        {"eps1": "column tolerance", "eps2": "row tolerance"},
+        ("col outer", "col inner", "row outer", "row inner"),
+    ),
+}
 
 
 def _rational_flag(raw: str):
@@ -57,7 +68,7 @@ def _trials_flag(raw: str) -> int:
 
 
 def _lemma_flag(raw: str) -> int:
-    return _uint(raw, "lemma", 5)
+    return _uint(raw, "lemma", max(_RULES))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,18 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="containment checks on a coupling")
     p.add_argument("joint", help="measure document on a product space")
-    p.add_argument(
-        "--lemma", type=_lemma_flag, choices=(4, 5), required=True, help="which rule to check"
-    )
-    p.add_argument(
-        "--sets",
-        required=True,
-        help="line sets document: [outer, inner, row] for rule 4, "
-        "[col outer, col inner, row outer, row inner] for rule 5",
-    )
-    p.add_argument("--eps", type=_rational_flag, help="tolerance for rule 4 only")
-    p.add_argument("--eps1", type=_rational_flag, help="column tolerance for rule 5 only")
-    p.add_argument("--eps2", type=_rational_flag, help="row tolerance for rule 5 only")
+    p.add_argument("--lemma", type=_lemma_flag, choices=tuple(_RULES), required=True, help="which rule to check")
+    shapes = (f"[{', '.join(roles)}] for rule {n}" for n, (_, _, roles) in _RULES.items())
+    p.add_argument("--sets", required=True, help=f"line sets document: {', '.join(shapes)}")
+    for n, (_, flags, _) in _RULES.items():
+        for flag, what in flags.items():
+            p.add_argument(f"--{flag}", type=_rational_flag, help=f"{what} for rule {n} only")
     return parser
 
 
@@ -194,28 +199,20 @@ def _run(args) -> int:
         doc = _load_as(args.sets, documents.SetsDocument)
         if doc.geometry != "line":
             raise SchemaError(f"{args.sets}: check takes line geometry sets")
-        sets: Sequence[IntervalSet] = doc.sets
-        others = ("eps1", "eps2") if args.lemma == 4 else ("eps",)
-        stray = [f"--{name}" for name in others if getattr(args, name) is not None]
+        check, flags, roles = _RULES[args.lemma]
+        others = [flag for _, fs, _ in _RULES.values() for flag in fs if flag not in flags]
+        stray = [f"--{flag}" for flag in others if getattr(args, flag) is not None]
         if stray:
             raise SchemaError(f"check --lemma {args.lemma} does not take {' or '.join(stray)}")
-        if args.lemma == 4:
-            if args.eps is None:
-                raise SchemaError("check --lemma 4 needs --eps")
-            if len(sets) != 3:
-                raise SchemaError(f"{args.sets}: rule 4 takes [outer, inner, row], got {len(sets)} sets")
-            result = check_band_bound(joint, sets[0], sets[1], sets[2], args.eps)
-        else:
-            if args.eps1 is None or args.eps2 is None:
-                raise SchemaError("check --lemma 5 needs --eps1 and --eps2")
-            if len(sets) != 4:
-                raise SchemaError(
-                    f"{args.sets}: rule 5 takes [col outer, col inner, row outer, row inner], "
-                    f"got {len(sets)} sets"
-                )
-            result = check_box_diff_bound(
-                joint, sets[0], sets[1], sets[2], sets[3], args.eps1, args.eps2
+        tolerances = [getattr(args, flag) for flag in flags]
+        if None in tolerances:
+            needed = " and ".join(f"--{flag}" for flag in flags)
+            raise SchemaError(f"check --lemma {args.lemma} needs {needed}")
+        if len(doc.sets) != len(roles):
+            raise SchemaError(
+                f"{args.sets}: rule {args.lemma} takes [{', '.join(roles)}], got {len(doc.sets)} sets"
             )
+        result = globals()[check](joint, *doc.sets, *tolerances)
         _emit(documents.CheckDocument(args.lemma, result))
         return 0 if result.ok else 1
 

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .measure import Measure, _fsum, couple_mass, tensor
 from .refine import CellIndex, Grid, _pieces_holding
-from .space import ProductSpace, as_rational
+from .space import ProductSpace, as_positive
 
 
 @record
@@ -64,10 +64,7 @@ def marginal_pair(joint: Measure) -> MarginalPair:
 
 def admissible_delta(eps) -> Fraction:
     """Half the target tolerance; safe for the per-cell shortfall bound."""
-    eps = as_rational(eps)
-    if eps <= 0:
-        raise ParameterError("tolerance must be positive")
-    return eps / 2
+    return as_positive(eps, "tolerance") / 2
 
 
 @record

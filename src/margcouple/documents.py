@@ -18,6 +18,14 @@ format string per indent level.  Reading tests each entry with exact type
 checks and one ``_RATIONAL`` match, and builds a field's path only for its
 error; the weights then go through the strict ``Measure(space, weights)``,
 which rejects unknown atoms and negative weights.
+
+The record kinds (``product_space``, ``grid``, ``marginal_pair`` and
+``cert_report`` with its violations) are field tables: one ``(write,
+read)`` codec per field, in document order, declared once in ``_KINDS``
+through :func:`_record`.  A document is written and read in that order, so
+of two faulty fields the first one in the document is reported; a test
+that spans fields, such as every violation's trial lying below
+``trials``, runs once the record is built.
 """
 
 from __future__ import annotations
@@ -122,9 +130,9 @@ def _field(doc, name, path, kind=None):
     return value
 
 
-def _build(path, factory, *args):
+def _build(path, factory, *args, **kwargs):
     try:
-        return factory(*args)
+        return factory(*args, **kwargs)
     except Error as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
@@ -430,63 +438,30 @@ def _parse_preimage(doc, path) -> PreimageReport:
     return rep
 
 
-def _cert_body(rep: CertReport) -> dict:
-    gap = rep.min_observed_gap
-    violations = [
-        {
-            "trial": v.trial,
-            "seed": str(v.seed.value),
-            "reason": v.reason,
-            "cell": list(v.cell) if v.cell is not None else None,
-            "gap": format_rational(v.gap) if v.gap is not None else None,
-            "mu": _tagged(v.mu) if v.mu is not None else None,
-            "nu": _tagged(v.nu) if v.nu is not None else None,
-        }
-        for v in rep.violations
-    ]
-    return {
-        "trials": rep.trials,
-        "min_observed_gap": format_rational(gap) if gap is not None else None,
-        "violations": violations,
-    }
+def _read_seed(doc, name, path) -> Seed:
+    raw = _field(doc, name, path, str)
+    if not (raw.isascii() and raw.isdigit()):
+        raise SchemaError(f"{path}.{name}: expected an unsigned integer string")
+    return _build(f"{path}.{name}", Seed, int(parse_rational(raw, f"{path}.{name}")))
 
 
-def _parse_violation(entry, vpath) -> Violation:
-    cell = _field(entry, "cell", vpath)
-    if cell is not None:
-        if (
-            not isinstance(cell, list)
-            or len(cell) != 2
-            or any(type(c) is not int or not 0 <= c < _INT_LIMIT for c in cell)
-        ):
-            raise SchemaError(f"{vpath}.cell: expected [q, s] or null")
-        cell = (cell[0], cell[1])
-    seed_raw = _field(entry, "seed", vpath, str)
-    if not (seed_raw.isascii() and seed_raw.isdigit()):
-        raise SchemaError(f"{vpath}.seed: expected an unsigned integer string")
-    seed = int(parse_rational(seed_raw, f"{vpath}.seed"))
-    return Violation(
-        trial=_int(entry, "trial", vpath),
-        seed=_build(f"{vpath}.seed", Seed, seed),
-        reason=_field(entry, "reason", vpath, str),
-        cell=cell,
-        gap=_rational(entry, "gap", vpath, optional=True),
-        mu=_sub(entry, "mu", vpath, "measure", optional=True),
-        nu=_sub(entry, "nu", vpath, "measure", optional=True),
-    )
+def _read_cell(doc, name, path) -> tuple | None:
+    cell = _field(doc, name, path)
+    if cell is None:
+        return None
+    if (
+        not isinstance(cell, list)
+        or len(cell) != 2
+        or any(type(c) is not int or not 0 <= c < _INT_LIMIT for c in cell)
+    ):
+        raise SchemaError(f"{path}.{name}: expected [q, s] or null")
+    return (cell[0], cell[1])
 
 
-def _parse_cert(doc, path) -> CertReport:
-    trials = _int(doc, "trials", path)
-    violations = _list(doc, "violations", path, _parse_violation)
-    for i, v in enumerate(violations):
-        if v.trial >= trials:
-            raise SchemaError(f"{path}.violations[{i}].trial: expected below trials ({trials})")
-    return CertReport(
-        trials=trials,
-        violations=violations,
-        min_observed_gap=_rational(doc, "min_observed_gap", path, optional=True),
-    )
+def _trials_cover(rep: CertReport, path) -> None:
+    for i, v in enumerate(rep.violations):
+        if v.trial >= rep.trials:
+            raise SchemaError(f"{path}.violations[{i}].trial: expected below trials ({rep.trials})")
 
 
 @record
@@ -528,46 +503,78 @@ def _tagged(obj) -> dict:
     raise SchemaError(f"no document form for {type(obj).__name__}")
 
 
-def _record(cls, write, read) -> tuple:
-    """A kind whose fields are exactly cls's attributes, in order, each through one codec.
+def _record(cls, check=None, **codecs) -> tuple:
+    """A kind read and written field by field, in document order, one codec per field.
 
-    ``write(value)`` gives a field's JSON; ``read(doc, name, path)`` parses it.
+    Each codec is a pair: ``write(value)`` gives the field's JSON and
+    ``read(doc, name, path)`` parses it.  ``check(obj, path)``, if given,
+    tests what spans fields once the record is built.
     """
-    names = cls._fields
 
     def body(obj) -> dict:
-        return {name: write(getattr(obj, name)) for name in names}
+        return {name: write(getattr(obj, name)) for name, (write, _) in codecs.items()}
 
     def parse(doc, path):
-        return _build(path, cls, *[read(doc, name, path) for name in names])
+        obj = _build(path, cls, **{name: read(doc, name, path) for name, (_, read) in codecs.items()})
+        if check is not None:
+            check(obj, path)
+        return obj
 
     return cls, body, parse
 
 
-def _nested(kind: str) -> tuple:
-    """The codec of a field holding one sub-document of the given kind."""
-    return _tagged, lambda doc, name, path: _sub(doc, name, path, kind)
+def _as_is(value):
+    return value
 
 
-def _write_intervalsets(sets) -> list:
-    return [_intervalset_json(s) for s in sets]
+def _optional(write):
+    return lambda value: None if value is None else write(value)
 
 
-def _read_intervalsets(doc, name, path) -> tuple:
-    return _list(doc, name, path, _parse_intervalset)
+def _nested(kind: str, optional=False) -> tuple:
+    """The codec of a field holding one sub-document of the given kind, or null if optional."""
+    write = _optional(_tagged) if optional else _tagged
+    return write, lambda doc, name, path: _sub(doc, name, path, kind, optional=optional)
 
+
+def _many(kind: tuple) -> tuple:
+    """The codec of a field holding a list of one kind's untagged bodies."""
+    _, body, parse = kind
+    return lambda items: [body(x) for x in items], lambda doc, name, path: _list(doc, name, path, parse)
+
+
+_INT = (_as_is, _int)
+_INTERVALSETS = _many((IntervalSet, _intervalset_json, _parse_intervalset))
+_GAP = (_optional(format_rational), lambda doc, name, path: _rational(doc, name, path, optional=True))
 
 # kind -> (class, body without the kind tag, parser); nested documents use it too
 _KINDS = {
     "space": (SpaceDesc, _space_body, _parse_space),
-    "product_space": _record(ProductSpace, *_nested("space")),
+    "product_space": _record(ProductSpace, x=_nested("space"), y=_nested("space")),
     "measure": (Measure, _measure_body, _parse_measure),
     "sets": (SetsDocument, _sets_body, _parse_sets),
-    "grid": _record(Grid, _write_intervalsets, _read_intervalsets),
+    "grid": _record(Grid, cols=_INTERVALSETS, rows=_INTERVALSETS),
     "refine_result": (RefineResult, _refine_body, _parse_refine),
-    "marginal_pair": _record(MarginalPair, *_nested("measure")),
+    "marginal_pair": _record(MarginalPair, mu=_nested("measure"), nu=_nested("measure")),
     "preimage_report": (PreimageReport, _preimage_body, _parse_preimage),
-    "cert_report": (CertReport, _cert_body, _parse_cert),
+    "cert_report": _record(
+        CertReport,
+        _trials_cover,
+        trials=_INT,
+        min_observed_gap=_GAP,
+        violations=_many(
+            _record(
+                Violation,
+                trial=_INT,
+                seed=(lambda seed: str(seed.value), _read_seed),
+                reason=(_as_is, lambda doc, name, path: _field(doc, name, path, str)),
+                cell=(_optional(list), _read_cell),
+                gap=_GAP,
+                mu=_nested("measure", optional=True),
+                nu=_nested("measure", optional=True),
+            )
+        ),
+    ),
     "lemma_check": (CheckDocument, _check_body, _parse_check),
 }
 

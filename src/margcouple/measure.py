@@ -50,11 +50,11 @@ masses are therefore built once.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
-from typing import Callable, Iterable, Mapping, Sequence
 
 from ._record import factory, record
 from .errors import (

@@ -22,9 +22,9 @@ inside every input interval containing it.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import pairwise, product
-from typing import Iterator, Sequence
 
 from ._record import factory, record
 from .errors import ParameterError
@@ -35,6 +35,7 @@ from .space import (
     IntervalSet,
     ProductSpace,
     SpaceDesc,
+    as_positive,
     as_rational,
     boxset_within,
     boxsets_disjoint,
@@ -125,9 +126,7 @@ class RefineResult:
     owner: dict = factory(dict)  # cell index -> target index or None
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", as_rational(self.delta))
-        if self.delta <= 0:
-            raise ParameterError("refinement delta must be positive")
+        object.__setattr__(self, "delta", as_positive(self.delta, "refinement delta"))
 
     def owned(self) -> list[tuple[CellIndex, int]]:
         return [(ix, own) for ix, own in sorted(self.owner.items()) if own is not None]
@@ -215,9 +214,7 @@ def refine_grid(reference: Measure, targets: Sequence[BoxSet], eps0) -> RefineRe
     owned); the factor leaves room for the per-cell shortfalls of up to m
     cells to accumulate inside one target while staying under eps0.
     """
-    eps0 = as_rational(eps0)
-    if eps0 <= 0:
-        raise ParameterError("eps0 must be positive")
+    eps0 = as_positive(eps0, "eps0")
     if not isinstance(reference.space, ProductSpace):
         raise ParameterError("refine_grid needs a product measure")
     targets = [t if isinstance(t, BoxSet) else BoxSet(tuple(t)) for t in targets]

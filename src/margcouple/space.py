@@ -12,10 +12,10 @@ set and is not the same open set as (0,2).
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
 from itertools import pairwise
-from typing import Iterable, Union
 
 from ._record import record
 from .errors import InvalidIntervalError, ParameterError
@@ -44,6 +44,14 @@ def as_rational(value) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"not a rational: {value!r}") from exc
+
+
+def as_positive(value, what: str) -> Fraction:
+    """:func:`as_rational` of value, refused as "<what> must be positive" unless above 0."""
+    value = as_rational(value)
+    if value <= 0:
+        raise ParameterError(f"{what} must be positive")
+    return value
 
 
 def _interval(raw) -> Interval:
@@ -144,7 +152,7 @@ class ProductSpace:
         return (self.x.coord_of(key[0]), self.y.coord_of(key[1]))
 
 
-Space = Union[SpaceDesc, ProductSpace]
+Space = SpaceDesc | ProductSpace
 
 
 @record
@@ -254,7 +262,7 @@ class BoxSet:
         return any(b.contains(point) for b in self.boxes)
 
 
-OpenSet = Union[IntervalSet, BoxSet]
+OpenSet = IntervalSet | BoxSet
 
 
 def boxes_disjoint(a: Box, b: Box) -> bool:

@@ -15,8 +15,8 @@ weight-by-weight multiplication.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from ._record import record
 from .couple import construct_preimage
@@ -35,6 +35,7 @@ from .space import (
     IntervalSet,
     ProductSpace,
     SpaceDesc,
+    as_positive,
     as_rational,
 )
 from .weakstar import Neighborhood
@@ -221,9 +222,7 @@ def sample_in_neighborhood(center: Measure, sets: Sequence, delta, seed: Seed) -
     inside a set.  Atom positions within a set may also be reshuffled, and
     mass lying outside all sets may move freely.
     """
-    delta = as_rational(delta)
-    if delta <= 0:
-        raise ParameterError("delta must be positive")
+    delta = as_positive(delta, "delta")
     if center.mass() != 1:
         raise MassMismatchError("sampler perturbs probability measures")
     sets = list(sets)
@@ -330,9 +329,7 @@ def check_band_bound(
     The returned bound is the marginal mass of the column difference, the
     majorant through which the estimate runs.
     """
-    eps = as_rational(eps)
-    if eps <= 0:
-        raise ParameterError("tolerance must be positive")
+    eps = as_positive(eps, "tolerance")
     (outer, inner), (row,), mass = _patterns(joint, (col_outer, col_inner), (row_set,))
     band = mass(lambda mx, my: mx & outer and not mx & inner)
     if not band < eps:
@@ -358,9 +355,7 @@ def check_box_diff_bound(
     minus inner difference.  The bound returned is the sum of the two band
     masses of the joint, through which the subadditivity estimate runs.
     """
-    eps_col, eps_row = as_rational(eps_col), as_rational(eps_row)
-    if eps_col <= 0 or eps_row <= 0:
-        raise ParameterError("tolerances must be positive")
+    eps_col, eps_row = as_positive(eps_col, "tolerances"), as_positive(eps_row, "tolerances")
     (co, ci), (ro, ri), mass = _patterns(joint, (col_outer, col_inner), (row_outer, row_inner))
     col_band = mass(lambda mx, my: mx & co and not mx & ci)
     if not col_band < eps_col:

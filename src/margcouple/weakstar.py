@@ -22,7 +22,7 @@ from functools import cached_property
 from ._record import record
 from .errors import ParameterError
 from .measure import Measure, _check_geometry
-from .space import as_rational
+from .space import as_positive
 
 
 @record
@@ -33,9 +33,7 @@ class Neighborhood:
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(self.sets))
-        object.__setattr__(self, "epsilon", as_rational(self.epsilon))
-        if self.epsilon <= 0:
-            raise ParameterError("neighborhood tolerance must be positive")
+        object.__setattr__(self, "epsilon", as_positive(self.epsilon, "neighborhood tolerance"))
         if not self.sets:
             raise ParameterError("neighborhood needs at least one set")
         for s in self.sets:

@@ -204,16 +204,19 @@ def test_module_entry_point():
 
 
 def test_cold_import_skips_dataclasses_and_inspect():
-    # every command-line run pays this import; the two modules were most of it
+    # every command-line run pays this import; the two modules were most of it,
+    # and typing, which a site may already have loaded, was most of the rest
     src = str(Path(margcouple.__file__).resolve().parents[1])
     probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import margcouple.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+        "import margcouple.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
+        "print(sorted({'typing'} & (set(sys.modules) - before)))"
     )
     proc = subprocess.run(
         [sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, check=True
     )
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n"
 
 
 # -- failure exit code -----------------------------------------------------

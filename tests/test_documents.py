@@ -653,9 +653,9 @@ def test_grid_document_shape():
 
 _DROP = object()
 
-# the record kinds, each exactly its class's fields in order: (kind, edits to
-# the worked instance's document as (key path, new value or _DROP), the
-# SchemaError's text); with two faults the field read first wins
+# the record kinds, each read field by field in document order: (kind, edits
+# to the worked instance's document as (key path, new value or _DROP), the
+# SchemaError's text); with two faults the field first in the document wins
 RECORD_FAULTS = {
     "product-x-missing": ("product_space", [(("x",), _DROP)], "product_space.x: missing"),
     "product-y-not-object": ("product_space", [(("y",), [])], "product_space.y: wrong type list"),
@@ -726,6 +726,23 @@ RECORD_FAULTS = {
     "violation-trial-not-below-trials": (
         "cert_report", [(("violations", 0, "trial"), 2)],
         "cert_report.violations[0].trial: expected below trials (2)"),
+    # a violation reads trial, seed, reason, cell, gap, mu, nu; a cert_report
+    # reads min_observed_gap before its violations and their trial bound
+    "violation-trial-and-seed-faults": (
+        "cert_report", [(("violations", 0, "seed"), "-1"), (("violations", 0, "trial"), True)],
+        "cert_report.violations[0].trial: wrong type bool"),
+    "violation-seed-and-cell-faults": (
+        "cert_report", [(("violations", 0, "cell"), [0]), (("violations", 0, "seed"), "-1")],
+        "cert_report.violations[0].seed: expected an unsigned integer string"),
+    "violation-reason-and-cell-faults": (
+        "cert_report", [(("violations", 0, "cell"), [0]), (("violations", 0, "reason"), 7)],
+        "cert_report.violations[0].reason: wrong type int"),
+    "cert-min-gap-and-violations-faults": (
+        "cert_report", [(("violations",), {}), (("min_observed_gap",), "0.5")],
+        "cert_report.min_observed_gap: expected a rational string like '1/10', got '0.5'"),
+    "cert-min-gap-and-trial-faults": (
+        "cert_report", [(("violations", 0, "trial"), 2), (("min_observed_gap",), "0.5")],
+        "cert_report.min_observed_gap: expected a rational string like '1/10', got '0.5'"),
 }
 
 

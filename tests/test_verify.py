@@ -325,6 +325,15 @@ def test_box_diff_bound_hypothesis_violation(reference):
         with pytest.raises(ParameterError) as exc:
             check_box_diff_bound(reference, OUTER, INNER, OUTER, INNER, eps_col, eps_row)
         assert str(exc.value) == "tolerances must be positive"
+    # two bad tolerances: each is coerced and tested in turn, the column one first
+    for eps_col, eps_row, message in [
+        (0, "x", "tolerances must be positive"),
+        ("x", 0, "not a p/q string: 'x'"),
+        (-1, 0.5, "tolerances must be positive"),
+    ]:
+        with pytest.raises(ParameterError) as exc:
+            check_box_diff_bound(reference, OUTER, INNER, OUTER, INNER, eps_col, eps_row)
+        assert str(exc.value) == message
 
 
 _REF = instances.worked_reference()
