@@ -105,7 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="containment checks on a coupling")
     p.add_argument("joint", help="measure document on a product space")
-    p.add_argument("--lemma", type=_lemma_flag, choices=tuple(_RULES), required=True, help="which rule to check")
+    p.add_argument(
+        "--lemma", type=_lemma_flag, choices=tuple(_RULES), required=True, help="which rule to check"
+    )
     shapes = (f"[{', '.join(roles)}] for rule {n}" for n, (_, _, roles) in _RULES.items())
     p.add_argument("--sets", required=True, help=f"line sets document: {', '.join(shapes)}")
     for n, (_, flags, _) in _RULES.items():

@@ -19,13 +19,10 @@ checks and one ``_RATIONAL`` match, and builds a field's path only for its
 error; the weights then go through the strict ``Measure(space, weights)``,
 which rejects unknown atoms and negative weights.
 
-The record kinds (``product_space``, ``grid``, ``marginal_pair`` and
-``cert_report`` with its violations) are field tables: one ``(write,
-read)`` codec per field, in document order, declared once in ``_KINDS``
-through :func:`_record`.  A document is written and read in that order, so
-of two faulty fields the first one in the document is reported; a test
-that spans fields, such as every violation's trial lying below
-``trials``, runs once the record is built.
+The record kinds (``product_space``, ``grid``, ``marginal_pair``,
+``cert_report`` and its violations) are field tables given to
+:func:`_record`: one codec per field, read and written in document order,
+so of two faulty fields the first in the document is reported.
 """
 
 from __future__ import annotations
