@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import instances
 from margcouple import (
@@ -16,6 +16,7 @@ from margcouple import (
     MassMismatchError,
     Measure,
     MetaMeasure,
+    Neighborhood,
     NegativeWeightError,
     ParameterError,
     ProductSpace,
@@ -117,6 +118,35 @@ def test_eval_many_matches_eval_on_lines(m, sets):
 @given(product_measures(), st.lists(box_sets, max_size=6))
 def test_eval_many_matches_eval_on_products(m, sets):
     assert m.eval_many(sets) == [m.eval(s) for s in sets]
+
+
+# sets that abut at 1/2 on both axes, whatever the draw
+_ABUTTING_LINE = IntervalSet(((F(-1, 2), F(1, 2)), (F(1, 2), F(3, 2))))
+_ABUTTING_BOXES = BoxSet((Box((F(-1, 2), F(1, 2)), (0, 2)), Box((F(1, 2), 2), (F(-1), F(1, 2)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.booleans())
+def test_one_family_serves_many_measures(data, product):
+    """One set family, in one neighbourhood and in repeated ``eval_many``, over many supports.
+
+    The family holds multi-interval, abutting and overlapping sets, a set
+    listed twice and an empty set; the measures' atoms sit on endpoints.
+    Each result must equal the pointwise ``eval``, whichever measures the
+    family has already been applied to.
+    """
+    measures = product_measures() if product else line_measures()
+    sets = data.draw(st.lists(box_sets if product else interval_sets, min_size=1, max_size=5))
+    sets += [sets[0], BoxSet() if product else IntervalSet()]
+    sets.insert(data.draw(st.integers(0, len(sets))), _ABUTTING_BOXES if product else _ABUTTING_LINE)
+    center = data.draw(measures)
+    hood = Neighborhood(center, sets, F(1, 10))
+    for _ in range(data.draw(st.integers(2, 5))):
+        m = data.draw(measures)
+        masses = [m.eval(s) for s in sets]
+        assert m.eval_many(sets) == masses
+        assert hood.gap(m) == min(g - center.eval(s) for g, s in zip(masses, sets))
+    assert hood.gap(center) == 0
 
 
 def test_eval_many_worked_cases(line, spaces):
