@@ -30,9 +30,15 @@ ints per denominator and normalises once, instead of paying one ``gcd``
 per added ``Fraction``: ``mass``, ``push_proj``, ``Measure._patterns`` and
 :meth:`..refine.Grid.cell_masses`.  The result is the same ``Fraction``,
 since a ``Fraction`` is normalised whichever route builds it.
-``_patterns``, one bitmask per distinct coordinate and axis found by
-bisecting the sorted interval endpoints, serves ``eval_many``, the two
-checks of :mod:`.verify` and ``refine_grid``.
+Membership against many open intervals has a compile half and an apply
+half.  A private ``_Family`` is compiled once from a family of sets or
+intervals: one bit per distinct interval and axis, each axis's sorted
+endpoints and slot masks, each set's boxes as bit pairs, and a memo from
+pattern to the sets it lies in.  ``_patterns(family)`` applies it to one
+measure: one bitmask per distinct coordinate and axis, found by bisection,
+and the mass per pattern.  ``eval_many``, the two checks of :mod:`.verify`
+and ``refine_grid`` compile and apply once; a neighbourhood keeps its
+family on its centre and applies it to every candidate.
 ``eval``, ``sum_where`` and :func:`barycenter` test point by point with
 plain ``Fraction`` sums on purpose, as do the oracles of :mod:`.verify`:
 they are the independent routes the fast ones are checked against.
@@ -41,10 +47,11 @@ A measure's ``weights`` are never mutated after construction, by the
 library or by its callers, so values that depend only on them are computed
 once and kept on the instance: ``mass()``, each ``push_proj(axis)`` (the
 same ``Measure`` on every call) and, through the private ``_cached``, a
-neighbourhood's centre masses keyed by its tuple of sets and
+neighbourhood's compiled family and centre masses keyed by its tuple of
+sets, the sampler's set indices of the centre's atoms and
 :meth:`..refine.Grid.cell_masses` keyed by the grid.  Within a ``certify``
-run the reference's marginals and cell masses and every centre's set
-masses are therefore built once.
+run the reference's marginals and cell masses, every centre's set masses
+and every family of sets are therefore built once.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import lcm
 
 from ._record import factory, record
@@ -102,26 +109,34 @@ def _normalized(space: Space, raw: Mapping) -> dict:
     return out
 
 
-def _masks(space: SpaceDesc, keys: Iterable, bits: Mapping) -> dict:
-    """Atom id -> OR of the bits of the open intervals holding its coordinate.
+def _slots(bits: Mapping) -> tuple[list, list]:
+    """The sorted distinct endpoints of the intervals keyed in ``bits``, and each slot's mask.
 
-    The sorted distinct endpoints cut the axis into slots: slot 2i + 1 is
-    endpoint i, slot 2i the open gap below it.  An interval holds the slots
-    strictly between its ends' slots; one difference array gives every
-    slot's mask, and each coordinate finds its slot by bisection.
+    The endpoints cut the axis into slots: slot 2i + 1 is endpoint i, slot
+    2i the open gap below it.  An interval holds the slots strictly between
+    its ends' slots; one difference array gives every slot's mask.
     """
     ends = sorted({e for iv in bits for e in iv})
     diff = [0] * (2 * len(ends) + 1)
     for (lo, hi), bit in bits.items():
         diff[2 * bisect_left(ends, lo) + 2] += bit
         diff[2 * bisect_left(ends, hi) + 1] -= bit
-    slot_mask = list(accumulate(diff))
+    return ends, list(accumulate(diff))
+
+
+def _classify(space: SpaceDesc, keys: Iterable, ends: list, slot_mask: list) -> dict:
+    """Atom id -> the mask of the slot its coordinate falls in, found by bisection."""
     out = {}
     for k in keys:
         c = space.coord_of(k)
         i = bisect_left(ends, c)
         out[k] = slot_mask[2 * i + (i < len(ends) and ends[i] == c)]
     return out
+
+
+def _masks(space: SpaceDesc, keys: Iterable, bits: Mapping) -> dict:
+    """Atom id -> OR of the bits of the open intervals holding its coordinate."""
+    return _classify(space, keys, *_slots(bits))
 
 
 def _check_geometry(space: Space, open_set: OpenSet) -> None:
@@ -168,8 +183,10 @@ class Measure:
     def _cached(self, key, build: Callable):
         """``build()``, computed on the first call with ``key`` and kept on the measure.
 
-        The keys in use: an axis (1, 2) for ``push_proj``, a tuple of sets for
-        a neighbourhood's centre masses, a grid for its cell masses.
+        The keys in use: an axis (1, 2) for ``push_proj``; a tuple of sets for
+        a neighbourhood's compiled family and centre masses; ``("held",
+        sets)`` for the set indices of each atom in the sampler's workspace;
+        a grid for its cell masses.
         """
         value = self._memo.get(key)
         if value is None:
@@ -196,53 +213,30 @@ class Measure:
         _check_geometry(self.space, open_set)
         return self.sum_where(open_set.contains)
 
-    def _patterns(self, cols: Iterable, rows: Iterable = ()) -> tuple[dict, dict, dict]:
-        """Each distinct interval's bit, per axis, and the exact mass per pattern.
+    def _patterns(self, family: _Family) -> dict:
+        """The exact mass per ``(x mask, y mask)`` pattern of a compiled family.
 
-        ``cols`` are open intervals on the x axis (a line measure's only
-        axis), ``rows`` on the y axis.  Each distinct support atom of an axis
-        is placed by bisection among the sorted distinct endpoints of its
-        axis's intervals; its mask, the OR of the bits of the intervals
-        holding it strictly as in ``contains``, is read off its slot (see
-        :func:`_masks`).  Weights are summed per ``(x mask, y mask)``
-        pattern.  A line measure's atoms lie in every row.
+        Each distinct support coordinate of an axis is placed once among its
+        axis's slots (see :func:`_masks`), and weights are summed per
+        pattern.  A line measure's atoms lie in every row: y mask -1.
         """
-        col_bit = {iv: 1 << i for i, iv in enumerate(dict.fromkeys(cols))}
-        row_bit = {iv: 1 << i for i, iv in enumerate(dict.fromkeys(rows))}
         groups: dict = {}
         if isinstance(self.space, ProductSpace):
-            x_mask = _masks(self.space.x, {kx for kx, _ in self.weights}, col_bit)
-            y_mask = _masks(self.space.y, {ky for _, ky in self.weights}, row_bit)
+            x_mask = _classify(self.space.x, {kx for kx, _ in self.weights}, *family.x_slots)
+            y_mask = _classify(self.space.y, {ky for _, ky in self.weights}, *family.y_slots)
             for (kx, ky), w in self.weights.items():
                 groups.setdefault((x_mask[kx], y_mask[ky]), []).append(w)
         else:
-            x_mask = _masks(self.space, self.weights, col_bit)
-            every_row = (1 << len(row_bit)) - 1
+            x_mask = _classify(self.space, self.weights, *family.x_slots)
             for k, w in self.weights.items():
-                groups.setdefault((x_mask[k], every_row), []).append(w)
-        return col_bit, row_bit, {p: _fsum(ws) for p, ws in groups.items()}
+                groups.setdefault((x_mask[k], -1), []).append(w)
+        return {p: _fsum(ws) for p, ws in groups.items()}
 
     def eval_many(self, sets: Sequence[OpenSet]) -> list[Fraction]:
-        """``[self.eval(s) for s in sets]``, in one pass over the support.
-
-        Boxes' columns and rows, or intervals (boxes whose row holds every
-        atom), go through :meth:`_patterns`.  A set's mass sums the patterns
-        one of its boxes hits, tested with integer ``&``, each pattern once.
-        """
+        """``[self.eval(s) for s in sets]``, in one pass over the support."""
         for s in sets:
             _check_geometry(self.space, s)
-        if isinstance(self.space, ProductSpace):
-            boxes = [[(b.col, b.row) for b in s.boxes] for s in sets]
-        else:
-            boxes = [[(iv, None) for iv in s.intervals] for s in sets]
-        col_bit, row_bit, masses = self._patterns(
-            (c for bs in boxes for c, _ in bs), (r for bs in boxes for _, r in bs)
-        )
-        hits = [[(col_bit[c], row_bit[r]) for c, r in bs] for bs in boxes]
-        return [
-            _fsum(w for (mx, my), w in masses.items() if any(mx & c and my & r for c, r in h))
-            for h in hits
-        ]
+        return _Family(sets=sets).masses(self)
 
     def restrict(self, open_set: OpenSet) -> "Measure":
         _check_geometry(self.space, open_set)
@@ -293,6 +287,51 @@ class Measure:
         for k, w in other.weights.items():
             acc[k] = acc.get(k, Fraction(0)) - w
         return Measure(self.space, acc)
+
+
+def _bits(intervals: Iterable) -> dict:
+    return {iv: 1 << i for i, iv in enumerate(dict.fromkeys(intervals))}
+
+
+class _Family:
+    """Open intervals compiled once, then applied to many measures by :meth:`Measure._patterns`.
+
+    ``cols`` are open intervals on the x axis (a line measure's only axis),
+    ``rows`` on the y axis; the boxes of ``sets`` join them, an interval
+    set's intervals as boxes in every row.  Each distinct interval has one
+    bit on its axis, each axis its sorted endpoints and slot masks (see
+    :func:`_slots`), and each set its boxes as (column bit, row bit)
+    pairs.  ``held`` keeps, per pattern, the indices of the sets it lies
+    in, so each pattern is tested against the sets once per family.
+    """
+
+    def __init__(self, cols: Iterable = (), rows: Iterable = (), sets: Sequence[OpenSet] = ()):
+        boxes = [
+            [(b.col, b.row) for b in s.boxes]
+            if isinstance(s, BoxSet)
+            else [(iv, None) for iv in s.intervals]
+            for s in sets
+        ]
+        self.col_bit = _bits(chain(cols, (c for bs in boxes for c, _ in bs)))
+        self.row_bit = _bits(chain(rows, (r for bs in boxes for _, r in bs if r is not None)))
+        self.x_slots, self.y_slots = _slots(self.col_bit), _slots(self.row_bit)
+        self.hits = [
+            [(self.col_bit[c], -1 if r is None else self.row_bit[r]) for c, r in bs] for bs in boxes
+        ]
+        self.held: dict = {}
+
+    def masses(self, m: Measure) -> list[Fraction]:
+        """Each set's mass under ``m``: the patterns one of its boxes hits, summed once each."""
+        per_set: list = [[] for _ in self.hits]
+        for (mx, my), w in m._patterns(self).items():
+            held = self.held.get((mx, my))
+            if held is None:
+                held = self.held[mx, my] = [
+                    i for i, h in enumerate(self.hits) if any(mx & c and my & r for c, r in h)
+                ]
+            for i in held:
+                per_set[i].append(w)
+        return [_fsum(ws) for ws in per_set]
 
 
 @record

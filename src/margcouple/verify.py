@@ -27,7 +27,7 @@ from .errors import (
     MassMismatchError,
     ParameterError,
 )
-from .measure import Measure, MetaMeasure, _fsum, barycenter
+from .measure import Measure, MetaMeasure, _Family, _fsum, barycenter
 from .refine import Grid, refine_grid
 from .space import (
     Atom,
@@ -36,7 +36,6 @@ from .space import (
     ProductSpace,
     SpaceDesc,
     as_positive,
-    as_rational,
 )
 from .weakstar import Neighborhood
 
@@ -156,8 +155,11 @@ class _Workspace:
     A line space is the one-axis case of a product.  ``weights`` is also
     the walk order: it starts as the centre's support, :meth:`place`
     appends to it, and a key is never removed, only set to zero.  Each key
-    is tested against the sets once, when it joins the walk, and recorded
-    in walk order in ``members`` (per set) or in ``outside`` (no set).
+    is tested against the sets with ``contains`` once and filed in walk
+    order in ``members`` (per set) or in ``outside`` (no set).  The
+    centre's keys are tested once per centre and tuple of sets, and their
+    set indices kept on the centre; a placed key is tested when it joins
+    the walk, through :meth:`record`.
     """
 
     def __init__(self, center: Measure, sets: Sequence):
@@ -172,16 +174,28 @@ class _Workspace:
         self.sets = sets
         self.members: list[list] = [[] for _ in sets]
         self.outside: list = []
-        self.weights: dict = {}
-        for k, w in center.weights.items():
-            self.record(k, center.space.coord_of(k), w)
+        self.weights: dict = dict(center.weights)
+        coord = center.space.coord_of
+        held = center._cached(
+            ("held", tuple(sets)), lambda: [self._held(coord(k)) for k in center.weights]
+        )
+        for key, indices in zip(center.weights, held):
+            self._file(key, indices)
+
+    def _held(self, coord) -> list[int]:
+        """The indices of the sets holding coord."""
+        return [i for i, s in enumerate(self.sets) if s.contains(coord)]
+
+    def _file(self, key, indices) -> None:
+        for i in indices:
+            self.members[i].append(key)
+        if not indices:
+            self.outside.append(key)
 
     def record(self, key, coord, weight) -> None:
         """Append key to the walk with its weight, and to the list of each set holding coord."""
         self.weights[key] = weight
-        held = [keys for keys, s in zip(self.members, self.sets) if s.contains(coord)]
-        for keys in held or [self.outside]:
-            keys.append(key)
+        self._file(key, self._held(coord))
 
     def place(self, coord):
         """Add a zero-weight atom at coord; an id already taken gains a leading "_"."""
@@ -311,11 +325,12 @@ def _patterns(joint: Measure, cols: Sequence[IntervalSet], rows: Sequence[Interv
     """Bits of each column and row set, and the joint's mass on the patterns where pred holds."""
     if not isinstance(joint.space, ProductSpace):
         raise ParameterError("a containment check takes a product measure")
-    col_bit, row_bit, masses = joint._patterns(
+    family = _Family(
         (iv for s in cols for iv in s.intervals), (iv for s in rows for iv in s.intervals)
     )
-    col_bits = [sum(col_bit[iv] for iv in s.intervals) for s in cols]
-    row_bits = [sum(row_bit[iv] for iv in s.intervals) for s in rows]
+    masses = joint._patterns(family)
+    col_bits = [sum(family.col_bit[iv] for iv in s.intervals) for s in cols]
+    row_bits = [sum(family.row_bit[iv] for iv in s.intervals) for s in rows]
     return col_bits, row_bits, lambda pred: _fsum(w for p, w in masses.items() if pred(*p))
 
 
@@ -401,15 +416,18 @@ class CertReport:
 def certify_trial(
     reference: Measure,
     grid: Grid,
-    hoods: Sequence[tuple[str, Neighborhood]],
+    hood: Neighborhood,
+    checks: Sequence[tuple[str, slice]],
     delta: Fraction,
     trial: int,
     trial_seed: Seed,
 ) -> tuple[list[Violation], list[Fraction]]:
     """One certification round; pure given its seed, so violations replay.
 
-    ``hoods`` pairs each membership check's violation reason with its
-    neighborhood; :func:`certify_openness` builds them once per run.
+    ``hood`` holds every membership check's sets, and ``checks`` pairs each
+    check's violation reason with its slice of them; :func:`certify_openness`
+    builds both once per run.  One pass of shortfalls over the coupling
+    serves every check: its gap is the minimum over its slice.
     """
     mu = sample_in_neighborhood(reference.push_proj(1), grid.cols, delta, trial_seed.derive(1))
     nu = sample_in_neighborhood(reference.push_proj(2), grid.rows, delta, trial_seed.derive(2))
@@ -431,8 +449,9 @@ def certify_trial(
         if not drop > -delta:
             violations.append(bad("cell-shortfall", cell=ix, gap=drop))
             break
-    for reason, hood in hoods:
-        gap = hood.gap(coupling)
+    shortfalls = hood._shortfalls(coupling)
+    for reason, part in checks:
+        gap = min(shortfalls[part])
         gaps.append(gap)
         if not gap > -hood.epsilon:
             violations.append(bad(reason, gap=gap))
@@ -459,20 +478,19 @@ def certify_openness(
         raise ParameterError("certify_openness needs at least one target set")
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ParameterError("trials must be a positive integer")
-    eps = as_rational(eps)
+    eps = as_positive(eps, "eps")
     refinement = refine_grid(reference, targets, eps)
     grid, delta = refinement.grid, refinement.delta
-    # cells first, and no cell neighborhood for a grid without cells
-    sets = {
-        "cell-membership": tuple(cell for _, cell in grid.cells()),
-        "target-membership": tuple(targets),
-    }
-    hoods = [(reason, Neighborhood(reference, s, eps)) for reason, s in sets.items() if s]
+    cells = tuple(cell for _, cell in grid.cells())
+    hood = Neighborhood(reference, cells + tuple(targets), eps)
+    # cells first, and no cell check for a grid without cells
+    checks = [("cell-membership", slice(len(cells)))] if cells else []
+    checks.append(("target-membership", slice(len(cells), None)))
 
     violations: list[Violation] = []
     min_gap: Fraction | None = None
     for t in range(trials):
-        got, gaps = certify_trial(reference, grid, hoods, delta, t, seed.derive(t))
+        got, gaps = certify_trial(reference, grid, hood, checks, delta, t, seed.derive(t))
         violations.extend(got)
         for g in gaps:
             min_gap = g if min_gap is None else min(min_gap, g)

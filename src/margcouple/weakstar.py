@@ -5,13 +5,16 @@ positive tolerance.  A candidate belongs to it when on every listed set its
 mass falls short of the center's by strictly less than the tolerance.  Only
 shortfalls count: exceeding the center on a set never hurts membership.
 
-The gap evaluates all sets at once on each measure with
-:meth:`Measure.eval_many`, so a neighborhood of k sets costs one pass over
-the candidate's support, not k of them.  The center's masses are taken on
-the first gap from the center's own cache, keyed by the sets, so every
-neighborhood of one center over the same sets evaluates them once.  It
-never uses the grid binning behind ``construct_preimage``'s cell drops, so
-membership stays an independent check of those drops.
+The sets are compiled once into a private ``measure._Family``, kept with
+the center's masses on them in the center's own cache, keyed by the sets:
+every neighborhood of one center over the same sets compiles and
+evaluates them once.  Each candidate then costs one pass over its
+support, not one per set.  ``_shortfalls`` lists the candidate's
+shortfall on each set, and the gap is its minimum; a caller that checks
+several slices of the sets, as ``certify`` does, takes one list and the
+minimum over each slice.  Membership never uses the grid binning behind
+``construct_preimage``'s cell drops, so it stays an independent check of
+those drops.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import cached_property
 
 from ._record import record
 from .errors import ParameterError
-from .measure import Measure, _check_geometry
+from .measure import Measure, _check_geometry, _Family
 from .space import as_positive
 
 
@@ -40,13 +43,29 @@ class Neighborhood:
             _check_geometry(self.center.space, s)
 
     @cached_property
+    def _compiled(self) -> tuple[_Family, tuple[Fraction, ...]]:
+        """The sets compiled, and the center's masses on them, kept on the center."""
+
+        def build():
+            family = _Family(sets=self.sets)
+            return family, tuple(family.masses(self.center))
+
+        return self.center._cached(self.sets, build)
+
+    @property
     def _center_masses(self) -> tuple[Fraction, ...]:
-        center = self.center
-        return center._cached(self.sets, lambda: tuple(center.eval_many(self.sets)))
+        return self._compiled[1]
+
+    def _shortfalls(self, candidate: Measure) -> list[Fraction]:
+        """The candidate's mass minus the center's on each set, in the sets' order."""
+        # the sets share one geometry, checked against the center's
+        _check_geometry(candidate.space, self.sets[0])
+        family, center_masses = self._compiled
+        return [g - r for g, r in zip(family.masses(candidate), center_masses)]
 
     def gap(self, candidate: Measure) -> Fraction:
         """Worst shortfall of the candidate against the center over the sets."""
-        return min(g - r for g, r in zip(candidate.eval_many(self.sets), self._center_masses))
+        return min(self._shortfalls(candidate))
 
     def is_member(self, candidate: Measure) -> bool:
         return self.gap(candidate) > -self.epsilon

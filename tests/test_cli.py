@@ -361,6 +361,13 @@ def test_check_hypothesis_violation_exits_two(capsys):
     assert err == "error: second marginal band mass 1/2 is not under 1/2\n"
 
 
+def test_certify_refuses_a_tolerance_that_is_not_positive(capsys):
+    # the text names certify's own flag, not refine_grid's eps0
+    for flag in (("--eps", "0"), ("--eps=-1/5",)):
+        got = run(capsys, "certify", REFERENCE, TARGETS, *flag, "--trials", "1", "--seed", "1")
+        assert got == (2, "", "error: eps must be positive\n")
+
+
 def test_check_flag_and_shape_errors(capsys):
     code, _, err = run(capsys, "check", REFERENCE, "--lemma", "4", "--sets", BAND_SETS)
     assert code == 2

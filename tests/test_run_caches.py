@@ -1,9 +1,9 @@
 """Values a certify run computes once, and the exact work its trials repeat.
 
-A measure keeps its mass, its marginals, its masses on a tuple of sets and
-its cell masses on a grid; ``_normalized_parts`` sums each piece's mass in
-its binning pass; the sampler's workspace tests each atom against the sets
-once.  The counts below are taken with monkeypatched counters, never with
+A measure keeps its mass, its marginals, its compiled family and masses on
+a tuple of sets and its cell masses on a grid; ``_normalized_parts`` sums
+each piece's mass in its binning pass; the sampler's workspace tests each
+centre atom against the sets once per run and each placed atom once.  The counts below are taken with monkeypatched counters, never with
 timing: work that depends only on the run must not grow with the number of
 trials.
 """
@@ -31,12 +31,13 @@ from margcouple import (
     construct_preimage,
     couple,
     marginal_pair,
+    refine_grid,
     sample_in_neighborhood,
     tensor,
     verify,
 )
 from margcouple.couple import _normalized_parts
-from margcouple.measure import _fsum
+from margcouple.measure import _Family, _fsum
 
 F = Fraction
 
@@ -46,14 +47,22 @@ seeds = st.integers(0, 2**32 - 1)
 # -- work counts -------------------------------------------------------------
 
 
-def _certify_counts(trials: int, monkeypatch) -> tuple[Counter, Counter]:
-    """Real projections and binnings of the reference, and set evaluations of each centre."""
+def _certify_counts(trials: int) -> tuple[Counter, Counter]:
+    """Work a certify run counts once per run, and each centre's set evaluations.
+
+    Counted: real projections and binnings of the reference, set families
+    compiled, ``contains`` tests the sampler's workspace makes of centre
+    atoms (outside ``record``, which tests placed atoms), and evaluations
+    through a compiled family, per centre.
+    """
     rng = random.Random(7)
     reference = instances.sparse_reference(rng, 12, F(1, 2))
     targets = instances.tile_targets(rng, 12, 7)
     built: Counter = Counter()
     evaluated: list = []
-    project, eval_many, bin_cells = Measure._project, Measure.eval_many, Grid._bin
+    scope = ["run"]
+    project, bin_cells = Measure._project, Grid._bin
+    compile_family, family_masses = _Family.__init__, _Family.masses
 
     def counting_project(self, axis):
         if self is reference:
@@ -65,29 +74,63 @@ def _certify_counts(trials: int, monkeypatch) -> tuple[Counter, Counter]:
             built["cells"] += 1
         return bin_cells(self, m)
 
-    def counting_eval_many(self, sets):
-        evaluated.append(self)
-        return eval_many(self, sets)
+    def counting_compile(self, *args, **kwargs):
+        built["families"] += 1
+        compile_family(self, *args, **kwargs)
 
-    monkeypatch.setattr(Measure, "_project", counting_project)
-    monkeypatch.setattr(Measure, "eval_many", counting_eval_many)
-    monkeypatch.setattr(Grid, "_bin", counting_bin)
-    report = certify_openness(reference, targets, F(1, 5), trials, Seed(11))
+    def counting_masses(self, m):
+        evaluated.append(m)
+        return family_masses(self, m)
+
+    def scoped(fn, name):
+        def wrapper(*args):
+            scope.append(name)
+            try:
+                return fn(*args)
+            finally:
+                scope.pop()
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Measure, "_project", counting_project)
+        mp.setattr(Grid, "_bin", counting_bin)
+        mp.setattr(_Family, "__init__", counting_compile)
+        mp.setattr(_Family, "masses", counting_masses)
+        mp.setattr(verify._Workspace, "__init__", scoped(verify._Workspace.__init__, "centre"))
+        mp.setattr(verify._Workspace, "record", scoped(verify._Workspace.record, "placed"))
+        for cls in (IntervalSet, BoxSet):
+            contains = cls.contains
+
+            def counting_contains(self, point, contains=contains):
+                built["centre contains"] += scope[-1] == "centre"
+                return contains(self, point)
+
+            mp.setattr(cls, "contains", counting_contains)
+        report = certify_openness(reference, targets, F(1, 5), trials, Seed(11))
     assert report.passed and report.trials == trials
     centres = {"reference": reference, "mu0": reference.push_proj(1)}
     centres["nu0"] = reference.push_proj(2)
+    grid = refine_grid(reference, targets, F(1, 5)).grid
+    # every centre atom against every set it is sampled in, once per run
+    assert built["centre contains"] == (
+        len(centres["mu0"].weights) * len(grid.cols) + len(centres["nu0"].weights) * len(grid.rows)
+    )
     return built, Counter({n: sum(1 for m in evaluated if m is c) for n, c in centres.items()})
 
 
-def test_run_values_are_computed_once_whatever_the_trial_count(monkeypatch):
-    one = _certify_counts(1, monkeypatch)
-    eight = _certify_counts(8, monkeypatch)
+def test_run_values_are_computed_once_whatever_the_trial_count():
+    one = _certify_counts(1)
+    eight = _certify_counts(8)
     assert one == eight
     built, evaluated = eight
-    assert built == {1: 1, 2: 1, "cells": 1}
-    # refine_grid's box masses, the cell and the target neighbourhoods;
-    # each sampler's self-check
-    assert evaluated == {"reference": 3, "mu0": 1, "nu0": 1}
+    # refine_grid's box masses, the merged cell and target neighbourhood, and
+    # each sampler's self-check: one family each
+    assert {k: v for k, v in built.items() if k != "centre contains"} == {
+        1: 1, 2: 1, "cells": 1, "families": 4,
+    }
+    # refine_grid's box masses and the merged neighbourhood; each sampler's self-check
+    assert evaluated == {"reference": 2, "mu0": 1, "nu0": 1}
 
 
 def test_each_part_mass_is_summed_once(monkeypatch):

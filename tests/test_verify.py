@@ -348,6 +348,8 @@ _ROW = IntervalSet.single(0, 1)
         (lambda eps: admissible_delta(eps), "tolerance must be positive"),
         (lambda eps: RefineResult(instances.worked_grid(), eps), "refinement delta must be positive"),
         (lambda eps: refine_grid(_REF, instances.worked_targets(), eps), "eps0 must be positive"),
+        (lambda eps: certify_openness(_REF, instances.worked_targets(), eps, 1, Seed(1)),
+         "eps must be positive"),
         (lambda eps: Neighborhood(_LINE, (_ROW,), eps), "neighborhood tolerance must be positive"),
         (lambda eps: sample_in_neighborhood(_LINE, (_ROW,), eps, Seed(1)), "delta must be positive"),
         (lambda eps: check_band_bound(_REF, OUTER, INNER, OUTER, eps), "tolerance must be positive"),
