@@ -4,8 +4,9 @@ A measure keys nonnegative weights by atom; zero weights are dropped at
 construction so equality of measures is equality of supports and weights.
 Construction looks each given key up once, as the atom's position in the
 space (x-major on a product) from per-axis index maps, which both rejects
-an unknown key and orders the weights; it never walks the space's full key
-list, so it costs time in the number of given weights, not in |X|·|Y|.
+an unknown key and orders the weights, and sorts only when the keys do not
+arrive in atom order already; it never walks the space's full key list, so
+it costs time in the number of given weights, not in |X|·|Y|.
 
 A difference of measures is a measure only where it stays nonnegative;
 otherwise subtraction raises, naming the first negative atom in atom
@@ -30,15 +31,20 @@ ints per denominator and normalises once, instead of paying one ``gcd``
 per added ``Fraction``: ``mass``, ``push_proj``, ``Measure._patterns`` and
 :meth:`..refine.Grid.cell_masses`.  The result is the same ``Fraction``,
 since a ``Fraction`` is normalised whichever route builds it.
+Open-set geometry has one exact integer form, :class:`_Axis`: an axis's
+distinct interval endpoints on one common denominator D cut it into slots,
+a coordinate n/d finds its slot from divmod(n·D, d) by one integer
+bisection, and an open interval is the mask of the slots it holds.
 Membership against many open intervals has a compile half and an apply
 half.  A private ``_Family`` is compiled once from a family of sets or
-intervals: one bit per distinct interval and axis, each axis's sorted
-endpoints and slot masks, each set's boxes as bit pairs, and a memo from
-pattern to the sets it lies in.  ``_patterns(family)`` applies it to one
-measure: one bitmask per distinct coordinate and axis, found by bisection,
-and the mass per pattern.  ``eval_many``, the two checks of :mod:`.verify`
-and ``refine_grid`` compile and apply once; a neighbourhood keeps its
-family on its centre and applies it to every candidate.
+intervals: one bit per distinct interval and axis, each axis's slots and
+their masks, each set's boxes as bit pairs, and a memo from pattern to the
+sets it lies in.  ``_patterns(family)`` applies it to one measure: one
+bitmask per distinct coordinate and axis, read off its slot, and the mass
+per pattern.  ``eval_many`` and the two checks of :mod:`.verify` compile
+and apply once; a neighbourhood keeps its family on its centre and applies
+it to every candidate.  :mod:`.refine` tests its targets' boxes, their
+mass and its cells' candidate owners on the same slots.
 ``eval``, ``sum_where`` and :func:`barycenter` test point by point with
 plain ``Fraction`` sums on purpose, as do the oracles of :mod:`.verify`:
 they are the independent routes the fast ones are checked against.
@@ -56,7 +62,7 @@ and every family of sets are therefore built once.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -90,16 +96,30 @@ def _fsum(values: Iterable[Fraction]) -> Fraction:
     return Fraction(sum(n * (den // d) for d, n in buckets.items()), den)
 
 
+def _ranks(space: Space, keys: Iterable) -> list:
+    """Each key's position in atom order, from the axes' index maps; None for an unknown key."""
+    if isinstance(space, SpaceDesc):
+        return [space._index.get(k) for k in keys]
+    xi, yi, ny = space.x._index, space.y._index, len(space.y.atoms)
+    out = []
+    for k in keys:
+        known = isinstance(k, tuple) and len(k) == 2 and k[0] in xi and k[1] in yi
+        out.append(xi[k[0]] * ny + yi[k[1]] if known else None)
+    return out
+
+
 def _normalized(space: Space, raw: Mapping) -> dict:
-    rank = {}
-    for key in raw:
-        r = space.position(key)
-        if r is None:
-            raise ParameterError(f"weight keyed by unknown atom {key!r}")
-        rank[key] = r
+    ranks = _ranks(space, raw)
+    if None in ranks:
+        raise ParameterError(f"weight keyed by unknown atom {list(raw)[ranks.index(None)]!r}")
+    pairs = zip(ranks, raw)
+    if ranks != sorted(ranks):  # every document this program writes is in atom order already
+        pairs = sorted(pairs)  # ranks are distinct, so keys are never compared
     out = {}
-    for key in sorted(raw, key=rank.__getitem__):
-        w = as_rational(raw[key])
+    for _, key in pairs:
+        w = raw[key]
+        if type(w) is not Fraction:
+            w = as_rational(w)
         # the sign of a Fraction is its numerator's: int tests, not rich comparisons
         if not w.numerator:
             continue
@@ -109,29 +129,59 @@ def _normalized(space: Space, raw: Mapping) -> dict:
     return out
 
 
-def _slots(bits: Mapping) -> tuple[list, list]:
-    """The sorted distinct endpoints of the intervals keyed in ``bits``, and each slot's mask.
+class _Axis:
+    """The distinct endpoints of one axis on one common denominator D, cutting it into slots.
 
-    The endpoints cut the axis into slots: slot 2i + 1 is endpoint i, slot
-    2i the open gap below it.  An interval holds the slots strictly between
-    its ends' slots; one difference array gives every slot's mask.
+    Slot 2i + 1 is endpoint i and slot 2i the open gap below it, so the open
+    interval (e_a, e_b) holds slots 2a + 2 ... 2b, and two open intervals
+    meet exactly when their slot masks share a bit.  ``ends`` are the
+    endpoints in order and ``scaled`` their numerators over D.
     """
-    ends = sorted({e for iv in bits for e in iv})
-    diff = [0] * (2 * len(ends) + 1)
+
+    def __init__(self, ends: Iterable[Fraction]):
+        ends = list(ends)
+        self.den = den = lcm(*{e.denominator for e in ends})  # 1 for no ends
+        at = {e.numerator * (den // e.denominator): e for e in ends}  # distinct by their ints
+        self.scaled = sorted(at)
+        self.ends = [at[n] for n in self.scaled]
+
+    def slot(self, c: Fraction) -> int:
+        """The slot of c = n/d, from divmod(n·D, d) and one integer bisection."""
+        q, r = divmod(c.numerator * self.den, c.denominator)
+        if r:  # q/D < c < (q + 1)/D: c lies above exactly the endpoints <= q, in a gap
+            return 2 * bisect_right(self.scaled, q)
+        i = bisect_left(self.scaled, q)
+        return 2 * i + (i < len(self.scaled) and self.scaled[i] == q)
+
+    def mask(self, iv: tuple) -> int:
+        """The slots of an open interval whose ends are endpoints of the axis, one bit each."""
+        lo, hi = iv
+        return (1 << self.slot(hi)) - (2 << self.slot(lo))
+
+    def above(self, c: Fraction) -> int:
+        """The bit of the slot just above c: c's own if a gap, else the gap above endpoint c."""
+        s = self.slot(c)
+        return 1 << s + (s & 1)
+
+
+def _slots(bits: Mapping) -> tuple[_Axis, list]:
+    """The axis cut by the intervals keyed in ``bits``, and each slot's mask.
+
+    An interval holds the slots strictly between its ends' slots; one
+    difference array gives every slot's mask.
+    """
+    axis = _Axis(e for iv in bits for e in iv)
+    diff = [0] * (2 * len(axis.ends) + 1)
     for (lo, hi), bit in bits.items():
-        diff[2 * bisect_left(ends, lo) + 2] += bit
-        diff[2 * bisect_left(ends, hi) + 1] -= bit
-    return ends, list(accumulate(diff))
+        diff[axis.slot(lo) + 1] += bit
+        diff[axis.slot(hi)] -= bit
+    return axis, list(accumulate(diff))
 
 
-def _classify(space: SpaceDesc, keys: Iterable, ends: list, slot_mask: list) -> dict:
-    """Atom id -> the mask of the slot its coordinate falls in, found by bisection."""
-    out = {}
-    for k in keys:
-        c = space.coord_of(k)
-        i = bisect_left(ends, c)
-        out[k] = slot_mask[2 * i + (i < len(ends) and ends[i] == c)]
-    return out
+def _classify(space: SpaceDesc, keys: Iterable, axis: _Axis, slot_mask: list) -> dict:
+    """Atom id -> the mask of the slot its coordinate falls in."""
+    coord, slot = space.coord_of, axis.slot
+    return {k: slot_mask[slot(coord(k))] for k in keys}
 
 
 def _masks(space: SpaceDesc, keys: Iterable, bits: Mapping) -> dict:
@@ -217,7 +267,7 @@ class Measure:
         """The exact mass per ``(x mask, y mask)`` pattern of a compiled family.
 
         Each distinct support coordinate of an axis is placed once among its
-        axis's slots (see :func:`_masks`), and weights are summed per
+        axis's slots (see :class:`_Axis`), and weights are summed per
         pattern.  A line measure's atoms lie in every row: y mask -1.
         """
         groups: dict = {}
@@ -299,7 +349,7 @@ class _Family:
     ``cols`` are open intervals on the x axis (a line measure's only axis),
     ``rows`` on the y axis; the boxes of ``sets`` join them, an interval
     set's intervals as boxes in every row.  Each distinct interval has one
-    bit on its axis, each axis its sorted endpoints and slot masks (see
+    bit on its axis, each axis its slots and their masks (see
     :func:`_slots`), and each set its boxes as (column bit, row bit)
     pairs.  ``held`` keeps, per pattern, the indices of the sets it lies
     in, so each pattern is tested against the sets once per family.

@@ -17,6 +17,13 @@ of pairwise disjoint column pieces and one list of row pieces.  Fact (i)
 depends on the cut discipline of :func:`disjointify`: cuts never land on a
 support coordinate, and the piece containing a support coordinate lies
 inside every input interval containing it.
+
+The set-up geometry runs on the integer slots of :class:`..measure._Axis`,
+not on ``Fraction`` comparisons: targets are pairwise disjoint when no two
+of their boxes' slot masks meet on both axes, a box has mass when its
+masks hold a support atom's slot pair, and a cell's one candidate owner is
+the target covering the slot pair just inside its first box.  Only the
+ownership decision itself stays an exact :func:`..space.boxset_within`.
 """
 
 from __future__ import annotations
@@ -24,11 +31,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from itertools import pairwise, product
+from itertools import product
 
 from ._record import factory, record
 from .errors import ParameterError
-from .measure import Measure, _fsum
+from .measure import Measure, _Axis, _fsum, _slots
 from .space import (
     Box,
     BoxSet,
@@ -38,7 +45,6 @@ from .space import (
     as_positive,
     as_rational,
     boxset_within,
-    boxsets_disjoint,
     intervalsets_disjoint,
 )
 
@@ -132,10 +138,29 @@ class RefineResult:
         return [(ix, own) for ix, own in sorted(self.owner.items()) if own is not None]
 
 
-def _holding_mass(reference: Measure, boxes: Sequence[Box]) -> list[Box]:
-    """The boxes of positive mass; weights are positive, so those holding a support atom."""
-    masses = reference.eval_many([BoxSet((b,)) for b in boxes])
-    return [b for b, m in zip(boxes, masses) if m]
+def _axes(boxes: Sequence[Box]) -> tuple[_Axis, _Axis]:
+    """The column and row axes cut into slots by the boxes' ends (see :class:`..measure._Axis`)."""
+    return _Axis(e for b in boxes for e in b.col), _Axis(e for b in boxes for e in b.row)
+
+
+def _spans(boxes: Sequence[Box], x: _Axis, y: _Axis) -> list[tuple[int, int]]:
+    """Each box as its (column slots, row slots) masks on axes holding its ends."""
+    return [(x.mask(b.col), y.mask(b.row)) for b in boxes]
+
+
+def _holding_mass(reference: Measure, x: _Axis, y: _Axis, spans: list) -> list[bool]:
+    """Whether each box, given by its slot masks on x and y, has positive mass.
+
+    Weights are positive, so a box has mass exactly when a support atom lies
+    strictly inside it: when its masks hold the atom's (x slot, y slot) pair.
+    """
+    space = reference.space
+    xs = {k: 1 << x.slot(space.x.coord_of(k)) for k in {kx for kx, _ in reference.weights}}
+    ys = {k: 1 << y.slot(space.y.coord_of(k)) for k in {ky for _, ky in reference.weights}}
+    occupied: dict = {}  # x slot bit -> the y slot bits of the support atoms in it
+    for kx, ky in reference.weights:
+        occupied[xs[kx]] = occupied.get(xs[kx], 0) | ys[ky]
+    return [any(cm & sx and rm & sy for sx, sy in occupied.items()) for cm, rm in spans]
 
 
 def rect_inner_approx(reference: Measure, target: BoxSet) -> BoxSet:
@@ -146,7 +171,9 @@ def rect_inner_approx(reference: Measure, target: BoxSet) -> BoxSet:
     """
     if not isinstance(reference.space, ProductSpace):
         raise ParameterError("rect_inner_approx needs a product measure")
-    return BoxSet(tuple(_holding_mass(reference, target.boxes)))
+    x, y = _axes(target.boxes)
+    held = _holding_mass(reference, x, y, _spans(target.boxes, x, y))
+    return BoxSet(tuple(b for b, h in zip(target.boxes, held) if h))
 
 
 def disjointify(sets: Sequence[IntervalSet], forbidden: Sequence) -> list[IntervalSet]:
@@ -159,46 +186,48 @@ def disjointify(sets: Sequence[IntervalSet], forbidden: Sequence) -> list[Interv
     side, and the forbidden point ends up in a small piece lying inside
     every input that contains the point.  Consequently no measure supported
     on the forbidden coordinates loses mass against any single input.
+    The inputs holding each endpoint and each gap between two are read off
+    the slot masks of the inputs' intervals (see :func:`..measure._slots`),
+    and each forbidden coordinate is placed once among the same slots.
     """
     sets = list(sets)
     if not sets:
         return []
-    forb = {as_rational(c) for c in forbidden}
-    ends = sorted({e for s in sets for e in s.endpoints()})
-
-    def family_at(p) -> frozenset:
-        return frozenset(i for i, s in enumerate(sets) if s.contains(p))
+    bits: dict = {}
+    for i, s in enumerate(sets):
+        for iv in s.intervals:
+            bits[iv] = bits.get(iv, 0) | 1 << i
+    # fam[2j + 1]: the inputs holding endpoint j; fam[2j + 2]: those holding the gap above it
+    axis, fam = _slots(bits)
+    ends = axis.ends
+    forb: dict[int, list] = {}  # slot -> the forbidden coordinates in it
+    for c in forbidden:
+        c = as_rational(c)
+        forb.setdefault(axis.slot(c), []).append(c)
 
     # a nibble replaces the cut at a forbidden endpoint e by two off-center
     # cuts; the gap between them becomes a dedicated piece around e
-    nibbles: dict[Fraction, tuple[Fraction, Fraction, frozenset]] = {}
-    fams = {e: family_at(e) for e in ends if e in forb}
-    if any(fams.values()):
-        relevant = sorted(forb.union(ends))
-        for e, fam in fams.items():
-            if fam:
-                # e lies inside an input, whose ends are relevant on both sides
-                j = bisect_left(relevant, e)
-                nibbles[e] = ((relevant[j - 1] + e) / 2, (e + relevant[j + 1]) / 2, fam)
+    nibbles: dict[int, tuple[Fraction, Fraction]] = {}
+    for j, e in enumerate(ends):
+        if fam[2 * j + 1] and 2 * j + 1 in forb:
+            # e lies inside an input, so endpoints j - 1 and j + 1 exist; the nearest
+            # relevant coordinates are those or forbidden ones in the gaps between
+            below = max(forb.get(2 * j, ()), default=ends[j - 1])
+            above = min(forb.get(2 * j + 2, ()), default=ends[j + 1])
+            nibbles[j] = ((below + e) / 2, (e + above) / 2)
 
-    pieces: list[tuple[Fraction, Fraction, frozenset]] = []
-    for u, v in pairwise(ends):
-        fam = family_at((u + v) / 2)
-        if not fam:
-            continue
-        lo = nibbles[u][1] if u in nibbles else u
-        hi = nibbles[v][0] if v in nibbles else v
-        if lo < hi:
-            pieces.append((lo, hi, fam))
-    for a, c, fam in nibbles.values():
-        pieces.append((a, c, fam))
-
-    groups: dict[frozenset, list] = {}
-    for lo, hi, fam in pieces:
-        groups.setdefault(fam, []).append((lo, hi))
-    out = [IntervalSet(tuple(sorted(ivs))) for ivs in groups.values()]
-    out.sort(key=lambda s: s.intervals[0])
-    return out
+    # pieces come in axis order, so each family's pieces are sorted and the
+    # families come in the order of their first pieces
+    groups: dict[int, list] = {}
+    for j, e in enumerate(ends):
+        if j in nibbles:
+            groups.setdefault(fam[2 * j + 1], []).append(nibbles[j])
+        if fam[2 * j + 2]:  # never past the last endpoint
+            lo = nibbles[j][1] if j in nibbles else e
+            hi = nibbles[j + 1][0] if j + 1 in nibbles else ends[j + 1]
+            if lo < hi:
+                groups.setdefault(fam[2 * j + 2], []).append((lo, hi))
+    return [IntervalSet(tuple(ivs)) for ivs in groups.values()]
 
 
 def _axis_interval_sets(boxes: list[Box], axis: int) -> list[IntervalSet]:
@@ -218,25 +247,31 @@ def refine_grid(reference: Measure, targets: Sequence[BoxSet], eps0) -> RefineRe
     if not isinstance(reference.space, ProductSpace):
         raise ParameterError("refine_grid needs a product measure")
     targets = [t if isinstance(t, BoxSet) else BoxSet(tuple(t)) for t in targets]
-    for i, a in enumerate(targets):
-        for b in targets[i + 1 :]:
-            if not boxsets_disjoint(a, b):
+    boxes = [b for t in targets for b in t.boxes]
+    x, y = _axes(boxes)
+    spans = [_spans(t.boxes, x, y) for t in targets]
+    for i, a in enumerate(spans):
+        for b in spans[i + 1 :]:
+            if any(ca & cb and ra & rb for ca, ra in a for cb, rb in b):
                 raise ParameterError("targets must be pairwise disjoint")
 
-    boxes = _holding_mass(reference, [b for t in targets for b in t.boxes])
+    held = _holding_mass(reference, x, y, [s for ss in spans for s in ss])
+    boxes = [b for b, h in zip(boxes, held) if h]
     # no cut on a support coordinate, looked up once per distinct atom of its axis
     xs, ys = ({k[i] for k in reference.weights} for i in (0, 1))
     cols = disjointify(_axis_interval_sets(boxes, 1), [reference.space.x.coord_of(k) for k in xs])
     rows = disjointify(_axis_interval_sets(boxes, 2), [reference.space.y.coord_of(k) for k in ys])
     grid = Grid(tuple(cols), tuple(rows))
 
+    # boxes hold whole slots and targets are disjoint, so only the target holding
+    # the slot pair just inside the lower corner of a cell's first box can hold the cell
+    col_bit = [x.above(p.intervals[0][0]) for p in grid.cols]
+    row_bit = [y.above(p.intervals[0][0]) for p in grid.rows]
     owner: dict[CellIndex, int | None] = {}
-    for ix, cell in grid.cells():
-        (x0, x1), (y0, y1) = cell.boxes[0].col, cell.boxes[0].row
-        mid = ((x0 + x1) / 2, (y0 + y1) / 2)
-        # targets are pairwise disjoint: only the one holding this point can hold the cell
-        i = next((i for i, t in enumerate(targets) if t.contains(mid)), None)
-        owner[ix] = i if i is not None and boxset_within(cell, targets[i]) else None
+    for (q, s), cell in grid.cells():
+        cb, rb = col_bit[q], row_bit[s]
+        i = next((i for i, ss in enumerate(spans) if any(c & cb and r & rb for c, r in ss)), None)
+        owner[q, s] = i if i is not None and boxset_within(cell, targets[i]) else None
     m = sum(1 for o in owner.values() if o is not None)
     delta = eps0 / (4 * m) if m else eps0 / 4
     return RefineResult(grid, delta, owner)

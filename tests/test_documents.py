@@ -141,6 +141,7 @@ def test_parse_rational_names_an_unprintable_integer():
     assert str(exc.value).startswith("p: expected a rational string like '1/10', got ")
 
 
+@settings(deadline=None)
 @given(st.from_regex(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?", fullmatch=True))
 def test_parse_rational_equals_fraction(raw):
     assert parse_rational(raw, "p") == Fraction(raw)

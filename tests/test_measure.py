@@ -1,6 +1,7 @@
 """Measures with exact rational weights: arithmetic, restriction, projection."""
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from margcouple import (
     tensor,
     verify,
 )
-from margcouple.measure import _fsum, _masks
+from margcouple.measure import _Axis, _fsum, _masks
 
 F = Fraction
 
@@ -217,6 +218,58 @@ def test_masks_worked_cases():
         assert _masks(space, space.keys, bits) == _pointwise_masks(space, bits)
     # only the given keys are classified
     assert _masks(space, ["p2"], abutting) == {"p2": 1}
+
+
+# -- integer slot placement ------------------------------------------------
+
+# Fermat numbers 2**(2**j) + 1 are pairwise coprime: with them the common
+# denominator of an axis's endpoints runs to thousands of bits
+_FERMAT = tuple(2 ** (2**j) + 1 for j in range(6, 11))
+slot_points = st.builds(
+    lambda k, n, d: k + F(n % d, d),
+    st.integers(-4, 4),
+    st.integers(0, 2**2000),
+    st.one_of(st.sampled_from((1, 2, 3)), st.sampled_from(_FERMAT)),
+)
+slot_intervals = st.tuples(slot_points, slot_points).filter(lambda p: p[0] != p[1]).map(sorted)
+
+
+def _bisected_slot(ends: list, c: Fraction) -> int:
+    """The slot of c by Fraction bisection: 2i + 1 on endpoint i, else 2i below it."""
+    i = bisect_left(ends, c)
+    return 2 * i + (i < len(ends) and ends[i] == c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(slot_points, max_size=8),
+    st.lists(slot_points, max_size=6),
+    st.lists(slot_intervals, max_size=5),
+)
+def test_slot_placement_equals_fraction_bisection(ends, others, ivs):
+    axis = _Axis(ends)
+    order = sorted(set(ends))
+    assert axis.ends == order
+    # on every endpoint, beside it closer than 1/D and farther, and elsewhere
+    nudges = (F(1, 2 * axis.den), F(1, 3 * axis.den), F(1, _FERMAT[-1]), F(1, 2))
+    coords = order + [e + s * t for e in order for t in nudges for s in (-1, 1)] + others
+    for c in coords:
+        assert axis.slot(c) == _bisected_slot(order, c)
+    space = SpaceDesc(tuple(Atom(f"p{i}", c) for i, c in enumerate(coords or [F(0)])))
+    bits = {iv: 1 << i for i, iv in enumerate(dict.fromkeys(map(tuple, ivs)))}
+    assert _masks(space, space.keys, bits) == _pointwise_masks(space, bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(slot_intervals, min_size=1, max_size=6), st.lists(slot_points, max_size=6))
+def test_slot_masks_meet_exactly_when_intervals_do(ivs, coords):
+    axis = _Axis(e for iv in ivs for e in iv)
+    for a in ivs:
+        for b in ivs:
+            assert bool(axis.mask(a) & axis.mask(b)) == (max(a[0], b[0]) < min(a[1], b[1]))
+        # a mask holds the slot of exactly the points inside its interval
+        for c in coords + list(a):
+            assert bool(axis.mask(a) >> axis.slot(c) & 1) == (a[0] < c < a[1])
 
 
 def test_push_proj(spaces):

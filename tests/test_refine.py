@@ -21,6 +21,7 @@ from fractions import Fraction
 from itertools import pairwise
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import instances
 from margcouple import (
@@ -115,6 +116,57 @@ def test_disjointify_postconditions(seed):
     for e in forbidden:
         if union_in.contains(e):
             assert any(p.contains(e) for p in out)
+
+
+def midpoint_disjointify(sets, forbidden) -> list[IntervalSet]:
+    """disjointify by Fraction midpoints and ``contains`` probes, the route the slot masks replace."""
+    sets = list(sets)
+    if not sets:
+        return []
+    forb = {F(c) for c in forbidden}
+    ends = sorted({e for s in sets for e in s.endpoints()})
+
+    def family_at(p) -> frozenset:
+        return frozenset(i for i, s in enumerate(sets) if s.contains(p))
+
+    nibbles = {}
+    fams = {e: family_at(e) for e in ends if e in forb}
+    if any(fams.values()):
+        relevant = sorted(forb.union(ends))
+        for e, fam in fams.items():
+            if fam:
+                j = relevant.index(e)
+                nibbles[e] = ((relevant[j - 1] + e) / 2, (e + relevant[j + 1]) / 2, fam)
+    pieces = []
+    for u, v in pairwise(ends):
+        fam = family_at((u + v) / 2)
+        if not fam:
+            continue
+        lo = nibbles[u][1] if u in nibbles else u
+        hi = nibbles[v][0] if v in nibbles else v
+        if lo < hi:
+            pieces.append((lo, hi, fam))
+    pieces.extend(nibbles.values())
+    groups: dict = {}
+    for lo, hi, fam in pieces:
+        groups.setdefault(fam, []).append((lo, hi))
+    out = [IntervalSet(tuple(sorted(ivs))) for ivs in groups.values()]
+    return sorted(out, key=lambda s: s.intervals[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_disjointify_equals_the_midpoint_route(seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        sets = instances.random_interval_family(rng)
+    else:  # several intervals per input, abutting a third of the time
+        sets = [instances.random_line_set(rng, ()) for _ in range(rng.randint(1, 4))]
+    ends = sorted({e for s in sets for e in s.endpoints()}) or [F(0)]
+    # forbidden on endpoints (nibbles), between and beside them, repeats and all
+    pool = ends + [(a + b) / 2 for a, b in pairwise(ends)] + [e + F(1, 7) for e in ends]
+    forbidden = [rng.choice(pool) for _ in range(rng.randint(0, 8))] + [rng.randint(-10, 30)]
+    assert disjointify(sets, forbidden) == midpoint_disjointify(sets, forbidden)
 
 
 # -- grids -----------------------------------------------------------------
@@ -396,3 +448,81 @@ def test_refine_grid_cells_of_multi_interval_pieces():
     assert rr.owner == {(0, 0): 0, (0, 1): None, (1, 0): 0, (1, 1): 1}
     assert rr.owner == pointwise_refine(ref, targets, F(1, 5))[3]
     assert rr.delta == F(1, 60)
+
+
+def lattice_targets(rng: random.Random, ref: Measure, disjoint: bool) -> list[BoxSet]:
+    """Targets on few ends, support coordinates among them: boxes abut, overlap and miss the support.
+
+    Some targets are two overlapping boxes on one row, so a cell may lie in
+    their union only.
+
+    With ``disjoint`` a target that meets an earlier one is dropped, so the
+    rest abut at most; otherwise targets overlap as they fall.
+    """
+
+    def pool(space: SpaceDesc) -> list:
+        coords = {a.coord for a in space.atoms} | {F(rng.randrange(-14, 40), 2) for _ in range(3)}
+        return sorted(coords | {F(-8), F(21)})
+
+    xs, ys = pool(ref.space.x), pool(ref.space.y)
+    targets: list[BoxSet] = []
+    for _ in range(rng.randint(1, 5)):
+        if rng.random() < 0.3 and len(xs) > 3:  # a chain of overlapping boxes on one row
+            row, cuts = tuple(sorted(rng.sample(ys, 2))), sorted(rng.sample(xs, 4))
+            boxes = (Box((cuts[0], cuts[2]), row), Box((cuts[1], cuts[3]), row))
+        else:
+            boxes = tuple(
+                Box(tuple(sorted(rng.sample(xs, 2))), tuple(sorted(rng.sample(ys, 2))))
+                for _ in range(rng.randint(1, 3))
+            )
+        if not disjoint or all(boxsets_disjoint(BoxSet(boxes), t) for t in targets):
+            targets.append(BoxSet(boxes))
+    return targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_refine_grid_equals_pointwise_refine(seed, disjoint):
+    rng = random.Random(seed)
+    ref = instances.random_joint(rng, instances.random_product(rng))
+    targets = lattice_targets(rng, ref, disjoint)
+    if all(boxsets_disjoint(a, b) for i, a in enumerate(targets) for b in targets[i + 1 :]):
+        inner, grid, delta, owner = pointwise_refine(ref, targets, F(1, 6))
+        assert [rect_inner_approx(ref, t) for t in targets] == inner
+        rr = refine_grid(ref, targets, F(1, 6))
+        assert (rr.grid, rr.delta, rr.owner) == (grid, delta, owner)
+    else:
+        with pytest.raises(ParameterError) as exc:
+            refine_grid(ref, targets, F(1, 6))
+        assert str(exc.value) == "targets must be pairwise disjoint"
+
+
+@settings(max_examples=60, deadline=None)
+@given(*[st.builds(F, st.integers(1, 10**9), st.integers(1, 10**9)) for _ in range(2)],
+       *[st.builds(F, st.integers(-(10**9), 10**9), st.integers(1, 10**9)) for _ in range(2)])
+def test_refine_grid_cell_covered_only_jointly(sx, sy, tx, ty):
+    # (1, 3) x (0, 1) lies in the first target's two massless boxes together,
+    # in neither alone; the second target's column (0, 3) makes it a cell.
+    # Each axis is moved by a positive affine map, which keeps the geometry.
+    def fx(c):
+        return sx * c + tx
+
+    def fy(c):
+        return sy * c + ty
+
+    def box(col, row):
+        return Box(tuple(map(fx, col)), tuple(map(fy, row)))
+
+    x = SpaceDesc((Atom("x0", fx(F(1, 2))),))
+    y = SpaceDesc((Atom("y0", fy(F(1, 2))), Atom("y1", fy(F(11, 2)))))
+    ref = Measure(ProductSpace(x, y), {("x0", "y0"): F(1, 2), ("x0", "y1"): F(1, 2)})
+    targets = [
+        BoxSet((box((0, 1), (0, 1)), box((F(1, 2), 2), (0, 1)), box((F(3, 2), 3), (0, 1)))),
+        BoxSet((box((0, 3), (5, 6)),)),
+    ]
+    rr = refine_grid(ref, targets, F(1, 5))
+    assert rr.grid.cell(1, 0) == BoxSet((box((1, 3), (0, 1)),))
+    assert not any(boxset_within(rr.grid.cell(1, 0), BoxSet((b,))) for b in targets[0].boxes)
+    assert rr.owner == {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 1): 1}
+    assert rr.owner == pointwise_refine(ref, targets, F(1, 5))[3]
+    assert rr.delta == F(1, 80)

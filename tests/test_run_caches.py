@@ -124,13 +124,13 @@ def test_run_values_are_computed_once_whatever_the_trial_count():
     eight = _certify_counts(8)
     assert one == eight
     built, evaluated = eight
-    # refine_grid's box masses, the merged cell and target neighbourhood, and
-    # each sampler's self-check: one family each
+    # the merged cell and target neighbourhood and each sampler's self-check:
+    # one family each; refine_grid finds its boxes of mass on slots, with none
     assert {k: v for k, v in built.items() if k != "centre contains"} == {
-        1: 1, 2: 1, "cells": 1, "families": 4,
+        1: 1, 2: 1, "cells": 1, "families": 3,
     }
-    # refine_grid's box masses and the merged neighbourhood; each sampler's self-check
-    assert evaluated == {"reference": 2, "mu0": 1, "nu0": 1}
+    # the merged neighbourhood; each sampler's self-check
+    assert evaluated == {"reference": 1, "mu0": 1, "nu0": 1}
 
 
 def test_each_part_mass_is_summed_once(monkeypatch):
