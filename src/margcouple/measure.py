@@ -4,9 +4,8 @@ A measure keys nonnegative weights by atom; zero weights are dropped at
 construction so equality of measures is equality of supports and weights.
 Construction looks each given key up once, as the atom's position in the
 space (x-major on a product) from per-axis index maps, which both rejects
-an unknown key and orders the weights, and sorts only when the keys do not
-arrive in atom order already; it never walks the space's full key list, so
-it costs time in the number of given weights, not in |X|·|Y|.
+an unknown key and orders the weights; it never walks the space's full key
+list, so it costs time in the number of given weights, not in |X|·|Y|.
 
 A difference of measures is a measure only where it stays nonnegative;
 otherwise subtraction raises, naming the first negative atom in atom
@@ -96,27 +95,12 @@ def _fsum(values: Iterable[Fraction]) -> Fraction:
     return Fraction(sum(n * (den // d) for d, n in buckets.items()), den)
 
 
-def _ranks(space: Space, keys: Iterable) -> list:
-    """Each key's position in atom order, from the axes' index maps; None for an unknown key."""
-    if isinstance(space, SpaceDesc):
-        return [space._index.get(k) for k in keys]
-    xi, yi, ny = space.x._index, space.y._index, len(space.y.atoms)
-    out = []
-    for k in keys:
-        known = isinstance(k, tuple) and len(k) == 2 and k[0] in xi and k[1] in yi
-        out.append(xi[k[0]] * ny + yi[k[1]] if known else None)
-    return out
-
-
 def _normalized(space: Space, raw: Mapping) -> dict:
-    ranks = _ranks(space, raw)
+    ranks = space.positions(raw)
     if None in ranks:
         raise ParameterError(f"weight keyed by unknown atom {list(raw)[ranks.index(None)]!r}")
-    pairs = zip(ranks, raw)
-    if ranks != sorted(ranks):  # every document this program writes is in atom order already
-        pairs = sorted(pairs)  # ranks are distinct, so keys are never compared
     out = {}
-    for _, key in pairs:
+    for _, key in sorted(zip(ranks, raw)):  # ranks are distinct, so keys are never compared
         w = raw[key]
         if type(w) is not Fraction:
             w = as_rational(w)
@@ -152,6 +136,10 @@ class _Axis:
             return 2 * bisect_right(self.scaled, q)
         i = bisect_left(self.scaled, q)
         return 2 * i + (i < len(self.scaled) and self.scaled[i] == q)
+
+    def around(self, i: int) -> tuple[int, int, int]:
+        """The slots of the gap below endpoint i, of endpoint i and of the gap above it."""
+        return 2 * i, 2 * i + 1, 2 * i + 2
 
     def mask(self, iv: tuple) -> int:
         """The slots of an open interval whose ends are endpoints of the axis, one bit each."""

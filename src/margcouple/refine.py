@@ -197,7 +197,7 @@ def disjointify(sets: Sequence[IntervalSet], forbidden: Sequence) -> list[Interv
     for i, s in enumerate(sets):
         for iv in s.intervals:
             bits[iv] = bits.get(iv, 0) | 1 << i
-    # fam[2j + 1]: the inputs holding endpoint j; fam[2j + 2]: those holding the gap above it
+    # fam[slot]: the inputs holding that slot, an endpoint or the gap beside one
     axis, fam = _slots(bits)
     ends = axis.ends
     forb: dict[int, list] = {}  # slot -> the forbidden coordinates in it
@@ -209,24 +209,26 @@ def disjointify(sets: Sequence[IntervalSet], forbidden: Sequence) -> list[Interv
     # cuts; the gap between them becomes a dedicated piece around e
     nibbles: dict[int, tuple[Fraction, Fraction]] = {}
     for j, e in enumerate(ends):
-        if fam[2 * j + 1] and 2 * j + 1 in forb:
+        below, at, above = axis.around(j)
+        if fam[at] and at in forb:
             # e lies inside an input, so endpoints j - 1 and j + 1 exist; the nearest
             # relevant coordinates are those or forbidden ones in the gaps between
-            below = max(forb.get(2 * j, ()), default=ends[j - 1])
-            above = min(forb.get(2 * j + 2, ()), default=ends[j + 1])
-            nibbles[j] = ((below + e) / 2, (e + above) / 2)
+            lo = max(forb.get(below, ()), default=ends[j - 1])
+            hi = min(forb.get(above, ()), default=ends[j + 1])
+            nibbles[j] = ((lo + e) / 2, (e + hi) / 2)
 
     # pieces come in axis order, so each family's pieces are sorted and the
     # families come in the order of their first pieces
     groups: dict[int, list] = {}
     for j, e in enumerate(ends):
+        _, at, above = axis.around(j)
         if j in nibbles:
-            groups.setdefault(fam[2 * j + 1], []).append(nibbles[j])
-        if fam[2 * j + 2]:  # never past the last endpoint
+            groups.setdefault(fam[at], []).append(nibbles[j])
+        if fam[above]:  # never past the last endpoint
             lo = nibbles[j][1] if j in nibbles else e
             hi = nibbles[j + 1][0] if j + 1 in nibbles else ends[j + 1]
             if lo < hi:
-                groups.setdefault(fam[2 * j + 2], []).append((lo, hi))
+                groups.setdefault(fam[above], []).append((lo, hi))
     return [IntervalSet(tuple(ivs)) for ivs in groups.values()]
 
 

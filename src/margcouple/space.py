@@ -113,6 +113,10 @@ class SpaceDesc:
         """Rank of the atom in the space's atom order; None for an unknown key."""
         return self._index.get(key)
 
+    def positions(self, keys: Iterable) -> list:
+        """:meth:`position` of each key, in one pass."""
+        return list(map(self._index.get, keys))
+
     def coord_of(self, key) -> Fraction:
         try:
             return self._coords[key]
@@ -145,6 +149,15 @@ class ProductSpace:
         if i is None or j is None:
             return None
         return i * len(self.y.atoms) + j
+
+    def positions(self, keys: Iterable) -> list:
+        """:meth:`position` of each key, in one pass over the axes' index maps."""
+        xi, yi, ny = self.x._index, self.y._index, len(self.y.atoms)
+        out = []
+        for k in keys:
+            known = isinstance(k, tuple) and len(k) == 2 and k[0] in xi and k[1] in yi
+            out.append(xi[k[0]] * ny + yi[k[1]] if known else None)
+        return out
 
     def coord_of(self, key) -> tuple[Fraction, Fraction]:
         if not self.has(key):

@@ -255,6 +255,9 @@ def test_slot_placement_equals_fraction_bisection(ends, others, ivs):
     coords = order + [e + s * t for e in order for t in nudges for s in (-1, 1)] + others
     for c in coords:
         assert axis.slot(c) == _bisected_slot(order, c)
+    for i, e in enumerate(order):  # endpoints lie at least 1/D apart
+        near = nudges[0]
+        assert axis.around(i) == (axis.slot(e - near), axis.slot(e), axis.slot(e + near))
     space = SpaceDesc(tuple(Atom(f"p{i}", c) for i, c in enumerate(coords or [F(0)])))
     bits = {iv: 1 << i for i, iv in enumerate(dict.fromkeys(map(tuple, ivs)))}
     assert _masks(space, space.keys, bits) == _pointwise_masks(space, bits)

@@ -96,6 +96,7 @@ def test_space_lookup():
     assert s.coord_of("b") == F(1, 2)
     assert s.has("a") and not s.has("z")
     assert s.position("b") == 1 and s.position("z") is None
+    assert s.positions(["b", "z", "a"]) == [1, None, 0]
     with pytest.raises(ParameterError):
         s.coord_of("z")
 
@@ -110,6 +111,8 @@ def test_product_space_keys_are_x_major():
     assert [p.position(k) for k in p.keys] == [0, 1, 2, 3]
     for bad in (("c", "a"), ("a",), ("a", "c", "d"), "ac"):
         assert p.position(bad) is None
+    keys = [*reversed(p.keys), ("c", "a"), ("a",), ("a", "c", "d"), "ac", ("a", "z")]
+    assert p.positions(keys) == [p.position(k) for k in keys]
 
 
 # -- canonical interval form ----------------------------------------------
