@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import pairwise
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import instances
 from margcouple import (
@@ -178,6 +178,70 @@ def test_grid_validation():
     with pytest.raises(ParameterError):
         Grid((IntervalSet(()),), (iset((0, 1)),))
     Grid((iset((0, 1)), iset((1, 2))), (iset((0, 1)),))
+
+
+def pairwise_grid_error(cols, rows) -> str | None:
+    """The error ``Grid(cols, rows)`` must raise, from pairwise ``intervalsets_disjoint``."""
+    for pieces, label in ((cols, "column"), (rows, "row")):
+        if any(p.is_empty for p in pieces):
+            return f"empty {label} piece in grid"
+        for i, a in enumerate(pieces):
+            if any(not intervalsets_disjoint(a, b) for b in pieces[i + 1 :]):
+                return f"grid {label} pieces must be pairwise disjoint"
+    return None
+
+
+@st.composite
+def grid_pieces(draw) -> list[IntervalSet]:
+    """Pieces cut from one row of abutting or spaced intervals, then maybe made to clash.
+
+    Each piece takes any of the intervals, so multi-interval pieces
+    interleave; a piece that takes none is empty, and is sometimes kept.
+    A clash copies one interval into another piece, or adds a free interval
+    that may nest in, overlap, abut or miss the others.
+    """
+    coord = st.builds(F, st.integers(0, 24), st.sampled_from((1, 2, 3)))
+    ends = sorted(draw(st.sets(coord, max_size=8)))
+    ivs = [iv for iv in pairwise(ends) if draw(st.booleans())]
+    raw: list[list] = [[] for _ in range(draw(st.integers(0, 4)))]
+    if raw:
+        for iv in ivs:
+            raw[draw(st.integers(0, len(raw) - 1))].append(iv)
+        for _ in range(draw(st.integers(0, 2))):
+            into = draw(st.integers(0, len(raw) - 1))
+            if ivs and draw(st.booleans()):
+                raw[into].append(draw(st.sampled_from(ivs)))
+            else:
+                lo, hi = sorted(draw(st.lists(coord, min_size=2, max_size=2, unique=True)))
+                raw[into].append((lo, hi))
+    # an empty piece hides every overlap on its axis, so keep one in four
+    return [canonicalize(p) for p in raw if p or not draw(st.integers(0, 3))]
+
+
+# one interval in two pieces; nested; overlapping; abutting (accepted); interleaved
+# multi-interval pieces, disjoint and clashing; empty pieces with overlaps on both
+# axes, in each order of precedence; no pieces at all
+@example([iset((0, 1)), iset((0, 1))], [iset((0, 1))])
+@example([iset((0, 3)), iset((1, 2))], [iset((0, 1))])
+@example([iset((0, 1))], [iset((0, 2)), iset((1, 3))])
+@example([iset((0, 1)), iset((1, 2))], [iset((1, 2)), iset((0, 1))])
+@example([iset((0, 1), (2, 3)), iset((1, 2), (3, 4))], [iset((0, 1))])
+@example([iset((0, 1), (2, 3)), iset((1, 2), (F(5, 2), 4))], [iset((0, 1))])
+@example([iset((0, 2)), iset((1, 3)), iset()], [iset(), iset((0, 2)), iset((0, 1))])
+@example([iset((0, 2)), iset((1, 3))], [iset()])
+@example([iset((0, 1))], [iset((0, 2)), iset((1, 3)), iset()])
+@example([], [])
+@example([], [iset((0, 2)), iset((1, 3))])
+@settings(max_examples=300, deadline=None)
+@given(grid_pieces(), grid_pieces())
+def test_grid_accepts_exactly_pairwise_disjoint_pieces(cols, rows):
+    want = pairwise_grid_error(cols, rows)
+    if want is None:
+        assert Grid(cols, rows).cols == tuple(cols)
+    else:
+        with pytest.raises(ParameterError) as err:
+            Grid(cols, rows)
+        assert str(err.value) == want
 
 
 def test_grid_cells(grid):
