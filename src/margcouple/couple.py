@@ -17,15 +17,16 @@ and added on top; the final marginals then match by construction.
 Cell masses, of the reference and of the new coupling alike, come from one
 binning pass of :meth:`..refine.Grid.cell_masses` each: column pieces are
 pairwise disjoint and so are row pieces, so every atom falls in at most one
-cell.  The reference's are kept on it, so a certify run bins them once.
-The new marginals are split into their column and row parts by the same
-binning, one pass each, which also sums each piece's mass.  The reference
-marginals' column and row masses are taken by ``eval`` on the reference's
-cached ``push_proj``.  Each part's unit mass, which :func:`..measure.tensor`
-checks in every cell the part serves, is summed once.  What the cells
-leave of each marginal is read off the allocations: every part has mass 1,
-so the grid part's marginal on a piece is the piece's part times the mass
-its cells kept.
+cell, which the grid's piece tables name from the atom's two slots.  The
+reference's are kept on it, so a certify run bins them once.  The new
+marginals are split into their column and row parts on the same tables,
+one pass over each support, which also sums each piece's mass.  The
+reference marginals' column and row masses are taken by ``eval`` on the
+reference's cached ``push_proj``.  Each part's unit mass, which
+:func:`..measure.tensor` checks in every cell the part serves, is summed
+once.  What the cells leave of each marginal is read off the allocations:
+every part has mass 1, so the grid part's marginal on a piece is the
+piece's part times the mass its cells kept.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .errors import (
     NegativeWeightError,
     ParameterError,
 )
-from .measure import Measure, _fsum, couple_mass, tensor
-from .refine import CellIndex, Grid, _pieces_holding
+from .measure import Measure, _classify, _fsum, couple_mass, tensor
+from .refine import CellIndex, Grid
 from .space import ProductSpace, as_positive
 
 
@@ -114,17 +115,17 @@ def _splits(total: Measure, part: Measure, rest: Measure) -> bool:
     return True
 
 
-def _normalized_parts(m: Measure, pieces) -> tuple[list, list]:
-    """m's mass on each piece, and m restricted to it and scaled to mass 1 (None if massless).
+def _normalized_parts(m: Measure, slots: tuple, n: int) -> tuple[list, list]:
+    """m's mass on each of n pieces, and m restricted to each, scaled to mass 1 (None if massless).
 
-    One binning pass over m's support; the pieces are pairwise disjoint, so
-    each atom lands in at most one.
+    ``slots`` is a grid axis's table of the piece holding each slot (see
+    :func:`..refine._piece_slots`); each support atom of m is placed once.
     """
-    piece_of = _pieces_holding(pieces, m.space)
-    binned: list[dict] = [{} for _ in pieces]
+    piece_of = _classify(m.space, m.weights, *slots)
+    binned: list[dict] = [{} for _ in range(n)]
     for k, w in m.weights.items():
-        i = piece_of.get(k)
-        if i is not None:
+        i = piece_of[k]
+        if i >= 0:
             binned[i][k] = w
     masses = [_fsum(p.values()) for p in binned]
     return masses, [
@@ -161,8 +162,8 @@ def construct_preimage(
     ref_x, ref_y = reference.push_proj(1), reference.push_proj(2)
     ref_cols = [ref_x.eval(c) for c in grid.cols]
     ref_rows = [ref_y.eval(r) for r in grid.rows]
-    new_cols, col_parts = _normalized_parts(mu, grid.cols)
-    new_rows, row_parts = _normalized_parts(nu, grid.rows)
+    new_cols, col_parts = _normalized_parts(mu, grid._col_slots, len(grid.cols))
+    new_rows, row_parts = _normalized_parts(nu, grid._row_slots, len(grid.rows))
 
     ref_cell_mass = grid.cell_masses(reference)
     allocs: dict[CellIndex, CellAlloc] = {}

@@ -38,12 +38,14 @@ Membership against many open intervals has a compile half and an apply
 half.  A private ``_Family`` is compiled once from a family of sets or
 intervals: one bit per distinct interval and axis, each axis's slots and
 their masks, each set's boxes as bit pairs, and a memo from pattern to the
-sets it lies in.  ``_patterns(family)`` applies it to one measure: one
-bitmask per distinct coordinate and axis, read off its slot, and the mass
-per pattern.  ``eval_many`` and the two checks of :mod:`.verify` compile
-and apply once; a neighbourhood keeps its family on its centre and applies
-it to every candidate.  :mod:`.refine` tests its targets' boxes, their
-mass and its cells' candidate owners on the same slots.
+sets it lies in.  ``_patterns(x_slots, y_slots)`` applies a family's two
+slot tables to one measure: one bitmask per distinct coordinate and axis,
+read off its slot, and the mass per pattern.  ``eval_many`` and the two
+checks of :mod:`.verify` compile and apply once; a neighbourhood keeps its
+family on its centre and applies it to every candidate.  :mod:`.refine`
+tests its targets' boxes, their mass and its cells' candidate owners on
+the same slots, and a grid's tables give each slot the index of the piece
+holding it, so ``_patterns`` bins a measure into its cells.
 ``eval``, ``sum_where`` and :func:`barycenter` test point by point with
 plain ``Fraction`` sums on purpose, as do the oracles of :mod:`.verify`:
 they are the independent routes the fast ones are checked against.
@@ -251,21 +253,23 @@ class Measure:
         _check_geometry(self.space, open_set)
         return self.sum_where(open_set.contains)
 
-    def _patterns(self, family: _Family) -> dict:
-        """The exact mass per ``(x mask, y mask)`` pattern of a compiled family.
+    def _patterns(self, x_slots: tuple, y_slots: tuple) -> dict:
+        """The exact mass per ``(x value, y value)`` pattern of two slot tables.
 
-        Each distinct support coordinate of an axis is placed once among its
-        axis's slots (see :class:`_Axis`), and weights are summed per
-        pattern.  A line measure's atoms lie in every row: y mask -1.
+        Each table is an :class:`_Axis` and a value per slot: a compiled
+        family's masks, or a grid's piece indices.  Each distinct support
+        coordinate of an axis is placed once among its axis's slots, and
+        weights are summed per pattern.  A line measure's atoms lie in
+        every row: y value -1.
         """
         groups: dict = {}
         if isinstance(self.space, ProductSpace):
-            x_mask = _classify(self.space.x, {kx for kx, _ in self.weights}, *family.x_slots)
-            y_mask = _classify(self.space.y, {ky for _, ky in self.weights}, *family.y_slots)
+            x_mask = _classify(self.space.x, {kx for kx, _ in self.weights}, *x_slots)
+            y_mask = _classify(self.space.y, {ky for _, ky in self.weights}, *y_slots)
             for (kx, ky), w in self.weights.items():
                 groups.setdefault((x_mask[kx], y_mask[ky]), []).append(w)
         else:
-            x_mask = _classify(self.space, self.weights, *family.x_slots)
+            x_mask = _classify(self.space, self.weights, *x_slots)
             for k, w in self.weights.items():
                 groups.setdefault((x_mask[k], -1), []).append(w)
         return {p: _fsum(ws) for p, ws in groups.items()}
@@ -361,7 +365,7 @@ class _Family:
     def masses(self, m: Measure) -> list[Fraction]:
         """Each set's mass under ``m``: the patterns one of its boxes hits, summed once each."""
         per_set: list = [[] for _ in self.hits]
-        for (mx, my), w in m._patterns(self).items():
+        for (mx, my), w in m._patterns(self.x_slots, self.y_slots).items():
             held = self.held.get((mx, my))
             if held is None:
                 held = self.held[mx, my] = [

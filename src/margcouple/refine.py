@@ -24,28 +24,27 @@ of their boxes' slot masks meet on both axes, a box has mass when its
 masks hold a support atom's slot pair, and a cell's one candidate owner is
 the target covering the slot pair just inside its first box.  Only the
 ownership decision itself stays an exact :func:`..space.boxset_within`.
+A :class:`Grid`'s table of the piece holding each slot of its axes validates
+it in one pass and locates every atom the grid bins.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import product
 
 from ._record import factory, record
 from .errors import ParameterError
-from .measure import Measure, _Axis, _fsum, _slots
+from .measure import Measure, _Axis, _slots
 from .space import (
     Box,
     BoxSet,
     IntervalSet,
     ProductSpace,
-    SpaceDesc,
     as_positive,
     as_rational,
     boxset_within,
-    intervalsets_disjoint,
 )
 
 CellIndex = tuple[int, int]
@@ -53,7 +52,10 @@ CellIndex = tuple[int, int]
 
 @record
 class Grid:
-    """Column pieces times row pieces; cells are the implied products."""
+    """Column pieces times row pieces; cells are the implied products.
+
+    Each axis's pieces are compiled once, into the table of :func:`_piece_slots`.
+    """
 
     cols: tuple[IntervalSet, ...]
     rows: tuple[IntervalSet, ...]
@@ -61,14 +63,8 @@ class Grid:
     def __post_init__(self):
         object.__setattr__(self, "cols", tuple(self.cols))
         object.__setattr__(self, "rows", tuple(self.rows))
-        for pieces, label in ((self.cols, "column"), (self.rows, "row")):
-            for p in pieces:
-                if p.is_empty:
-                    raise ParameterError(f"empty {label} piece in grid")
-            for i, a in enumerate(pieces):
-                for b in pieces[i + 1 :]:
-                    if not intervalsets_disjoint(a, b):
-                        raise ParameterError(f"grid {label} pieces must be pairwise disjoint")
+        object.__setattr__(self, "_col_slots", _piece_slots(self.cols, "column"))
+        object.__setattr__(self, "_row_slots", _piece_slots(self.rows, "row"))
 
     def cell(self, q: int, s: int) -> BoxSet:
         return BoxSet(
@@ -85,7 +81,7 @@ class Grid:
                 yield (q, s), self.cell(q, s)
 
     def cell_masses(self, m: Measure) -> dict[CellIndex, Fraction]:
-        """Every cell's mass, ``m.eval(self.cell(q, s))``, in one pass over the atoms.
+        """Every cell's mass, ``m.eval(self.cell(q, s))``: ``m._patterns`` over the piece tables.
 
         Kept on the measure, keyed by the grid, so a run's reference is
         binned once; callers must not mutate the result.
@@ -95,34 +91,30 @@ class Grid:
         return m._cached(self, lambda: self._bin(m))
 
     def _bin(self, m: Measure) -> dict[CellIndex, Fraction]:
-        col = _pieces_holding(self.cols, m.space.x)
-        row = _pieces_holding(self.rows, m.space.y)
-        cells: dict = {}
-        for (kx, ky), w in m.weights.items():
-            if kx in col and ky in row:
-                cells.setdefault((col[kx], row[ky]), []).append(w)
+        masses = m._patterns(self._col_slots, self._row_slots)
         return {
-            ix: _fsum(cells.get(ix, ()))
+            ix: masses.get(ix, Fraction(0))
             for ix in product(range(len(self.cols)), range(len(self.rows)))
         }
 
 
-def _pieces_holding(pieces: Sequence[IntervalSet], space: SpaceDesc) -> dict:
-    """Atom id -> index of the piece holding the atom, for atoms inside one.
+def _piece_slots(pieces: Sequence[IntervalSet], label: str) -> tuple[_Axis, list[int]]:
+    """The axis cut by the pieces' ends, and the index of the piece holding each slot (-1: none).
 
-    Pieces are pairwise disjoint, so sorted by lower end their intervals do
-    not overlap: only the last interval whose lower end lies strictly below
-    a point can hold it, and does when the point is strictly below its upper
-    end too.
+    Raises unless the pieces are nonempty and pairwise disjoint, that is,
+    claim no slot twice (two open intervals meet exactly when they share one).
     """
-    ivs = sorted((lo, hi, i) for i, p in enumerate(pieces) for lo, hi in p.intervals)
-    los = [lo for lo, _, _ in ivs]
-    out = {}
-    for a in space.atoms:
-        j = bisect_left(los, a.coord) - 1
-        if j >= 0 and a.coord < ivs[j][1]:
-            out[a.id] = ivs[j][2]
-    return out
+    if any(p.is_empty for p in pieces):
+        raise ParameterError(f"empty {label} piece in grid")
+    axis = _Axis(e for p in pieces for e in p.endpoints())
+    piece = [-1] * (2 * len(axis.ends) + 1)
+    for i, p in enumerate(pieces):
+        for lo, hi in p.intervals:
+            for slot in range(axis.slot(lo) + 1, axis.slot(hi)):
+                if piece[slot] >= 0:
+                    raise ParameterError(f"grid {label} pieces must be pairwise disjoint")
+                piece[slot] = i
+    return axis, piece
 
 
 @record
@@ -270,10 +262,10 @@ def refine_grid(reference: Measure, targets: Sequence[BoxSet], eps0) -> RefineRe
     col_bit = [x.above(p.intervals[0][0]) for p in grid.cols]
     row_bit = [y.above(p.intervals[0][0]) for p in grid.rows]
     owner: dict[CellIndex, int | None] = {}
-    for (q, s), cell in grid.cells():
+    for q, s in product(range(len(grid.cols)), range(len(grid.rows))):
         cb, rb = col_bit[q], row_bit[s]
         i = next((i for i, ss in enumerate(spans) if any(c & cb and r & rb for c, r in ss)), None)
-        owner[q, s] = i if i is not None and boxset_within(cell, targets[i]) else None
+        owner[q, s] = i if i is not None and boxset_within(grid.cell(q, s), targets[i]) else None
     m = sum(1 for o in owner.values() if o is not None)
     delta = eps0 / (4 * m) if m else eps0 / 4
     return RefineResult(grid, delta, owner)

@@ -328,7 +328,7 @@ def _patterns(joint: Measure, cols: Sequence[IntervalSet], rows: Sequence[Interv
     family = _Family(
         (iv for s in cols for iv in s.intervals), (iv for s in rows for iv in s.intervals)
     )
-    masses = joint._patterns(family)
+    masses = joint._patterns(family.x_slots, family.y_slots)
     col_bits = [sum(family.col_bit[iv] for iv in s.intervals) for s in cols]
     row_bits = [sum(family.row_bit[iv] for iv in s.intervals) for s in rows]
     return col_bits, row_bits, lambda pred: _fsum(w for p, w in masses.items() if pred(*p))

@@ -12,9 +12,10 @@ evaluates them once.  Each candidate then costs one pass over its
 support, not one per set.  ``_shortfalls`` lists the candidate's
 shortfall on each set, and the gap is its minimum; a caller that checks
 several slices of the sets, as ``certify`` does, takes one list and the
-minimum over each slice.  Membership never uses the grid binning behind
-``construct_preimage``'s cell drops, so it stays an independent check of
-those drops.
+minimum over each slice.  Cell drops come from the grid's piece tables,
+membership from the cells' boxes compiled into a ``_Family``: the routes
+share only ``_Axis.slot`` and ``_patterns``' grouping, and tests pin both
+against pointwise ``eval``.
 """
 
 from __future__ import annotations

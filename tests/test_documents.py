@@ -11,6 +11,7 @@ import hashlib
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -979,6 +980,22 @@ def test_one_cell_preimage_round_trips(reference):
     rep = construct_preimage(reference, grid, pair.mu, pair.nu)
     assert list(rep.cell_allocs) == [(0, 0)]
     assert loads(dumps(rep)) == rep
+
+
+def test_large_grid_loads_in_linear_time():
+    # pairwise validation of 5,000 pieces took about a minute; slot tables take well under 1 s
+    n = 5000
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "grid",
+        "cols": [[[str(i), str(i + 1)]] for i in range(n)],
+        "rows": [[["0", "1"]]],
+    }
+    text = json.dumps(doc)
+    start = time.perf_counter()
+    grid = loads(text)
+    assert time.perf_counter() - start < 5
+    assert len(grid.cols) == n and grid.cols[-1] == IntervalSet.single(n - 1, n)
 
 
 def test_nested_kind_checked():

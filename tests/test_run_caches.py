@@ -211,7 +211,7 @@ def _pieces_and_line_measure(rng: random.Random):
 def test_normalized_parts_masses_equal_eval(seed):
     rng = random.Random(seed)
     pieces, m = _pieces_and_line_measure(rng)
-    masses, parts = _normalized_parts(m, pieces)
+    masses, parts = _normalized_parts(m, Grid(pieces, ())._col_slots, len(pieces))
     assert masses == [m.eval(p) for p in pieces]
     for piece, mass, part in zip(pieces, masses, parts):
         if mass == 0:
