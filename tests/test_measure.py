@@ -12,6 +12,7 @@ from margcouple import (
     Atom,
     BoxSet,
     Box,
+    Grid,
     IntervalSet,
     MarginalPair,
     MassMismatchError,
@@ -490,6 +491,114 @@ def test_measure_sums_match_plain_fraction_sums(data):
     masses = grid.cell_masses(m)
     assert masses == expected and list(masses) == list(expected)
     assert all(type(v) is Fraction for v in masses.values())
+
+
+def _scrambled_product(rng: random.Random) -> ProductSpace:
+    """A product whose atom order is neither the ids' string order nor the coordinates' order."""
+
+    def axis(prefix):
+        n = rng.randint(1, 5)
+        ids = [f"{prefix}{c}" for c in rng.sample("qwertyuiop", n)]
+        coords = rng.sample(range(-6, 19), n)
+        return SpaceDesc(tuple(Atom(i, c) for i, c in zip(ids, coords)))
+
+    return ProductSpace(axis("x"), axis("y"))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from(["new atoms", "no new atoms", "disjoint", "zero left", "zero right"]))
+def test_sum_lists_keys_in_atom_order_with_plain_weights(data, case):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    space = _scrambled_product(rng)
+    draw = lambda: data.draw(nonnegative.filter(bool))  # noqa: E731
+    keys = list(space.keys)
+    rng.shuffle(keys)
+    left = rng.sample(keys, rng.randint(1, len(keys)))
+    if case == "new atoms":
+        right = rng.sample(keys, rng.randint(1, len(keys)))
+        assume(set(right) - set(left))
+    elif case == "no new atoms":
+        right = rng.sample(left, rng.randint(1, len(left)))
+    elif case == "disjoint":
+        right = [k for k in keys if k not in left]
+    else:
+        right = []
+    a = Measure(space, {k: draw() for k in left})
+    b = Measure(space, {k: draw() for k in right})
+    if case == "zero left":
+        a, b = b, a
+    total = a + b
+    support = set(a.weights) | set(b.weights)
+    assert list(total.weights) == sorted(support, key=space.position)
+    assert total.weights == {
+        k: sum((m.weights[k] for m in (a, b) if k in m.weights), F(0)) for k in support
+    }
+    assert all(type(w) is Fraction for w in total.weights.values())
+    for axis, line in ((1, space.x), (2, space.y)):
+        atoms = {k[axis - 1] for k in total.weights}
+        assert list(total.push_proj(axis).weights) == [k for k in line.keys if k in atoms]
+
+
+def _one_value_measure(rng: random.Random, space: ProductSpace, draw_weight) -> Measure:
+    """Each x atom and each y atom in at most one support pair: every projection group holds one value."""
+    xs, ys = list(space.x.keys), list(space.y.keys)
+    rng.shuffle(ys)
+    return Measure(space, {(kx, ky): draw_weight() for kx, ky in zip(xs, ys)})
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from(["one value", "repeated denominators", "coprime denominators"]))
+def test_group_sums_equal_plain_fraction_sums(data, case):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    space = _scrambled_product(rng)
+    if case == "one value":
+        m = _one_value_measure(rng, space, lambda: data.draw(nonnegative.filter(bool)))
+    else:
+        dens = (data.draw(st.integers(1, 30)),) if case == "repeated denominators" else COPRIME_DENOMS
+        m = Measure(space, {k: F(rng.randint(0, 10**9), rng.choice(dens)) for k in space.keys})
+    coord_x, coord_y = space.x.coord_of, space.y.coord_of
+    for axis in (1, 2):
+        groups: dict = {}
+        for key, w in m.weights.items():
+            groups.setdefault(key[axis - 1], []).append(w)
+        got = m.push_proj(axis).weights
+        assert got == {k: _plain(ws) for k, ws in groups.items()}
+        assert all(type(w) is Fraction for w in got.values())
+    grid = instances.random_grid(rng)
+
+    def piece(pieces, c):
+        return next((i for i, p in enumerate(pieces) if p.contains(c)), -1)
+
+    groups = {}
+    for (kx, ky), w in m.weights.items():
+        groups.setdefault((piece(grid.cols, coord_x(kx)), piece(grid.rows, coord_y(ky))), []).append(w)
+    patterns = m._patterns(grid._col_slots, grid._row_slots)
+    assert patterns == {p: _plain(ws) for p, ws in groups.items()}
+    assert all(type(w) is Fraction for w in patterns.values())
+    assert grid.cell_masses(m) == {
+        ix: _plain(groups.get(ix, ())) for ix, _ in grid.cells()
+    }
+
+
+def test_group_sums_worked_cases():
+    x = SpaceDesc((Atom("b", 1), Atom("a", 0)))
+    y = SpaceDesc((Atom("d", 1), Atom("c", 0)))
+    space = ProductSpace(x, y)
+    grid = Grid((IntervalSet.single(F(-1, 2), F(3, 2)),), (IntervalSet.single(F(-1, 2), F(1, 2)),))
+    big = COPRIME_DENOMS[0]
+    for weights in (
+        {("a", "c"): F(2, 3)},  # one value everywhere
+        {("b", "c"): F(1, 6), ("a", "c"): F(5, 6)},  # one denominator, a sum that reduces
+        {("b", "d"): F(1, 4), ("a", "c"): F(1, 4), ("b", "c"): F(1, 4), ("a", "d"): F(1, 4)},
+        {("b", "c"): F(1, big), ("a", "c"): F(1, 3), ("a", "d"): F(2, 5)},  # coprime
+    ):
+        m = Measure(space, weights)
+        for axis in (1, 2):
+            sums: dict = {}
+            for key, w in weights.items():
+                sums[key[axis - 1]] = sums.get(key[axis - 1], F(0)) + w
+            assert m.push_proj(axis).weights == sums
+        assert grid.cell_masses(m) == {(0, 0): sum((w for k, w in weights.items() if k[1] == "c"), F(0))}
 
 
 @given(st.data())
