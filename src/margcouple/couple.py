@@ -17,12 +17,17 @@ and added on top; the final marginals then match by construction.
 Cell masses, of the reference and of the new coupling alike, come from one
 binning pass of :meth:`..refine.Grid.cell_masses` each: column pieces are
 pairwise disjoint and so are row pieces, so every atom falls in at most one
-cell, which the grid's piece tables name from the atom's two slots.  The
-reference's are kept on it, so a certify run bins them once.  The new
+cell, which the grid's piece tables name from the atom's two slots.  Each
+measure keeps its bin, so a certify run bins the reference once and each
+coupling once, and its cell gap reads the bin kept here.  The new
 marginals are split into their column and row parts on the same tables,
 one pass over each support, which also sums each piece's mass.  The
 reference marginals' column and row masses are taken by ``eval`` on the
-reference's cached ``push_proj``.  Each part's unit mass, which
+reference's cached ``push_proj`` once per reference and grid, and each
+massive cell's two ratios, cell/column and cell/row, are kept on the
+reference under ``("pieces", grid)``: every trial scales its cells by the
+same ratios.  The grid part is written in atom order by walking
+supp mu x supp nu, x-major, never sorted.  Each part's unit mass, which
 :func:`..measure.tensor` checks in every cell the part serves, is summed
 once.  What the cells leave of each marginal is read off the allocations:
 every part has mass 1, so the grid part's marginal on a piece is the
@@ -32,6 +37,7 @@ piece's part times the mass its cells kept.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from ._record import record
 from .errors import (
@@ -144,6 +150,29 @@ def _taken(m: Measure, parts, kept) -> Measure:
     return Measure._trusted(m.space, {key: taken[key] for key in m.weights if key in taken})
 
 
+def _reference_ratios(reference: Measure, grid: Grid) -> dict:
+    """Each cell's ratios ref_cell/ref_col and ref_cell/ref_row; None for a massless cell.
+
+    The reference marginals' piece masses are taken by ``eval`` on their cached
+    ``push_proj``; :func:`construct_preimage` keeps the result on the reference.
+    """
+    ref_x, ref_y = reference.push_proj(1), reference.push_proj(2)
+    ref_cols = [ref_x.eval(c) for c in grid.cols]
+    ref_rows = [ref_y.eval(r) for r in grid.rows]
+    ratios: dict[CellIndex, tuple | None] = {}
+    for (q, s), ref_mass in grid.cell_masses(reference).items():
+        if ref_mass == 0:
+            ratios[q, s] = None
+        elif ref_cols[q] == 0 or ref_rows[s] == 0:
+            # impossible: a cell cannot outweigh its own column or row
+            raise InternalConsistencyError(
+                f"cell ({q}, {s}) has reference mass {ref_mass} on a massless column or row"
+            )
+        else:
+            ratios[q, s] = (ref_mass / ref_cols[q], ref_mass / ref_rows[s])
+    return ratios
+
+
 def construct_preimage(
     reference: Measure, grid: Grid, mu: Measure, nu: Measure
 ) -> PreimageReport:
@@ -159,43 +188,35 @@ def construct_preimage(
         if m.mass() != 1:
             raise MassMismatchError(f"{label} must be a probability, has mass {m.mass()}")
 
-    ref_x, ref_y = reference.push_proj(1), reference.push_proj(2)
-    ref_cols = [ref_x.eval(c) for c in grid.cols]
-    ref_rows = [ref_y.eval(r) for r in grid.rows]
+    ratios = reference._cached(("pieces", grid), lambda: _reference_ratios(reference, grid))
     new_cols, col_parts = _normalized_parts(mu, grid._col_slots, len(grid.cols))
     new_rows, row_parts = _normalized_parts(nu, grid._row_slots, len(grid.rows))
 
-    ref_cell_mass = grid.cell_masses(reference)
     allocs: dict[CellIndex, CellAlloc] = {}
     acc: dict = {}
     col_kept = [Fraction(0)] * len(grid.cols)
     row_kept = [Fraction(0)] * len(grid.rows)
-    for (q, s), ref_mass in ref_cell_mass.items():
-        if ref_mass == 0:
+    for (q, s), ratio in ratios.items():
+        if ratio is None:
             allocs[(q, s)] = CellAlloc(Fraction(0), Fraction(0), Fraction(0))
             continue
-        if ref_cols[q] == 0 or ref_rows[s] == 0:
-            # impossible: a cell cannot outweigh its own column or row
-            raise InternalConsistencyError(
-                f"cell ({q}, {s}) has reference mass {ref_mass} on a massless column or row"
-            )
-        col_scaled = ref_mass * new_cols[q] / ref_cols[q]
-        row_scaled = ref_mass * new_rows[s] / ref_rows[s]
+        # a massless new column or row scales to 0, so a cell with kept > 0 has both parts
+        col_scaled, row_scaled = new_cols[q] * ratio[0], new_rows[s] * ratio[1]
         kept = min(col_scaled, row_scaled)
         allocs[(q, s)] = CellAlloc(col_scaled, row_scaled, kept)
         if kept == 0:
             continue
-        if new_cols[q] == 0 or new_rows[s] == 0:
-            raise HypothesisError(
-                f"cell ({q}, {s}) was granted mass {kept} from a massless column or row"
-            )
         # columns are pairwise disjoint and so are rows: no key lies in two cells
+        kn, kd = kept.numerator, kept.denominator
         for key, w in tensor(col_parts[q], row_parts[s]).weights.items():
-            acc[key] = kept * w
+            acc[key] = Fraction(kn * w.numerator, kd * w.denominator)
         col_kept[q] += kept
         row_kept[s] += kept
     prod = ProductSpace(mu.space, nu.space)
-    grid_part = Measure._trusted(prod, {k: acc[k] for k in sorted(acc, key=prod.position)})
+    # supp mu x supp nu, x-major, is the product's atom order
+    grid_part = Measure._trusted(
+        prod, {key: acc[key] for key in product(mu.weights, nu.weights) if key in acc}
+    )
 
     try:
         mu_rest = mu - _taken(mu, col_parts, col_kept)
@@ -207,5 +228,6 @@ def construct_preimage(
 
     remainder = couple_mass(mu_rest, nu_rest)
     coupling = grid_part + remainder
+    ref_cell_mass = grid.cell_masses(reference)
     drops = {ix: m - ref_cell_mass[ix] for ix, m in grid.cell_masses(coupling).items()}
     return PreimageReport(coupling, grid_part, remainder, allocs, drops)

@@ -18,16 +18,20 @@ pass through the private ``Measure._trusted``, which takes positive
 ``Fraction`` weights keyed by atoms and already in atom order:
 ``restrict``, ``scale``, ``push_proj``, ``+``, :func:`tensor`,
 :func:`couple_mass`, and the grid part of ``construct_preimage`` with its
-marginals.  Each keeps the order by construction and re-sorts only where
-it cannot: ``push_proj(2)`` and a sum whose right operand brings new
-atoms.  ``-``, :func:`barycenter` and everything parsed from a document
-still go through the checks.  :func:`tensor` and :func:`couple_mass`
+marginals.  Each keeps the order by construction (the grid part walks
+supp mu x supp nu, x-major) and orders keys only where it cannot:
+``push_proj(2)`` and a sum whose right operand brings new atoms, which rank
+their keys in one batch ``space.positions`` pass, never one ``position``
+call per key.  ``-``, :func:`barycenter` and everything parsed from a
+document still go through the checks.  :func:`tensor` and :func:`couple_mass`
 share one product loop, one ``Fraction`` wx·wy/c per weight (c = 1 in
 :func:`tensor`, the common mass in :func:`couple_mass`).
 
-Sums of many weights go through :func:`_fsum`, which adds numerators as
-ints per denominator and normalises once, instead of paying one ``gcd``
-per added ``Fraction``: ``mass``, ``push_proj``, ``Measure._patterns`` and
+Sums of many weights add numerators as ints per denominator and are
+normalised once, by :func:`_total`, instead of paying one ``gcd`` per added
+``Fraction``.  :func:`_fsum` takes one sum (``mass``); :func:`_grouped`
+adds each weight into its group's buckets inside the grouping pass, for
+``push_proj`` and ``Measure._patterns`` and so for
 :meth:`..refine.Grid.cell_masses`.  The result is the same ``Fraction``,
 since a ``Fraction`` is normalised whichever route builds it.
 Open-set geometry has one exact integer form, :class:`_Axis`: an axis's
@@ -55,10 +59,12 @@ library or by its callers, so values that depend only on them are computed
 once and kept on the instance: ``mass()``, each ``push_proj(axis)`` (the
 same ``Measure`` on every call) and, through the private ``_cached``, a
 neighbourhood's compiled family and centre masses keyed by its tuple of
-sets, the sampler's set indices of the centre's atoms and
-:meth:`..refine.Grid.cell_masses` keyed by the grid.  Within a ``certify``
-run the reference's marginals and cell masses, every centre's set masses
-and every family of sets are therefore built once.
+sets, the sampler's set indices of the centre's atoms,
+:meth:`..refine.Grid.cell_masses` keyed by the grid and, keyed by
+``("pieces", grid)``, the cell ratios ``construct_preimage`` takes from
+the reference's piece masses.  Within a ``certify`` run the reference's
+marginals, piece masses and cell masses, every centre's set masses and
+every family of sets are therefore built once.
 """
 
 from __future__ import annotations
@@ -87,14 +93,45 @@ from .space import (
 )
 
 
-def _fsum(values: Iterable[Fraction]) -> Fraction:
-    """The exact sum, normalised once: one int sum per denominator, then one lcm."""
-    buckets: dict = {}
-    for v in values:
-        d = v.denominator
-        buckets[d] = buckets.get(d, 0) + v.numerator
+def _total(buckets: Mapping) -> Fraction:
+    """The sum of n/d over the buckets {d: n}, normalised once: one lcm, then one gcd."""
+    if len(buckets) == 1:
+        [(den, num)] = buckets.items()
+        return Fraction(num, den)
     den = lcm(*buckets)  # 1 for no buckets
     return Fraction(sum(n * (den // d) for d, n in buckets.items()), den)
+
+
+def _fsum(values: Iterable[Fraction]) -> Fraction:
+    """The exact sum: one int sum per denominator, then :func:`_total`."""
+    buckets: dict = {}
+    for v in values:
+        n, d = v.as_integer_ratio()
+        buckets[d] = buckets.get(d, 0) + n
+    return _total(buckets)
+
+
+def _grouped(groups: Iterable, weights: Iterable[Fraction]) -> dict:
+    """Group -> the exact sum of its weights; the i-th weight joins the i-th group.
+
+    Each group adds its numerators per denominator as it goes and is
+    normalised once, by :func:`_total`; groups come in order of first appearance.
+    """
+    sums: dict = {}
+    for g, w in zip(groups, weights):
+        n, d = w.as_integer_ratio()
+        buckets = sums.get(g)
+        if buckets is None:
+            sums[g] = {d: n}
+        else:
+            buckets[d] = buckets.get(d, 0) + n
+    return {g: _total(buckets) for g, buckets in sums.items()}
+
+
+def _in_atom_order(space: Space, weights: dict) -> dict:
+    """``weights`` re-keyed in the space's atom order, every rank from one ``positions`` pass."""
+    # ranks are distinct, so keys are never compared
+    return {k: weights[k] for _, k in sorted(zip(space.positions(weights), weights))}
 
 
 def _normalized(space: Space, raw: Mapping) -> dict:
@@ -226,7 +263,8 @@ class Measure:
         The keys in use: an axis (1, 2) for ``push_proj``; a tuple of sets for
         a neighbourhood's compiled family and centre masses; ``("held",
         sets)`` for the set indices of each atom in the sampler's workspace;
-        a grid for its cell masses.
+        a grid for its cell masses; ``("pieces", grid)`` for the cell ratios
+        ``construct_preimage`` takes from the reference's piece masses.
         """
         value = self._memo.get(key)
         if value is None:
@@ -262,17 +300,14 @@ class Measure:
         weights are summed per pattern.  A line measure's atoms lie in
         every row: y value -1.
         """
-        groups: dict = {}
         if isinstance(self.space, ProductSpace):
             x_mask = _classify(self.space.x, {kx for kx, _ in self.weights}, *x_slots)
             y_mask = _classify(self.space.y, {ky for _, ky in self.weights}, *y_slots)
-            for (kx, ky), w in self.weights.items():
-                groups.setdefault((x_mask[kx], y_mask[ky]), []).append(w)
+            patterns = [(x_mask[kx], y_mask[ky]) for kx, ky in self.weights]
         else:
             x_mask = _classify(self.space, self.weights, *x_slots)
-            for k, w in self.weights.items():
-                groups.setdefault((x_mask[k], -1), []).append(w)
-        return {p: _fsum(ws) for p, ws in groups.items()}
+            patterns = [(x_mask[k], -1) for k in self.weights]
+        return _grouped(patterns, self.weights.values())
 
     def eval_many(self, sets: Sequence[OpenSet]) -> list[Fraction]:
         """``[self.eval(s) for s in sets]``, in one pass over the support."""
@@ -295,13 +330,11 @@ class Measure:
         return self._cached(axis, lambda: self._project(axis))
 
     def _project(self, axis: int) -> "Measure":
-        target = self.space.x if axis == 1 else self.space.y
-        groups: dict = {}
-        for (kx, ky), w in self.weights.items():
-            groups.setdefault(kx if axis == 1 else ky, []).append(w)
+        sums = _grouped((key[axis - 1] for key in self.weights), self.weights.values())
         # the support is x-major, so first appearance is atom order on axis 1 only
-        keys = groups if axis == 1 else sorted(groups, key=target.position)
-        return Measure._trusted(target, {k: _fsum(groups[k]) for k in keys})
+        if axis == 1:
+            return Measure._trusted(self.space.x, sums)
+        return Measure._trusted(self.space.y, _in_atom_order(self.space.y, sums))
 
     def scale(self, factor) -> "Measure":
         c = as_rational(factor)
@@ -318,7 +351,7 @@ class Measure:
         for k, w in other.weights.items():
             acc[k] = acc[k] + w if k in acc else w
         if len(acc) > len(self.weights):  # other brought atoms, appended out of order
-            acc = {k: acc[k] for k in sorted(acc, key=self.space.position)}
+            acc = _in_atom_order(self.space, acc)
         return Measure._trusted(self.space, acc)
 
     def __sub__(self, other: "Measure") -> "Measure":
@@ -405,9 +438,13 @@ def barycenter(meta: MetaMeasure) -> Measure:
 
 
 def _product(mu: Measure, nu: Measure, c: int | Fraction) -> Measure:
-    """The weights wx * wy / c on the product space, each built as one Fraction."""
-    cn, cd = c.numerator, c.denominator
-    rows = [(kx, wx.numerator * cd, wx.denominator * cn) for kx, wx in mu.weights.items()]
+    """The weights wx * wy / c on the product space, each built as one Fraction.
+
+    For c != 1 each row reduces wx / c once, so the products' gcds run on
+    smaller ints.
+    """
+    scaled = mu.weights.items() if c == 1 else [(kx, wx / c) for kx, wx in mu.weights.items()]
+    rows = [(kx, r.numerator, r.denominator) for kx, r in scaled]
     cols = [(ky, wy.numerator, wy.denominator) for ky, wy in nu.weights.items()]
     weights = {
         (kx, ky): Fraction(nx * ny, dx * dy) for kx, nx, dx in rows for ky, ny, dy in cols

@@ -417,17 +417,17 @@ def certify_trial(
     reference: Measure,
     grid: Grid,
     hood: Neighborhood,
-    checks: Sequence[tuple[str, slice]],
     delta: Fraction,
     trial: int,
     trial_seed: Seed,
 ) -> tuple[list[Violation], list[Fraction]]:
     """One certification round; pure given its seed, so violations replay.
 
-    ``hood`` holds every membership check's sets, and ``checks`` pairs each
-    check's violation reason with its slice of them; :func:`certify_openness`
-    builds both once per run.  One pass of shortfalls over the coupling
-    serves every check: its gap is the minimum over its slice.
+    ``hood`` is the targets' neighbourhood, which :func:`certify_openness`
+    builds once per run.  The cell gap is the worst drop of the coupling's
+    cell masses below the reference's, both from ``grid.cell_masses``: the
+    coupling's is the bin :func:`construct_preimage` already kept on it,
+    or one bin of a coupling built another way, never the report's fields.
     """
     mu = sample_in_neighborhood(reference.push_proj(1), grid.cols, delta, trial_seed.derive(1))
     nu = sample_in_neighborhood(reference.push_proj(2), grid.rows, delta, trial_seed.derive(2))
@@ -441,7 +441,6 @@ def certify_trial(
         return [bad(f"construction-error: {exc}")], []
 
     violations: list[Violation] = []
-    gaps: list[Fraction] = []
     coupling = report.coupling
     if coupling.push_proj(1) != mu or coupling.push_proj(2) != nu:
         violations.append(bad("marginal-mismatch"))
@@ -449,13 +448,15 @@ def certify_trial(
         if not drop > -delta:
             violations.append(bad("cell-shortfall", cell=ix, gap=drop))
             break
-    shortfalls = hood._shortfalls(coupling)
-    for reason, part in checks:
-        gap = min(shortfalls[part])
-        gaps.append(gap)
+    ref_cells, cells = grid.cell_masses(reference), grid.cell_masses(coupling)
+    checks = []  # cells first, and no cell check for a grid without cells
+    if cells:
+        checks.append(("cell-membership", min(m - ref_cells[ix] for ix, m in cells.items())))
+    checks.append(("target-membership", hood.gap(coupling)))
+    for reason, gap in checks:
         if not gap > -hood.epsilon:
             violations.append(bad(reason, gap=gap))
-    return violations, gaps
+    return violations, [gap for _, gap in checks]
 
 
 def certify_openness(
@@ -471,7 +472,9 @@ def certify_openness(
     within the refinement's tolerance, rebuilds a coupling and asserts:
     exact marginals, per-cell shortfall under delta, membership in the cell
     neighborhood and membership in the original targets' neighborhood, both
-    at eps.  Violations carry their trial seed and replay deterministically.
+    at eps.  The targets' neighbourhood is built once per run; the cell
+    gap comes from the grid's cell masses.  Violations carry their trial
+    seed and replay deterministically.
     """
     targets = list(targets)
     if not targets:
@@ -481,16 +484,12 @@ def certify_openness(
     eps = as_positive(eps, "eps")
     refinement = refine_grid(reference, targets, eps)
     grid, delta = refinement.grid, refinement.delta
-    cells = tuple(cell for _, cell in grid.cells())
-    hood = Neighborhood(reference, cells + tuple(targets), eps)
-    # cells first, and no cell check for a grid without cells
-    checks = [("cell-membership", slice(len(cells)))] if cells else []
-    checks.append(("target-membership", slice(len(cells), None)))
+    hood = Neighborhood(reference, tuple(targets), eps)
 
     violations: list[Violation] = []
     min_gap: Fraction | None = None
     for t in range(trials):
-        got, gaps = certify_trial(reference, grid, hood, checks, delta, t, seed.derive(t))
+        got, gaps = certify_trial(reference, grid, hood, delta, t, seed.derive(t))
         violations.extend(got)
         for g in gaps:
             min_gap = g if min_gap is None else min(min_gap, g)

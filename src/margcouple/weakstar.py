@@ -9,13 +9,14 @@ The sets are compiled once into a private ``measure._Family``, kept with
 the center's masses on them in the center's own cache, keyed by the sets:
 every neighborhood of one center over the same sets compiles and
 evaluates them once.  Each candidate then costs one pass over its
-support, not one per set.  ``_shortfalls`` lists the candidate's
-shortfall on each set, and the gap is its minimum; a caller that checks
-several slices of the sets, as ``certify`` does, takes one list and the
-minimum over each slice.  Cell drops come from the grid's piece tables,
-membership from the cells' boxes compiled into a ``_Family``: the routes
-share only ``_Axis.slot`` and ``_patterns``' grouping, and tests pin both
-against pointwise ``eval``.
+support, not one per set, and the gap is the minimum shortfall over the
+sets.  A ``certify`` run keeps one neighborhood of its targets only.  Its
+cells need none: the cell drops of a ``preimage_report`` and the trial's
+cell gap share the grid's one bin of the coupling,
+:meth:`..refine.Grid.cell_masses`, read off the grid's piece tables.
+The target family and the grid's bin share only ``_Axis.slot`` and
+``_patterns``' grouping, and tests pin both routes against pointwise
+``eval``.
 """
 
 from __future__ import annotations
@@ -57,16 +58,12 @@ class Neighborhood:
     def _center_masses(self) -> tuple[Fraction, ...]:
         return self._compiled[1]
 
-    def _shortfalls(self, candidate: Measure) -> list[Fraction]:
-        """The candidate's mass minus the center's on each set, in the sets' order."""
+    def gap(self, candidate: Measure) -> Fraction:
+        """Worst shortfall of the candidate against the center over the sets."""
         # the sets share one geometry, checked against the center's
         _check_geometry(candidate.space, self.sets[0])
         family, center_masses = self._compiled
-        return [g - r for g, r in zip(family.masses(candidate), center_masses)]
-
-    def gap(self, candidate: Measure) -> Fraction:
-        """Worst shortfall of the candidate against the center over the sets."""
-        return min(self._shortfalls(candidate))
+        return min(g - r for g, r in zip(family.masses(candidate), center_masses))
 
     def is_member(self, candidate: Measure) -> bool:
         return self.gap(candidate) > -self.epsilon

@@ -3,7 +3,9 @@
 A measure keeps its mass, its marginals, its compiled family and masses on
 a tuple of sets and its cell masses on a grid; ``_normalized_parts`` sums
 each piece's mass in its binning pass; the sampler's workspace tests each
-centre atom against the sets once per run and each placed atom once.  The counts below are taken with monkeypatched counters, never with
+centre atom against the sets once per run and each placed atom once.  A
+certify run takes the reference's piece masses once and bins each coupling
+once.  The counts below are taken with monkeypatched counters, never with
 timing: work that depends only on the run must not grow with the number of
 trials.
 """
@@ -25,6 +27,7 @@ from margcouple import (
     IntervalSet,
     Measure,
     Neighborhood,
+    ProductSpace,
     Seed,
     SpaceDesc,
     certify_openness,
@@ -124,13 +127,74 @@ def test_run_values_are_computed_once_whatever_the_trial_count():
     eight = _certify_counts(8)
     assert one == eight
     built, evaluated = eight
-    # the merged cell and target neighbourhood and each sampler's self-check:
-    # one family each; refine_grid finds its boxes of mass on slots, with none
+    # the targets' neighbourhood and each sampler's self-check: one family
+    # each; refine_grid finds its boxes of mass on slots, with none
     assert {k: v for k, v in built.items() if k != "centre contains"} == {
         1: 1, 2: 1, "cells": 1, "families": 3,
     }
-    # the merged neighbourhood; each sampler's self-check
+    # the targets' neighbourhood; each sampler's self-check
     assert evaluated == {"reference": 1, "mu0": 1, "nu0": 1}
+
+
+@pytest.mark.parametrize("trials", [1, 8])
+def test_certify_bins_each_coupling_once(trials, monkeypatch):
+    """Per run: 2k ``eval`` scans of the reference marginals, one neighbourhood over the targets.
+
+    The grid bins the reference once and each trial's coupling once.
+    """
+    rng = random.Random(7)
+    reference = instances.sparse_reference(rng, 12, F(1, 2))
+    targets = instances.tile_targets(rng, 12, 7)
+    marginals = (reference.push_proj(1), reference.push_proj(2))
+    counts: Counter = Counter()
+    hoods: list = []
+    evaluate, bin_cells, hood_init = Measure.eval, Grid._bin, Neighborhood.__post_init__
+
+    def counting_eval(self, open_set):
+        counts["marginal evals"] += any(self is m for m in marginals)
+        return evaluate(self, open_set)
+
+    def counting_bin(self, m):
+        counts["bins"] += 1
+        return bin_cells(self, m)
+
+    def recording_init(self):
+        hood_init(self)
+        if self.center is reference:
+            hoods.append(self.sets)
+
+    monkeypatch.setattr(Measure, "eval", counting_eval)
+    monkeypatch.setattr(Grid, "_bin", counting_bin)
+    monkeypatch.setattr(Neighborhood, "__post_init__", recording_init)
+    report = certify_openness(reference, targets, F(1, 5), trials, Seed(11))
+    assert report.passed and report.trials == trials
+    grid = refine_grid(reference, targets, F(1, 5)).grid
+    assert counts == {"marginal evals": len(grid.cols) + len(grid.rows), "bins": 1 + trials}
+    assert hoods == [tuple(targets)]
+
+
+def test_construction_takes_no_position_per_key(monkeypatch):
+    """``construct_preimage``, ``+`` and ``push_proj(2)`` order keys with no per-key ``position``."""
+    rng = random.Random(20)
+    reference = instances.sparse_reference(rng, 20, F(3, 10))
+    pair = marginal_pair(reference)
+    mu = instances.perturbed_probability(rng, pair.mu)
+    nu = instances.perturbed_probability(rng, pair.nu)
+    calls: Counter = Counter()
+    for cls in (SpaceDesc, ProductSpace):
+        position = cls.position
+
+        def counting(self, key, position=position):
+            calls["position"] += 1
+            return position(self, key)
+
+        monkeypatch.setattr(cls, "position", counting)
+    blocks = instances.block_grid(20, 5)
+    # atoms of the last block column and row lie in no cell, so the remainder brings new atoms
+    report = construct_preimage(reference, Grid(blocks.cols[:4], blocks.rows[:4]), mu, nu)
+    assert report.grid_part.weights and report.remainder_coupling.weights.keys() - report.grid_part.weights
+    assert report.coupling.push_proj(2).mass() == 1
+    assert calls["position"] == 0
 
 
 def test_each_part_mass_is_summed_once(monkeypatch):

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import instances
 from margcouple import (
@@ -526,6 +527,54 @@ def test_certify_records_cell_then_target_membership(reference, targets, monkeyp
         assert cell_v.gap == cell_hood.gap(coupling) <= -eps
         assert target_v.gap == target_hood.gap(coupling) <= -eps
     assert report.min_observed_gap == min(v.gap for v in report.violations)
+
+
+_CONSTRUCTIONS = {
+    "construct_preimage": verify.construct_preimage,
+    "product": _product_preimage,
+    "broken": instances.broken_preimage,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(_CONSTRUCTIONS)), st.booleans())
+def test_trial_cell_gap_is_the_cell_neighbourhood_gap(seed, construction, tiled):
+    """Each trial's cell gap equals the cells' neighbourhood gap and the pointwise ``eval`` one."""
+    rng = random.Random(seed)
+    if tiled:
+        n = rng.randint(4, 8)
+        reference = instances.sparse_reference(rng, n, F(1, 2))
+        targets = instances.tile_targets(rng, n, rng.randint(1, 6))
+    else:
+        reference = instances.random_joint(rng, instances.random_product(rng))
+        targets = instances.random_disjoint_targets(rng)
+    eps = F(1, rng.choice((5, 10)))
+    refinement = refine_grid(reference, targets, eps)
+    grid = refinement.grid
+    cells = tuple(cell for _, cell in grid.cells())
+    built = []
+
+    def recording(*args):
+        built.append(_CONSTRUCTIONS[construction](*args))
+        return built[-1]
+
+    hood = Neighborhood(reference, tuple(targets), eps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "construct_preimage", recording)
+        for t in range(3):
+            built.clear()
+            trial_seed = Seed(seed).derive(t)
+            _, gaps = verify.certify_trial(reference, grid, hood, refinement.delta, t, trial_seed)
+            if not built:  # the construction raised, so the trial has no gaps
+                assert gaps == []
+                continue
+            coupling = built[0].coupling
+            assert gaps[-1] == hood.gap(coupling)
+            if not cells:
+                assert len(gaps) == 1
+                continue
+            pointwise = min(coupling.eval(c) - reference.eval(c) for c in cells)
+            assert gaps[0] == Neighborhood(reference, cells, eps).gap(coupling) == pointwise
 
 
 def test_certify_without_cells_checks_the_targets_only(reference):
