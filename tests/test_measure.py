@@ -505,8 +505,11 @@ def _scrambled_product(rng: random.Random) -> ProductSpace:
     return ProductSpace(axis("x"), axis("y"))
 
 
+_SUM_CASES = ["new atoms", "no new atoms", "disjoint", "zero left", "zero right"]
+
+
 @settings(max_examples=120, deadline=None)
-@given(st.data(), st.sampled_from(["new atoms", "no new atoms", "disjoint", "zero left", "zero right"]))
+@given(st.data(), st.sampled_from(_SUM_CASES))
 def test_sum_lists_keys_in_atom_order_with_plain_weights(data, case):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     space = _scrambled_product(rng)
@@ -540,7 +543,7 @@ def test_sum_lists_keys_in_atom_order_with_plain_weights(data, case):
 
 
 def _one_value_measure(rng: random.Random, space: ProductSpace, draw_weight) -> Measure:
-    """Each x atom and each y atom in at most one support pair: every projection group holds one value."""
+    """Each x atom and y atom in at most one support pair: each projection group has one value."""
     xs, ys = list(space.x.keys), list(space.y.keys)
     rng.shuffle(ys)
     return Measure(space, {(kx, ky): draw_weight() for kx, ky in zip(xs, ys)})
@@ -554,7 +557,9 @@ def test_group_sums_equal_plain_fraction_sums(data, case):
     if case == "one value":
         m = _one_value_measure(rng, space, lambda: data.draw(nonnegative.filter(bool)))
     else:
-        dens = (data.draw(st.integers(1, 30)),) if case == "repeated denominators" else COPRIME_DENOMS
+        dens = COPRIME_DENOMS
+        if case == "repeated denominators":
+            dens = (data.draw(st.integers(1, 30)),)
         m = Measure(space, {k: F(rng.randint(0, 10**9), rng.choice(dens)) for k in space.keys})
     coord_x, coord_y = space.x.coord_of, space.y.coord_of
     for axis in (1, 2):
@@ -571,7 +576,8 @@ def test_group_sums_equal_plain_fraction_sums(data, case):
 
     groups = {}
     for (kx, ky), w in m.weights.items():
-        groups.setdefault((piece(grid.cols, coord_x(kx)), piece(grid.rows, coord_y(ky))), []).append(w)
+        cell = (piece(grid.cols, coord_x(kx)), piece(grid.rows, coord_y(ky)))
+        groups.setdefault(cell, []).append(w)
     patterns = m._patterns(grid._col_slots, grid._row_slots)
     assert patterns == {p: _plain(ws) for p, ws in groups.items()}
     assert all(type(w) is Fraction for w in patterns.values())
@@ -598,7 +604,8 @@ def test_group_sums_worked_cases():
             for key, w in weights.items():
                 sums[key[axis - 1]] = sums.get(key[axis - 1], F(0)) + w
             assert m.push_proj(axis).weights == sums
-        assert grid.cell_masses(m) == {(0, 0): sum((w for k, w in weights.items() if k[1] == "c"), F(0))}
+        row_c = sum((w for k, w in weights.items() if k[1] == "c"), F(0))
+        assert grid.cell_masses(m) == {(0, 0): row_c}
 
 
 @given(st.data())

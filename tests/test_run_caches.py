@@ -174,7 +174,7 @@ def test_certify_bins_each_coupling_once(trials, monkeypatch):
 
 
 def test_construction_takes_no_position_per_key(monkeypatch):
-    """``construct_preimage``, ``+`` and ``push_proj(2)`` order keys with no per-key ``position``."""
+    """``construct_preimage``, ``+`` and ``push_proj(2)`` never call ``position`` per key."""
     rng = random.Random(20)
     reference = instances.sparse_reference(rng, 20, F(3, 10))
     pair = marginal_pair(reference)
@@ -192,7 +192,8 @@ def test_construction_takes_no_position_per_key(monkeypatch):
     blocks = instances.block_grid(20, 5)
     # atoms of the last block column and row lie in no cell, so the remainder brings new atoms
     report = construct_preimage(reference, Grid(blocks.cols[:4], blocks.rows[:4]), mu, nu)
-    assert report.grid_part.weights and report.remainder_coupling.weights.keys() - report.grid_part.weights
+    assert report.grid_part.weights
+    assert report.remainder_coupling.weights.keys() - report.grid_part.weights.keys()
     assert report.coupling.push_proj(2).mass() == 1
     assert calls["position"] == 0
 
