@@ -130,8 +130,8 @@ def _grouped(groups: Iterable, weights: Iterable[Fraction]) -> dict:
 
 def _in_atom_order(space: Space, weights: dict) -> dict:
     """``weights`` re-keyed in the space's atom order, every rank from one ``positions`` pass."""
-    # ranks are distinct, so keys are never compared
-    return {k: weights[k] for _, k in sorted(zip(space.positions(weights), weights))}
+    rank = dict(zip(weights, space.positions(weights)))
+    return {k: weights[k] for k in sorted(weights, key=rank.__getitem__)}
 
 
 def _normalized(space: Space, raw: Mapping) -> dict:
@@ -303,10 +303,11 @@ class Measure:
         if isinstance(self.space, ProductSpace):
             x_mask = _classify(self.space.x, {kx for kx, _ in self.weights}, *x_slots)
             y_mask = _classify(self.space.y, {ky for _, ky in self.weights}, *y_slots)
-            patterns = [(x_mask[kx], y_mask[ky]) for kx, ky in self.weights]
+            # a generator: a list would keep one pattern tuple per atom alive at once
+            patterns = ((x_mask[kx], y_mask[ky]) for kx, ky in self.weights)
         else:
             x_mask = _classify(self.space, self.weights, *x_slots)
-            patterns = [(x_mask[k], -1) for k in self.weights]
+            patterns = ((x_mask[k], -1) for k in self.weights)
         return _grouped(patterns, self.weights.values())
 
     def eval_many(self, sets: Sequence[OpenSet]) -> list[Fraction]:
