@@ -37,7 +37,6 @@ piece's part times the mass its cells kept.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from ._record import record
 from .errors import (
@@ -193,7 +192,7 @@ def construct_preimage(
     new_rows, row_parts = _normalized_parts(nu, grid._row_slots, len(grid.rows))
 
     allocs: dict[CellIndex, CellAlloc] = {}
-    acc: dict = {}
+    cells: dict = {}  # kept cell -> its weights in the grid part, x-major
     col_kept = [Fraction(0)] * len(grid.cols)
     row_kept = [Fraction(0)] * len(grid.rows)
     for (q, s), ratio in ratios.items():
@@ -206,17 +205,30 @@ def construct_preimage(
         allocs[(q, s)] = CellAlloc(col_scaled, row_scaled, kept)
         if kept == 0:
             continue
-        # columns are pairwise disjoint and so are rows: no key lies in two cells
         kn, kd = kept.numerator, kept.denominator
-        for key, w in tensor(col_parts[q], row_parts[s]).weights.items():
-            acc[key] = Fraction(kn * w.numerator, kd * w.denominator)
+        scaled = {
+            key: Fraction(kn * w.numerator, kd * w.denominator)
+            for key, w in tensor(col_parts[q], row_parts[s]).weights.items()
+        }
+        cells[q, s] = iter(scaled.items())
         col_kept[q] += kept
         row_kept[s] += kept
-    prod = ProductSpace(mu.space, nu.space)
-    # supp mu x supp nu, x-major, is the product's atom order
-    grid_part = Measure._trusted(
-        prod, {key: acc[key] for key in product(mu.weights, nu.weights) if key in acc}
-    )
+    # The grid part walks supp mu x supp nu x-major, the product's atom order.  Columns
+    # are pairwise disjoint and so are rows, so an x atom of column q meets, row atom by
+    # row atom, the kept cells of column q, and each cell lists its keys in that same
+    # order, as its tensor does: the cell's next item is the pair's key and weight.
+    x_piece = {k: q for q, p in enumerate(col_parts) if p for k in p.weights}
+    y_piece = {k: s for s, p in enumerate(row_parts) if p for k in p.weights}
+    runs = {
+        q: [cells[q, y_piece[ky]] for ky in nu.weights if (q, y_piece.get(ky)) in cells]
+        for q in {q for q, _ in cells}
+    }
+    weights: dict = {}
+    for kx in mu.weights:
+        for items in runs.get(x_piece.get(kx), ()):
+            key, w = next(items)
+            weights[key] = w
+    grid_part = Measure._trusted(ProductSpace(mu.space, nu.space), weights)
 
     try:
         mu_rest = mu - _taken(mu, col_parts, col_kept)
