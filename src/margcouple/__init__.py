@@ -14,7 +14,6 @@ from .couple import (
     CellAlloc,
     MarginalPair,
     PreimageReport,
-    admissible_delta,
     construct_preimage,
     marginal_pair,
 )
@@ -39,7 +38,6 @@ from .refine import (
     Grid,
     RefineResult,
     disjointify,
-    rect_inner_approx,
     refine_grid,
 )
 from .space import (
@@ -99,7 +97,6 @@ __all__ = [
     "Seed",
     "SpaceDesc",
     "Violation",
-    "admissible_delta",
     "barycenter",
     "box_within",
     "boxes_disjoint",
@@ -115,7 +112,6 @@ __all__ = [
     "intervalsets_disjoint",
     "marginal_pair",
     "oracle_couple",
-    "rect_inner_approx",
     "refine_grid",
     "sample_in_neighborhood",
     "tensor",

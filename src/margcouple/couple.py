@@ -48,7 +48,7 @@ from .errors import (
 )
 from .measure import Measure, _classify, _fsum, couple_mass, tensor
 from .refine import CellIndex, Grid
-from .space import ProductSpace, as_positive
+from .space import ProductSpace
 
 
 @record
@@ -66,11 +66,6 @@ class MarginalPair:
 def marginal_pair(joint: Measure) -> MarginalPair:
     """Both coordinate pushforwards of a product measure."""
     return MarginalPair(joint.push_proj(1), joint.push_proj(2))
-
-
-def admissible_delta(eps) -> Fraction:
-    """Half the target tolerance; safe for the per-cell shortfall bound."""
-    return as_positive(eps, "tolerance") / 2
 
 
 @record

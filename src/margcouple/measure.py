@@ -39,14 +39,15 @@ distinct interval endpoints on one common denominator D cut it into slots,
 a coordinate n/d finds its slot from divmod(n·D, d) by one integer
 bisection, and an open interval is the mask of the slots it holds.
 Membership against many open intervals has a compile half and an apply
-half.  A private ``_Family`` is compiled once from a family of sets or
-intervals: one bit per distinct interval and axis, each axis's slots and
-their masks, each set's boxes as bit pairs, and a memo from pattern to the
-sets it lies in.  ``_patterns(x_slots, y_slots)`` applies a family's two
-slot tables to one measure: one bitmask per distinct coordinate and axis,
-read off its slot, and the mass per pattern.  ``eval_many`` and the two
-checks of :mod:`.verify` compile and apply once; a neighbourhood keeps its
-family on its centre and applies it to every candidate.  :mod:`.refine`
+half.  :func:`_bits` gives each distinct interval of an axis a bit and
+:func:`_slots` cuts the axis into slots and gives each its mask.
+``_patterns(x_slots, y_slots)`` applies two such slot tables to one
+measure: one bitmask per distinct coordinate and axis, read off its slot,
+and the mass per pattern.  The two checks of :mod:`.verify` build their
+tables and apply them once.  A private ``_Family`` compiles a family of
+sets on the same tables, each set's boxes as bit pairs, with a memo from
+pattern to the sets it lies in; a neighbourhood keeps its family on its
+centre and applies it to every candidate.  :mod:`.refine`
 tests its targets' boxes, their mass and its cells' candidate owners on
 the same slots, and a grid's tables give each slot the index of the piece
 holding it, so ``_patterns`` bins a measure into its cells.
@@ -73,7 +74,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import lcm
 
 from ._record import factory, record
@@ -211,11 +212,6 @@ def _classify(space: SpaceDesc, keys: Iterable, axis: _Axis, slot_mask: list) ->
     return {k: slot_mask[slot(coord(k))] for k in keys}
 
 
-def _masks(space: SpaceDesc, keys: Iterable, bits: Mapping) -> dict:
-    """Atom id -> OR of the bits of the open intervals holding its coordinate."""
-    return _classify(space, keys, *_slots(bits))
-
-
 def _check_geometry(space: Space, open_set: OpenSet) -> None:
     if isinstance(space, SpaceDesc) and not isinstance(open_set, IntervalSet):
         raise ParameterError("a line measure evaluates interval sets only")
@@ -274,15 +270,12 @@ class Measure:
     def mass(self) -> Fraction:
         return self._mass
 
-    def support(self) -> tuple:
-        return tuple(self.weights)
-
     def sum_where(self, pred: Callable) -> Fraction:
         """Total weight of atoms whose coordinate satisfies ``pred``.
 
         The predicate receives a rational for line measures and a coordinate
         pair for product measures.  ``eval`` filters points through it, the
-        route that the pattern sums of ``eval_many`` are checked against.
+        route that the pattern sums of ``_Family.masses`` are checked against.
         """
         coord = self.space.coord_of
         return sum((w for k, w in self.weights.items() if pred(coord(k))), Fraction(0))
@@ -309,12 +302,6 @@ class Measure:
             x_mask = _classify(self.space, self.weights, *x_slots)
             patterns = ((x_mask[k], -1) for k in self.weights)
         return _grouped(patterns, self.weights.values())
-
-    def eval_many(self, sets: Sequence[OpenSet]) -> list[Fraction]:
-        """``[self.eval(s) for s in sets]``, in one pass over the support."""
-        for s in sets:
-            _check_geometry(self.space, s)
-        return _Family(sets=sets).masses(self)
 
     def restrict(self, open_set: OpenSet) -> "Measure":
         _check_geometry(self.space, open_set)
@@ -366,34 +353,33 @@ class Measure:
 
 
 def _bits(intervals: Iterable) -> dict:
+    """Each distinct interval -> a bit of its own, in order of first appearance."""
     return {iv: 1 << i for i, iv in enumerate(dict.fromkeys(intervals))}
 
 
 class _Family:
-    """Open intervals compiled once, then applied to many measures by :meth:`Measure._patterns`.
+    """Open sets compiled once, then applied to many measures by :meth:`Measure._patterns`.
 
-    ``cols`` are open intervals on the x axis (a line measure's only axis),
-    ``rows`` on the y axis; the boxes of ``sets`` join them, an interval
-    set's intervals as boxes in every row.  Each distinct interval has one
-    bit on its axis, each axis its slots and their masks (see
-    :func:`_slots`), and each set its boxes as (column bit, row bit)
-    pairs.  ``held`` keeps, per pattern, the indices of the sets it lies
-    in, so each pattern is tested against the sets once per family.
+    A box's column lies on the x axis (a line measure's only axis) and its
+    row on the y axis; an interval set's intervals are boxes in every row.
+    Each distinct interval has one bit on its axis, each axis its slots and
+    their masks (see :func:`_slots`), and each set its boxes as (column
+    bit, row bit) pairs.  ``held`` keeps, per pattern, the indices of the
+    sets it lies in, so each pattern is tested against the sets once per
+    family.
     """
 
-    def __init__(self, cols: Iterable = (), rows: Iterable = (), sets: Sequence[OpenSet] = ()):
+    def __init__(self, sets: Sequence[OpenSet]):
         boxes = [
             [(b.col, b.row) for b in s.boxes]
             if isinstance(s, BoxSet)
             else [(iv, None) for iv in s.intervals]
             for s in sets
         ]
-        self.col_bit = _bits(chain(cols, (c for bs in boxes for c, _ in bs)))
-        self.row_bit = _bits(chain(rows, (r for bs in boxes for _, r in bs if r is not None)))
-        self.x_slots, self.y_slots = _slots(self.col_bit), _slots(self.row_bit)
-        self.hits = [
-            [(self.col_bit[c], -1 if r is None else self.row_bit[r]) for c, r in bs] for bs in boxes
-        ]
+        col_bit = _bits(c for bs in boxes for c, _ in bs)
+        row_bit = _bits(r for bs in boxes for _, r in bs if r is not None)
+        self.x_slots, self.y_slots = _slots(col_bit), _slots(row_bit)
+        self.hits = [[(col_bit[c], -1 if r is None else row_bit[r]) for c, r in bs] for bs in boxes]
         self.held: dict = {}
 
     def masses(self, m: Measure) -> list[Fraction]:

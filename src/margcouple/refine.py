@@ -126,9 +126,6 @@ class RefineResult:
     def __post_init__(self):
         object.__setattr__(self, "delta", as_positive(self.delta, "refinement delta"))
 
-    def owned(self) -> list[tuple[CellIndex, int]]:
-        return [(ix, own) for ix, own in sorted(self.owner.items()) if own is not None]
-
 
 def _axes(boxes: Sequence[Box]) -> tuple[_Axis, _Axis]:
     """The column and row axes cut into slots by the boxes' ends (see :class:`..measure._Axis`)."""
@@ -153,19 +150,6 @@ def _holding_mass(reference: Measure, x: _Axis, y: _Axis, spans: list) -> list[b
     for kx, ky in reference.weights:
         occupied[xs[kx]] = occupied.get(xs[kx], 0) | ys[ky]
     return [any(cm & sx and rm & sy for sx, sy in occupied.items()) for cm, rm in spans]
-
-
-def rect_inner_approx(reference: Measure, target: BoxSet) -> BoxSet:
-    """Boxes inside the target that jointly carry all its reference mass.
-
-    At finite support the constituent boxes of positive mass already do
-    this with zero mass defect, so no tolerance is needed.
-    """
-    if not isinstance(reference.space, ProductSpace):
-        raise ParameterError("rect_inner_approx needs a product measure")
-    x, y = _axes(target.boxes)
-    held = _holding_mass(reference, x, y, _spans(target.boxes, x, y))
-    return BoxSet(tuple(b for b, h in zip(target.boxes, held) if h))
 
 
 def disjointify(sets: Sequence[IntervalSet], forbidden: Sequence) -> list[IntervalSet]:

@@ -27,7 +27,7 @@ from .errors import (
     MassMismatchError,
     ParameterError,
 )
-from .measure import Measure, MetaMeasure, _Family, _fsum, barycenter
+from .measure import Measure, MetaMeasure, _bits, _fsum, _slots, barycenter
 from .refine import Grid, refine_grid
 from .space import (
     Atom,
@@ -325,12 +325,11 @@ def _patterns(joint: Measure, cols: Sequence[IntervalSet], rows: Sequence[Interv
     """Bits of each column and row set, and the joint's mass on the patterns where pred holds."""
     if not isinstance(joint.space, ProductSpace):
         raise ParameterError("a containment check takes a product measure")
-    family = _Family(
-        (iv for s in cols for iv in s.intervals), (iv for s in rows for iv in s.intervals)
-    )
-    masses = joint._patterns(family.x_slots, family.y_slots)
-    col_bits = [sum(family.col_bit[iv] for iv in s.intervals) for s in cols]
-    row_bits = [sum(family.row_bit[iv] for iv in s.intervals) for s in rows]
+    col_bit = _bits(iv for s in cols for iv in s.intervals)
+    row_bit = _bits(iv for s in rows for iv in s.intervals)
+    masses = joint._patterns(_slots(col_bit), _slots(row_bit))
+    col_bits = [sum(col_bit[iv] for iv in s.intervals) for s in cols]
+    row_bits = [sum(row_bit[iv] for iv in s.intervals) for s in rows]
     return col_bits, row_bits, lambda pred: _fsum(w for p, w in masses.items() if pred(*p))
 
 
@@ -424,8 +423,9 @@ def certify_trial(
     """One certification round; pure given its seed, so violations replay.
 
     ``hood`` is the targets' neighbourhood, which :func:`certify_openness`
-    builds once per run.  The cell gap is the worst drop of the coupling's
-    cell masses below the reference's, both from ``grid.cell_masses``: the
+    builds once per run.  The cell shortfall is the first drop of the
+    coupling's cell masses below the reference's by delta or more, and the
+    cell gap the worst drop, both from ``grid.cell_masses``: the
     coupling's is the bin :func:`construct_preimage` already kept on it,
     or one bin of a coupling built another way, never the report's fields.
     """
@@ -444,14 +444,15 @@ def certify_trial(
     coupling = report.coupling
     if coupling.push_proj(1) != mu or coupling.push_proj(2) != nu:
         violations.append(bad("marginal-mismatch"))
-    for ix, drop in report.cell_drops.items():
+    ref_cells = grid.cell_masses(reference)
+    drops = {ix: m - ref_cells[ix] for ix, m in grid.cell_masses(coupling).items()}
+    for ix, drop in drops.items():
         if not drop > -delta:
             violations.append(bad("cell-shortfall", cell=ix, gap=drop))
             break
-    ref_cells, cells = grid.cell_masses(reference), grid.cell_masses(coupling)
     checks = []  # cells first, and no cell check for a grid without cells
-    if cells:
-        checks.append(("cell-membership", min(m - ref_cells[ix] for ix, m in cells.items())))
+    if drops:
+        checks.append(("cell-membership", min(drops.values())))
     checks.append(("target-membership", hood.gap(coupling)))
     for reason, gap in checks:
         if not gap > -hood.epsilon:
@@ -482,6 +483,8 @@ def certify_openness(
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ParameterError("trials must be a positive integer")
     eps = as_positive(eps, "eps")
+    if reference.mass() != 1:
+        raise MassMismatchError(f"reference must be a probability, has mass {reference.mass()}")
     refinement = refine_grid(reference, targets, eps)
     grid, delta = refinement.grid, refinement.delta
     hood = Neighborhood(reference, tuple(targets), eps)

@@ -49,14 +49,10 @@ class Neighborhood:
         """The sets compiled, and the center's masses on them, kept on the center."""
 
         def build():
-            family = _Family(sets=self.sets)
+            family = _Family(self.sets)
             return family, tuple(family.masses(self.center))
 
         return self.center._cached(self.sets, build)
-
-    @property
-    def _center_masses(self) -> tuple[Fraction, ...]:
-        return self._compiled[1]
 
     def gap(self, candidate: Measure) -> Fraction:
         """Worst shortfall of the candidate against the center over the sets."""

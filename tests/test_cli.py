@@ -368,6 +368,19 @@ def test_certify_refuses_a_tolerance_that_is_not_positive(capsys):
         assert got == (2, "", "error: eps must be positive\n")
 
 
+def test_certify_and_couple_refuse_a_measure_that_is_not_a_probability(capsys, tmp_path):
+    # certify names its reference, as couple does, not the sampler it perturbs with
+    space = loads(Path(REFERENCE).read_text(encoding="utf-8")).space
+    half = tmp_path / "reference.json"
+    half.write_text(dumps(Measure(space, {k: F(1, 8) for k in space.keys})), encoding="utf-8")
+    got = run(capsys, "certify", str(half), TARGETS, "--eps", "1/5", "--trials", "1", "--seed", "1")
+    assert got == (2, "", "error: reference must be a probability, has mass 1/2\n")
+    mu = tmp_path / "mu.json"
+    mu.write_text(dumps(loads(Path(MU).read_text(encoding="utf-8")).scale(F(1, 2))), encoding="utf-8")
+    got = run(capsys, "couple", REFERENCE, GRID, str(mu), NU)
+    assert got == (2, "", "error: mu must be a probability, has mass 1/2\n")
+
+
 def test_check_flag_and_shape_errors(capsys):
     code, _, err = run(capsys, "check", REFERENCE, "--lemma", "4", "--sets", BAND_SETS)
     assert code == 2

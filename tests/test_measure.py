@@ -31,7 +31,7 @@ from margcouple import (
     tensor,
     verify,
 )
-from margcouple.measure import _Axis, _fsum, _masks
+from margcouple.measure import _Axis, _classify, _Family, _fsum, _slots
 
 F = Fraction
 
@@ -52,7 +52,7 @@ def test_measure_validation(line):
 
 def test_zero_weights_drop_out(line):
     m = Measure(line, {"a": F(1, 2), "b": F(0), "c": F(1, 2)})
-    assert m.support() == ("a", "c")
+    assert tuple(m.weights) == ("a", "c")
     assert m.weights == {"a": F(1, 2), "c": F(1, 2)}
     assert m.mass() == 1
     assert Measure.zero(line).mass() == 0
@@ -114,12 +114,12 @@ box_sets = st.lists(st.builds(Box, intervals, intervals), max_size=3).map(
 
 @given(line_measures(), st.lists(interval_sets, max_size=6))
 def test_eval_many_matches_eval_on_lines(m, sets):
-    assert m.eval_many(sets) == [m.eval(s) for s in sets]
+    assert _Family(sets).masses(m) == [m.eval(s) for s in sets]
 
 
 @given(product_measures(), st.lists(box_sets, max_size=6))
 def test_eval_many_matches_eval_on_products(m, sets):
-    assert m.eval_many(sets) == [m.eval(s) for s in sets]
+    assert _Family(sets).masses(m) == [m.eval(s) for s in sets]
 
 
 # sets that abut at 1/2 on both axes, whatever the draw
@@ -130,7 +130,7 @@ _ABUTTING_BOXES = BoxSet((Box((F(-1, 2), F(1, 2)), (0, 2)), Box((F(1, 2), 2), (F
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.booleans())
 def test_one_family_serves_many_measures(data, product):
-    """One set family, in one neighbourhood and in repeated ``eval_many``, over many supports.
+    """One set family, in one neighbourhood and compiled afresh, over many supports.
 
     The family holds multi-interval, abutting and overlapping sets, a set
     listed twice and an empty set; the measures' atoms sit on endpoints.
@@ -146,7 +146,7 @@ def test_one_family_serves_many_measures(data, product):
     for _ in range(data.draw(st.integers(2, 5))):
         m = data.draw(measures)
         masses = [m.eval(s) for s in sets]
-        assert m.eval_many(sets) == masses
+        assert _Family(sets).masses(m) == masses
         assert hood.gap(m) == min(g - center.eval(s) for g, s in zip(masses, sets))
     assert hood.gap(center) == 0
 
@@ -159,25 +159,15 @@ def test_eval_many_worked_cases(line, spaces):
         IntervalSet(((F(-1, 2), F(1, 2)), (F(3, 2), F(5, 2)))),
         IntervalSet(),
     ]
-    assert m.eval_many(sets) == [0, F(5, 6), F(2, 3), 0]
-    assert m.eval_many([]) == []
-    assert Measure.zero(line).eval_many(sets) == [0, 0, 0, 0]
+    assert _Family(sets).masses(m) == [0, F(5, 6), F(2, 3), 0]
+    assert _Family([]).masses(m) == []
+    assert _Family(sets).masses(Measure.zero(line)) == [0, 0, 0, 0]
     joint = Measure(ProductSpace(*spaces), {("a", "c"): F(1, 4), ("b", "d"): F(3, 4)})
     wide = Box((F(-1, 2), F(3, 2)), (F(-1, 2), F(1, 2)))
     low = Box((F(-1, 2), F(1, 2)), (F(-1, 2), F(3, 2)))
     # overlapping boxes count an atom held by both once
-    assert joint.eval_many([BoxSet((wide, low)), BoxSet(), BoxSet((Box((0, 1), (0, 1)),))]) == [
-        F(1, 4), 0, 0,
-    ]
-
-
-def test_eval_many_wrong_geometry(line, spaces):
-    m = Measure(line, {"a": F(1)})
-    with pytest.raises(ParameterError):
-        m.eval_many([IntervalSet.single(0, 1), BoxSet()])
-    joint = Measure(ProductSpace(*spaces), {("a", "c"): F(1)})
-    with pytest.raises(ParameterError):
-        joint.eval_many([BoxSet(), IntervalSet()])
+    boxes = [BoxSet((wide, low)), BoxSet(), BoxSet((Box((0, 1), (0, 1)),))]
+    assert _Family(boxes).masses(joint) == [F(1, 4), 0, 0]
 
 
 # -- the per-axis mask kernel ----------------------------------------------
@@ -200,7 +190,7 @@ def _pointwise_masks(space: SpaceDesc, bits: dict) -> dict:
 @given(line_measures(), st.lists(intervals.map(tuple), max_size=8))
 def test_masks_match_the_pointwise_rule(m, ivs):
     bits = _bits(ivs)
-    assert _masks(m.space, m.space.keys, bits) == _pointwise_masks(m.space, bits)
+    assert _classify(m.space, m.space.keys, *_slots(bits)) == _pointwise_masks(m.space, bits)
 
 
 def test_masks_worked_cases():
@@ -208,7 +198,8 @@ def test_masks_worked_cases():
     space = SpaceDesc(tuple(Atom(f"p{i}", c) for i, c in enumerate(coords)))
     abutting = _bits([(F(0), F(1)), (F(1), F(2))])
     # -2 and 9/2 lie outside both; 0, 1 and 2 are endpoints, so in neither
-    assert list(_masks(space, space.keys, abutting).values()) == [0, 0, 1, 0, 2, 0, 0, 0, 0]
+    masks = _classify(space, space.keys, *_slots(abutting))
+    assert list(masks.values()) == [0, 0, 1, 0, 2, 0, 0, 0, 0]
     for ivs in (
         [],  # no intervals
         [(F(0), F(2))],  # one interval, atoms on both ends
@@ -216,9 +207,9 @@ def test_masks_worked_cases():
         [(F(-1), F(5)), (F(0), F(1)), (F(1), F(9, 2))],  # nested and abutting at 1
     ):
         bits = _bits(ivs)
-        assert _masks(space, space.keys, bits) == _pointwise_masks(space, bits)
+        assert _classify(space, space.keys, *_slots(bits)) == _pointwise_masks(space, bits)
     # only the given keys are classified
-    assert _masks(space, ["p2"], abutting) == {"p2": 1}
+    assert _classify(space, ["p2"], *_slots(abutting)) == {"p2": 1}
 
 
 # -- integer slot placement ------------------------------------------------
@@ -261,7 +252,7 @@ def test_slot_placement_equals_fraction_bisection(ends, others, ivs):
         assert axis.around(i) == (axis.slot(e - near), axis.slot(e), axis.slot(e + near))
     space = SpaceDesc(tuple(Atom(f"p{i}", c) for i, c in enumerate(coords or [F(0)])))
     bits = {iv: 1 << i for i, iv in enumerate(dict.fromkeys(map(tuple, ivs)))}
-    assert _masks(space, space.keys, bits) == _pointwise_masks(space, bits)
+    assert _classify(space, space.keys, *_slots(bits)) == _pointwise_masks(space, bits)
 
 
 @settings(max_examples=150, deadline=None)
@@ -412,7 +403,7 @@ def test_couple_mass_marginals_exact():
 def test_couple_mass_zero_and_mismatch(spaces):
     x, y = spaces
     lam = couple_mass(Measure.zero(x), Measure.zero(y))
-    assert lam.mass() == 0 and lam.support() == ()
+    assert lam.mass() == 0 and lam.weights == {}
     with pytest.raises(MassMismatchError):
         couple_mass(Measure(x, {"a": F(1)}), Measure.zero(y))
 

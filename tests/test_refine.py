@@ -40,7 +40,6 @@ from margcouple import (
     canonicalize,
     disjointify,
     intervalsets_disjoint,
-    rect_inner_approx,
     refine_grid,
 )
 
@@ -304,37 +303,8 @@ def test_cell_masses_match_per_cell_eval(seed):
 def test_refine_result_validation(grid):
     with pytest.raises(ParameterError):
         RefineResult(grid, 0, {})
-    rr = RefineResult(grid, F(1, 8), {(0, 0): 1, (0, 1): None, (1, 0): 0})
-    assert rr.owned() == [((0, 0), 1), ((1, 0), 0)]
-
-
-# -- inner approximation ---------------------------------------------------
-
-
-def test_rect_inner_approx_keeps_support_boxes(reference):
-    target = BoxSet(
-        (
-            Box((F(-1, 2), F(1, 2)), (F(-1, 2), F(1, 2))),
-            Box((5, 6), (5, 6)),
-        )
-    )
-    inner = rect_inner_approx(reference, target)
-    assert inner == BoxSet(target.boxes[:1])
-    # zero mass defect
-    assert reference.eval(target) == reference.eval(inner)
-    with pytest.raises(ParameterError):
-        rect_inner_approx(reference.push_proj(1), target)
-
-
-@pytest.mark.parametrize("seed", range(25))
-def test_rect_inner_approx_zero_defect(seed):
-    rng = random.Random(31337 + seed)
-    product = instances.random_product(rng)
-    ref = instances.random_joint(rng, product)
-    target = BoxSet(tuple(instances.random_box(rng) for _ in range(rng.randint(1, 3))))
-    inner = rect_inner_approx(ref, target)
-    assert boxset_within(inner, target)
-    assert ref.eval(target) == ref.eval(inner)
+    owner = {(0, 0): 1, (0, 1): None, (1, 0): 0}
+    assert RefineResult(grid, F(1, 8), owner).owner == owner
 
 
 # -- refinement ------------------------------------------------------------
@@ -365,7 +335,7 @@ def test_refine_grid_unsupported_target_owns_nothing(reference):
     # no reference mass in the target: nothing to protect, coarse delta
     far = BoxSet((Box((7, 8), (7, 8)),))
     rr = refine_grid(reference, [far], F(1, 5))
-    assert rr.owned() == []
+    assert set(rr.owner.values()) <= {None}
     assert rr.delta == F(1, 20)
     assert reference.eval(far) == 0
 
@@ -450,8 +420,7 @@ def test_refine_grid_matches_pointwise_route(seed):
     rng = random.Random(61000 + seed)
     ref = instances.random_joint(rng, instances.random_product(rng))
     targets = edge_targets(rng, ref) if seed % 2 else instances.random_disjoint_targets(rng)
-    inner, grid, delta, owner = pointwise_refine(ref, targets, F(1, 6))
-    assert [rect_inner_approx(ref, t) for t in targets] == inner
+    _, grid, delta, owner = pointwise_refine(ref, targets, F(1, 6))
     rr = refine_grid(ref, targets, F(1, 6))
     assert (rr.grid, rr.delta, rr.owner) == (grid, delta, owner)
 
@@ -469,10 +438,9 @@ def test_refine_grid_pointwise_on_edges():
     ]
     inner, grid, delta, owner = pointwise_refine(ref, targets, F(1, 5))
     assert inner == [BoxSet(targets[0].boxes[:1]), targets[1], BoxSet()]
-    assert [rect_inner_approx(ref, t) for t in targets] == inner
     rr = refine_grid(ref, targets, F(1, 5))
     assert (rr.grid, rr.delta, rr.owner) == (grid, delta, owner)
-    assert rr.owned() == [((0, 0), 0), ((1, 1), 1)]
+    assert {ix: o for ix, o in rr.owner.items() if o is not None} == {(0, 0): 0, (1, 1): 1}
     assert rr.delta == F(1, 40)
 
 
@@ -551,8 +519,7 @@ def test_refine_grid_equals_pointwise_refine(seed, disjoint):
     ref = instances.random_joint(rng, instances.random_product(rng))
     targets = lattice_targets(rng, ref, disjoint)
     if all(boxsets_disjoint(a, b) for i, a in enumerate(targets) for b in targets[i + 1 :]):
-        inner, grid, delta, owner = pointwise_refine(ref, targets, F(1, 6))
-        assert [rect_inner_approx(ref, t) for t in targets] == inner
+        _, grid, delta, owner = pointwise_refine(ref, targets, F(1, 6))
         rr = refine_grid(ref, targets, F(1, 6))
         assert (rr.grid, rr.delta, rr.owner) == (grid, delta, owner)
     else:

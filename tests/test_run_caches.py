@@ -342,7 +342,7 @@ def test_cached_values_equal_fresh_sums(seed):
         assert joint.push_proj(axis) is joint.push_proj(axis)
         assert joint.push_proj(axis).mass() == joint.mass()
     sets = tuple(instances.random_disjoint_targets(rng))
-    first, again = (Neighborhood(joint, list(sets), 1)._center_masses for _ in range(2))
+    first, again = (Neighborhood(joint, list(sets), 1)._compiled[1] for _ in range(2))
     assert first == tuple(joint.eval(s) for s in sets)
     assert again is first
     grid = instances.random_grid(rng)

@@ -25,10 +25,10 @@ from margcouple import (
     RefineResult,
     Seed,
     SpaceDesc,
-    admissible_delta,
     certify_openness,
     check_band_bound,
     check_box_diff_bound,
+    construct_preimage,
     couple_mass,
     marginal_pair,
     oracle_couple,
@@ -346,7 +346,6 @@ _ROW = IntervalSet.single(0, 1)
 @pytest.mark.parametrize(
     "call, text",
     [
-        (lambda eps: admissible_delta(eps), "tolerance must be positive"),
         (lambda eps: RefineResult(instances.worked_grid(), eps), "refinement delta must be positive"),
         (lambda eps: refine_grid(_REF, instances.worked_targets(), eps), "eps0 must be positive"),
         (lambda eps: certify_openness(_REF, instances.worked_targets(), eps, 1, Seed(1)),
@@ -469,7 +468,7 @@ def test_certify_worked_fixture_passes(reference, targets):
     assert report.trials == 25
     assert report.violations == ()
     rr = refine_grid(reference, targets, F(1, 5))
-    floor = -min(admissible_delta(F(1, 5)), rr.delta)
+    floor = -min(F(1, 5) / 2, rr.delta)
     assert report.min_observed_gap > floor
 
 
@@ -488,6 +487,19 @@ def test_certify_guards(reference, targets):
         certify_openness(reference, targets, F(1, 5), True, Seed(1))
     with pytest.raises(ParameterError):
         certify_openness(reference, targets, 0, 10, Seed(1))
+    # a reference that is no probability is named as such, after the targets, trials and eps
+    half = reference.scale(F(1, 2))
+    with pytest.raises(MassMismatchError) as exc:
+        certify_openness(half, targets, F(1, 5), 10, Seed(1))
+    assert str(exc.value) == "reference must be a probability, has mass 1/2"
+    for args, text in [
+        (([], F(1, 5), 10), "certify_openness needs at least one target set"),
+        ((targets, F(1, 5), 0), "trials must be a positive integer"),
+        ((targets, 0, 10), "eps must be positive"),
+    ]:
+        with pytest.raises(ParameterError) as exc:
+            certify_openness(half, *args, Seed(1))
+        assert str(exc.value) == text
 
 
 def test_certify_detects_broken_combination_rule(reference, targets, monkeypatch):
@@ -515,18 +527,39 @@ def test_certify_records_cell_then_target_membership(reference, targets, monkeyp
     eps = F(1, 5)
     monkeypatch.setattr(verify, "construct_preimage", _product_preimage)
     report = certify_openness(reference, targets, eps, 6, Seed(7))
-    cells = tuple(cell for _, cell in refine_grid(reference, targets, eps).grid.cells())
-    cell_hood = Neighborhood(reference, cells, eps)
+    refinement = refine_grid(reference, targets, eps)
+    cells = dict(refinement.grid.cells())
+    cell_hood = Neighborhood(reference, tuple(cells.values()), eps)
     target_hood = Neighborhood(reference, tuple(targets), eps)
-    # the product of near-diagonal marginals holds about 1/4 on each diagonal cell, not 1/2
+    # the product of near-diagonal marginals holds about 1/4 on each diagonal cell, not 1/2;
+    # the report lists no drops, so the shortfall is read off the trial's own bin
+    reasons = ("cell-shortfall", "cell-membership", "target-membership")
     assert [(v.trial, v.reason) for v in report.violations] == [
-        (t, reason) for t in range(6) for reason in ("cell-membership", "target-membership")
+        (t, reason) for t in range(6) for reason in reasons
     ]
-    for cell_v, target_v in zip(report.violations[::2], report.violations[1::2]):
+    for short_v, cell_v, target_v in zip(*[iter(report.violations)] * 3):
         coupling = tensor(cell_v.mu, cell_v.nu)
+        drops = {ix: coupling.eval(c) - reference.eval(c) for ix, c in cells.items()}
+        first = next(ix for ix, drop in drops.items() if drop <= -refinement.delta)
+        assert (short_v.cell, short_v.gap) == (first, drops[first])
         assert cell_v.gap == cell_hood.gap(coupling) <= -eps
         assert target_v.gap == target_hood.gap(coupling) <= -eps
     assert report.min_observed_gap == min(v.gap for v in report.violations)
+
+
+def test_certify_records_marginal_mismatch(reference, targets, monkeypatch):
+    # a construction that couples the reference's own marginals, whatever it is asked
+    marginals = (reference.push_proj(1), reference.push_proj(2))
+
+    def own(ref, grid, mu, nu):
+        return construct_preimage(ref, grid, *marginals)
+
+    monkeypatch.setattr(verify, "construct_preimage", own)
+    report = certify_openness(reference, targets, F(1, 5), 6, Seed(7))
+    assert report.violations
+    for v in report.violations:
+        assert v.reason == "marginal-mismatch"
+        assert (v.mu, v.nu) != marginals
 
 
 _CONSTRUCTIONS = {

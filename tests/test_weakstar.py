@@ -8,6 +8,8 @@ import pytest
 import instances
 from margcouple import (
     Atom,
+    Box,
+    BoxSet,
     IntervalSet,
     Measure,
     Neighborhood,
@@ -39,6 +41,24 @@ def test_validation(center):
         Neighborhood(center, SETS, 0)
     with pytest.raises(ParameterError):
         Neighborhood(center, (), F(1, 10))
+
+
+def test_mixed_geometry_is_refused(line, center):
+    # a line centre takes interval sets only, a product centre box sets only
+    with pytest.raises(ParameterError) as exc:
+        Neighborhood(center, (IntervalSet.single(0, 1), BoxSet()), F(1, 10))
+    assert str(exc.value) == "a line measure evaluates interval sets only"
+    joint = Measure(ProductSpace(line, line), {("a", "b"): F(1)})
+    with pytest.raises(ParameterError) as exc:
+        Neighborhood(joint, (BoxSet(), IntervalSet()), F(1, 10))
+    assert str(exc.value) == "a product measure evaluates box sets only"
+    # a candidate is checked against the sets' geometry too
+    with pytest.raises(ParameterError) as exc:
+        Neighborhood(center, SETS, F(1, 10)).gap(joint)
+    assert str(exc.value) == "a product measure evaluates box sets only"
+    with pytest.raises(ParameterError) as exc:
+        Neighborhood(joint, (BoxSet((Box((0, 1), (0, 1)),)),), F(1, 10)).gap(center)
+    assert str(exc.value) == "a line measure evaluates interval sets only"
 
 
 def test_center_is_member(center):
