@@ -7,11 +7,11 @@ before any work.  :func:`record` gives the package's value classes the
 behaviour they used, from one ``exec`` of three methods per class and
 three methods shared by all.  What it keeps:
 
-* ``__init__`` taking the annotated fields, in order, positionally or by
-  keyword, with class-level defaults; a :class:`factory` default is built
-  fresh for each instance.  A missing, extra or repeated argument is the
-  interpreter's own ``TypeError``.  ``__post_init__`` runs last, when the
-  class has one, and may set fields with ``object.__setattr__``.
+* ``__init__`` taking every annotated field, in order, positionally or by
+  keyword.  No field has a default, so a missing, extra or repeated
+  argument is the interpreter's own ``TypeError``.  ``__post_init__`` runs
+  last, when the class has one, and may set fields with
+  ``object.__setattr__``.
 * Freezing: assigning or deleting any attribute raises
   :class:`FrozenInstanceError`, an ``AttributeError``.  ``functools.cached_property``
   still works, since it writes the instance ``__dict__`` directly.
@@ -31,18 +31,9 @@ no recursive-repr guard (records never contain themselves) and no field
 inheritance (no record subclasses another).
 """
 
-_MISSING = object()
-
 
 class FrozenInstanceError(AttributeError):
     """A field of a frozen record was assigned or deleted."""
-
-
-class factory:
-    """A field default built by ``make()`` for each instance: ``owner: dict = factory(dict)``."""
-
-    def __init__(self, make):
-        self.make = make
 
 
 def _frozen_setattr(self, name, value):
@@ -61,28 +52,14 @@ def _repr(self):
 def record(cls):
     """Make ``cls`` a frozen record of its annotated fields; see the module docstring."""
     names = tuple(cls.__annotations__)
-    ns = {"__name__": cls.__module__, "_set": object.__setattr__, "_MISSING": _MISSING}
-    params, body = [], []
-    for name in names:
-        default = cls.__dict__.get(name, _MISSING)
-        value = name
-        if isinstance(default, factory):
-            delattr(cls, name)
-            ns[f"_make_{name}"] = default.make
-            params.append(f"{name}=_MISSING")
-            value = f"_make_{name}() if {name} is _MISSING else {name}"
-        elif default is not _MISSING:
-            ns[f"_default_{name}"] = default
-            params.append(f"{name}=_default_{name}")
-        else:
-            params.append(name)
-        body.append(f"    _set(self, {name!r}, {value})\n")
+    ns = {"__name__": cls.__module__, "_set": object.__setattr__}
+    body = [f"    _set(self, {name!r}, {name})\n" for name in names]
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()\n")
     mine = "".join(f"self.{name}," for name in names)
     theirs = "".join(f"other.{name}," for name in names)
     exec(
-        f"def __init__(self, {', '.join(params)}):\n{''.join(body)}"
+        f"def __init__(self, {', '.join(names)}):\n{''.join(body)}"
         "def __eq__(self, other):\n"
         "    if other.__class__ is self.__class__:\n"
         f"        return ({mine}) == ({theirs})\n"
@@ -92,9 +69,8 @@ def record(cls):
         ns,
     )
     for method in ("__init__", "__eq__", "__hash__"):
-        fn = ns[method]
-        fn.__qualname__ = f"{cls.__qualname__}.{method}"
-        setattr(cls, method, fn)
+        ns[method].__qualname__ = f"{cls.__qualname__}.{method}"
+        setattr(cls, method, ns[method])
     cls._fields = names
     cls.__repr__ = _repr
     cls.__setattr__ = _frozen_setattr

@@ -127,9 +127,9 @@ def _field(doc, name, path, kind=None):
     return value
 
 
-def _build(path, factory, *args, **kwargs):
+def _build(path, cls, *args, **kwargs):
     try:
-        return factory(*args, **kwargs)
+        return cls(*args, **kwargs)
     except Error as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 

@@ -77,7 +77,7 @@ from functools import cached_property
 from itertools import accumulate
 from math import lcm
 
-from ._record import factory, record
+from ._record import record
 from .errors import (
     MassMismatchError,
     NegativeWeightError,
@@ -224,7 +224,7 @@ class Measure:
     """A nonnegative finitely supported measure on a ground space."""
 
     space: Space
-    weights: dict = factory(dict)
+    weights: dict
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _normalized(self.space, self.weights))
@@ -401,7 +401,7 @@ class MetaMeasure:
     """A finitely supported measure on measures over one common base space."""
 
     space: Space
-    components: tuple = ()
+    components: tuple
 
     def __post_init__(self):
         comps = []

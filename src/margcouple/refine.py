@@ -34,7 +34,7 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import product
 
-from ._record import factory, record
+from ._record import record
 from .errors import ParameterError
 from .measure import Measure, _Axis, _slots
 from .space import (
@@ -121,7 +121,7 @@ def _piece_slots(pieces: Sequence[IntervalSet], label: str) -> tuple[_Axis, list
 class RefineResult:
     grid: Grid
     delta: Fraction
-    owner: dict = factory(dict)  # cell index -> target index or None
+    owner: dict  # cell index -> target index or None
 
     def __post_init__(self):
         object.__setattr__(self, "delta", as_positive(self.delta, "refinement delta"))

@@ -177,7 +177,7 @@ class IntervalSet:
     from unsorted or overlapping raw pairs.
     """
 
-    intervals: tuple[Interval, ...] = ()
+    intervals: tuple[Interval, ...]
 
     def __post_init__(self):
         ivs = tuple(_interval(iv) for iv in self.intervals)
@@ -260,7 +260,7 @@ class Box:
 class BoxSet:
     """A finite union of open boxes; constituents may overlap each other."""
 
-    boxes: tuple[Box, ...] = ()
+    boxes: tuple[Box, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "boxes", tuple(self.boxes))

@@ -395,17 +395,17 @@ class Violation:
     trial: int
     seed: Seed
     reason: str
-    cell: tuple | None = None
-    gap: Fraction | None = None
-    mu: Measure | None = None
-    nu: Measure | None = None
+    cell: tuple | None
+    gap: Fraction | None
+    mu: Measure | None
+    nu: Measure | None
 
 
 @record
 class CertReport:
     trials: int
-    violations: tuple = ()
-    min_observed_gap: Fraction | None = None
+    violations: tuple
+    min_observed_gap: Fraction | None
 
     @property
     def passed(self) -> bool:
@@ -485,6 +485,8 @@ def certify_openness(
     eps = as_positive(eps, "eps")
     if reference.mass() != 1:
         raise MassMismatchError(f"reference must be a probability, has mass {reference.mass()}")
+    if not isinstance(reference.space, ProductSpace):
+        raise ParameterError("reference must be a product measure")
     refinement = refine_grid(reference, targets, eps)
     grid, delta = refinement.grid, refinement.delta
     hood = Neighborhood(reference, tuple(targets), eps)

@@ -498,6 +498,11 @@ def test_dispatch_after_a_refused_flag_matches_a_fresh_process(capsys, monkeypat
     assert out.encode() == fresh.stdout
 
 
+def test_check_rejects_product_sets(capsys):
+    got = run(capsys, "check", REFERENCE, "--lemma", "4", "--sets", TARGETS, "--eps", "3/5")
+    assert got == (2, "", f"error: {TARGETS}: check takes line geometry sets\n")
+
+
 def test_refine_rejects_line_sets(capsys):
     code, _, err = run(capsys, "refine", REFERENCE, BAND_SETS, "--eps0", "1/5")
     assert code == 2

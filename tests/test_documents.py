@@ -655,9 +655,10 @@ def test_grid_document_shape():
 
 _DROP = object()
 
-# the record kinds, each read field by field in document order: (kind, edits
-# to the worked instance's document as (key path, new value or _DROP), the
-# SchemaError's text); with two faults the field first in the document wins
+# the record kinds, each read field by field in document order, and the
+# sets and refine_result kinds' own checks: (kind, edits to the worked
+# instance's document as (key path, new value or _DROP), the SchemaError's
+# text); with two faults the field first in the document wins
 RECORD_FAULTS = {
     "product-x-missing": ("product_space", [(("x",), _DROP)], "product_space.x: missing"),
     "product-y-not-object": ("product_space", [(("y",), [])], "product_space.y: wrong type list"),
@@ -745,6 +746,13 @@ RECORD_FAULTS = {
     "cert-min-gap-and-trial-faults": (
         "cert_report", [(("violations", 0, "trial"), 2), (("min_observed_gap",), "0.5")],
         "cert_report.min_observed_gap: expected a rational string like '1/10', got '0.5'"),
+    "sets-geometry-plane": (
+        "sets", [(("geometry",), "plane")], "sets.geometry: expected line or product, got 'plane'"),
+    "sets-box-not-a-pair": (
+        "sets", [(("sets", 0, "boxes", 0), [["0", "1"]])], "sets.sets[0].boxes[0]: expected [col, row]"),
+    "refine-last-cell-dropped": (
+        "refine_result", [(("cells", -1), _DROP)],
+        "refine_result.cells: cell list does not match the grid shape"),
 }
 
 
@@ -759,6 +767,8 @@ def test_malformed_record_messages_word_for_word(name):
             "grid": instances.worked_grid,
             "marginal_pair": lambda: marginal_pair(reference),
             "cert_report": lambda: _violation_reports()[1],
+            "sets": lambda: SetsDocument(tuple(instances.worked_targets())),
+            "refine_result": lambda: refine_grid(reference, instances.worked_targets(), F(1, 5)),
         }[kind]()
     )
     for keys, value in edits:

@@ -139,7 +139,7 @@ def test_one_family_serves_many_measures(data, product):
     """
     measures = product_measures() if product else line_measures()
     sets = data.draw(st.lists(box_sets if product else interval_sets, min_size=1, max_size=5))
-    sets += [sets[0], BoxSet() if product else IntervalSet()]
+    sets += [sets[0], BoxSet(()) if product else IntervalSet(())]
     sets.insert(data.draw(st.integers(0, len(sets))), _ABUTTING_BOXES if product else _ABUTTING_LINE)
     center = data.draw(measures)
     hood = Neighborhood(center, sets, F(1, 10))
@@ -157,7 +157,7 @@ def test_eval_many_worked_cases(line, spaces):
         IntervalSet.single(0, 1),  # both ends on atoms: empty
         IntervalSet.single(F(-1, 2), F(3, 2)),
         IntervalSet(((F(-1, 2), F(1, 2)), (F(3, 2), F(5, 2)))),
-        IntervalSet(),
+        IntervalSet(()),
     ]
     assert _Family(sets).masses(m) == [0, F(5, 6), F(2, 3), 0]
     assert _Family([]).masses(m) == []
@@ -166,7 +166,7 @@ def test_eval_many_worked_cases(line, spaces):
     wide = Box((F(-1, 2), F(3, 2)), (F(-1, 2), F(1, 2)))
     low = Box((F(-1, 2), F(1, 2)), (F(-1, 2), F(3, 2)))
     # overlapping boxes count an atom held by both once
-    boxes = [BoxSet((wide, low)), BoxSet(), BoxSet((Box((0, 1), (0, 1)),))]
+    boxes = [BoxSet((wide, low)), BoxSet(()), BoxSet((Box((0, 1), (0, 1)),))]
     assert _Family(boxes).masses(joint) == [F(1, 4), 0, 0]
 
 
@@ -406,6 +406,10 @@ def test_couple_mass_zero_and_mismatch(spaces):
     assert lam.mass() == 0 and lam.weights == {}
     with pytest.raises(MassMismatchError):
         couple_mass(Measure(x, {"a": F(1)}), Measure.zero(y))
+    joint = Measure.zero(ProductSpace(x, y))
+    with pytest.raises(ParameterError) as exc:
+        couple_mass(joint, joint)
+    assert str(exc.value) == "couple_mass takes line measures"
 
 
 @given(st.data())

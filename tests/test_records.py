@@ -4,8 +4,8 @@ Every public value class is a frozen record of its fields.  These tests pin
 what callers, error messages and documents see of that: positional and
 keyword construction, equality and hash over the field tuple (never equal
 across classes), the repr text ``Name(field=value, ...)`` that error
-messages embed, the defaults, refusal to assign or delete a field, and the
-``TypeError`` of a missing or extra argument.
+messages embed, refusal to assign or delete a field, and the ``TypeError``
+of a missing or extra argument: every field is required.
 """
 
 from fractions import Fraction
@@ -78,17 +78,6 @@ _FIELDS = {
     CheckDocument: ("lemma", "result"),
 }
 
-# class -> how many trailing fields have a default
-_DEFAULTED = {
-    IntervalSet: 1,
-    BoxSet: 1,
-    Measure: 1,
-    MetaMeasure: 1,
-    RefineResult: 1,
-    Violation: 4,
-    CertReport: 2,
-}
-
 # class -> two argument tuples of distinct records, in field order
 _ARGS = {
     Atom: (("a", F(0)), ("a", F(1))),
@@ -102,8 +91,8 @@ _ARGS = {
     MarginalPair: ((MU, MU), (MU, Measure(LINE, {"a": F(1)}))),
     CellAlloc: ((F(1), F(2), F(1)), (F(1), F(2), F(2))),
     PreimageReport: (
-        (JOINT, JOINT, Measure(PLANE), {(0, 0): CellAlloc(F(1), F(1), F(1))}, {(0, 0): F(0)}),
-        (JOINT, Measure(PLANE), JOINT, {}, {}),
+        (JOINT, JOINT, Measure(PLANE, {}), {(0, 0): CellAlloc(F(1), F(1), F(1))}, {(0, 0): F(0)}),
+        (JOINT, Measure(PLANE, {}), JOINT, {}, {}),
     ),
     Grid: (((IV,), (IV,)), ((IV,), (IV, IntervalSet(((F(1), F(2)),))))),
     RefineResult: ((GRID, F(1, 10), {(0, 0): 0}), (GRID, F(1, 10), {(0, 0): None})),
@@ -114,7 +103,10 @@ _ARGS = {
         (0, Seed(7), "cell", (0, 1), F(-1, 10), MU, MU),
         (0, Seed(7), "cell", None, None, None, None),
     ),
-    CertReport: ((3, (), F(1, 40)), (3, (Violation(0, Seed(7), "cell"),), None)),
+    CertReport: (
+        (3, (), F(1, 40)),
+        (3, (Violation(0, Seed(7), "cell", None, None, None, None),), None),
+    ),
     SetsDocument: (((IV,),), ((BoxSet((BOX,)),),)),
     CheckDocument: ((4, CHECK), (5, CHECK)),
 }
@@ -254,32 +246,17 @@ def test_equality_and_hash_follow_the_field_tuple(cls):
 
 def test_records_of_different_classes_never_compare_equal():
     # same field values, different class
-    assert IntervalSet() != BoxSet()
-    assert BoxSet().__eq__(IntervalSet()) is NotImplemented
-    assert Seed(5) != CertReport(5)
-    assert IntervalSet() == IntervalSet() and BoxSet() == BoxSet()
-    assert hash(IntervalSet()) == hash(BoxSet()) == hash(((),))
-    assert len({IntervalSet(), IntervalSet(), BoxSet()}) == 2
+    assert IntervalSet(()) != BoxSet(())
+    assert BoxSet(()).__eq__(IntervalSet(())) is NotImplemented
+    assert Seed(5) != CertReport(5, (), None)
+    assert IntervalSet(()) == IntervalSet(()) and BoxSet(()) == BoxSet(())
+    assert hash(IntervalSet(())) == hash(BoxSet(())) == hash(((),))
+    assert len({IntervalSet(()), IntervalSet(()), BoxSet(())}) == 2
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_repr_names_every_field(cls):
     assert repr(cls(*_ARGS[cls][0])) == _REPRS[cls]
-
-
-def test_defaults():
-    assert Measure(LINE).weights == {}
-    assert Measure(LINE).weights is not Measure(LINE).weights  # a fresh dict each time
-    assert RefineResult(GRID, F(1, 10)).owner == {}
-    assert RefineResult(GRID, F(1, 10)).owner is not RefineResult(GRID, F(1, 10)).owner
-    assert IntervalSet().intervals == ()
-    assert BoxSet().boxes == ()
-    assert MetaMeasure(LINE).components == ()
-    report = CertReport(3)
-    assert (report.trials, report.violations, report.min_observed_gap) == (3, (), None)
-    v = Violation(1, Seed(2), "target 0")
-    assert (v.cell, v.gap, v.mu, v.nu) == (None, None, None, None)
-    assert v == Violation(1, Seed(2), "target 0", None, None, None, None)
 
 
 def test_post_init_normalises_fields():
@@ -289,7 +266,7 @@ def test_post_init_normalises_fields():
     assert Box([0, 1], ["1/2", 1]).row == (F(1, 2), F(1))
     assert BoxSet([BOX]).boxes == (BOX,)
     assert Grid([IV], [IV]) == GRID
-    assert RefineResult(GRID, "1/10").delta == F(1, 10)
+    assert RefineResult(GRID, "1/10", {}).delta == F(1, 10)
     assert Neighborhood(MU, [IV], "1/5").sets == (IV,)
     assert MetaMeasure(LINE, [(1, MU)]).components == ((F(1), MU),)
     assert SetsDocument([IV]).sets == (IV,)
@@ -313,19 +290,22 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
 def test_missing_or_extra_argument_is_a_type_error(cls):
     names = _FIELDS[cls]
     args = _ARGS[cls][0]
-    required = len(names) - _DEFAULTED.get(cls, 0)
-    cls(*args[:required])
-    if required:
-        with pytest.raises(TypeError, match=names[0]):
-            cls(**{k: v for k, v in _kwargs(cls, args).items() if k != names[0]})
-        with pytest.raises(TypeError, match=names[required - 1]):
-            cls(*args[: required - 1])
+    with pytest.raises(TypeError, match=names[0]):
+        cls(**{k: v for k, v in _kwargs(cls, args).items() if k != names[0]})
+    with pytest.raises(TypeError, match=names[-1]):
+        cls(*args[:-1])
     with pytest.raises(TypeError):
         cls(*args, None)
     with pytest.raises(TypeError, match="nope"):
         cls(*args, nope=1)
     with pytest.raises(TypeError, match=names[-1]):  # given twice
         cls(*args, **{names[-1]: args[-1]})
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_no_field_has_a_class_level_value(cls):
+    # the generated __init__ would ignore it, so a default there only misleads
+    assert sorted(set(_FIELDS[cls]) & vars(cls).keys()) == []
 
 
 @pytest.mark.parametrize(
@@ -347,19 +327,19 @@ def test_missing_or_extra_argument_is_a_type_error(cls):
          "meta-measure components must share the base space"),
         (lambda: MarginalPair(MU, Measure(LINE, {"a": F(1, 2)})), MassMismatchError,
          "marginals carry masses 1 and 1/2"),
-        (lambda: PreimageReport(JOINT, Measure(PLANE), Measure(PLANE), {}, {}),
+        (lambda: PreimageReport(JOINT, Measure(PLANE, {}), Measure(PLANE, {}), {}, {}),
          InternalConsistencyError, "coupling must split into grid part plus remainder"),
-        (lambda: Grid((IV, IntervalSet()), (IV,)), ParameterError, "empty column piece in grid"),
-        (lambda: Grid((IV,), (IntervalSet(),)), ParameterError, "empty row piece in grid"),
-        (lambda: RefineResult(GRID, 0), ParameterError, "refinement delta must be positive"),
+        (lambda: Grid((IV, IntervalSet(())), (IV,)), ParameterError, "empty column piece in grid"),
+        (lambda: Grid((IV,), (IntervalSet(()),)), ParameterError, "empty row piece in grid"),
+        (lambda: RefineResult(GRID, 0, {}), ParameterError, "refinement delta must be positive"),
         (lambda: Neighborhood(MU, (IV,), 0), ParameterError,
          "neighborhood tolerance must be positive"),
         (lambda: Neighborhood(MU, (), 1), ParameterError, "neighborhood needs at least one set"),
-        (lambda: Neighborhood(MU, (BoxSet(),), 1), ParameterError,
+        (lambda: Neighborhood(MU, (BoxSet(()),), 1), ParameterError,
          "a line measure evaluates interval sets only"),
         (lambda: Seed(-1), ParameterError, "seed must be a 64-bit unsigned integer, got -1"),
         (lambda: Seed(True), ParameterError, "seed must be a 64-bit unsigned integer, got True"),
-        (lambda: SetsDocument((IV, BoxSet())), SchemaError,
+        (lambda: SetsDocument((IV, BoxSet(()))), SchemaError,
          "sets document must hold one geometry only"),
         (lambda: CheckDocument(3, CHECK), SchemaError, "unknown check rule 3"),
     ],

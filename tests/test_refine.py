@@ -329,6 +329,9 @@ def test_refine_grid_rejects_overlapping_targets(reference):
         refine_grid(reference, overlapping, F(1, 5))
     with pytest.raises(ParameterError):
         refine_grid(reference, [BoxSet((box,))], 0)
+    with pytest.raises(ParameterError) as exc:
+        refine_grid(reference.push_proj(1), [BoxSet((box,))], F(1, 5))
+    assert str(exc.value) == "refine_grid needs a product measure"
 
 
 def test_refine_grid_unsupported_target_owns_nothing(reference):
@@ -437,7 +440,7 @@ def test_refine_grid_pointwise_on_edges():
         BoxSet((Box((1, 2), (2, 3)),)),  # (1, 3) is its corner: no support inside
     ]
     inner, grid, delta, owner = pointwise_refine(ref, targets, F(1, 5))
-    assert inner == [BoxSet(targets[0].boxes[:1]), targets[1], BoxSet()]
+    assert inner == [BoxSet(targets[0].boxes[:1]), targets[1], BoxSet(())]
     rr = refine_grid(ref, targets, F(1, 5))
     assert (rr.grid, rr.delta, rr.owner) == (grid, delta, owner)
     assert {ix: o for ix, o in rr.owner.items() if o is not None} == {(0, 0): 0, (1, 1): 1}

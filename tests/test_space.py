@@ -113,6 +113,9 @@ def test_product_space_keys_are_x_major():
         assert p.position(bad) is None
     keys = [*reversed(p.keys), ("c", "a"), ("a",), ("a", "c", "d"), "ac", ("a", "z")]
     assert p.positions(keys) == [p.position(k) for k in keys]
+    with pytest.raises(ParameterError) as exc:
+        p.coord_of(("zz", "c"))
+    assert str(exc.value) == "unknown product atom ('zz', 'c')"
 
 
 # -- canonical interval form ----------------------------------------------

@@ -4,7 +4,9 @@ A name counts as used when a module other than ``__init__`` names it in
 code or imports it, read from the modules' syntax trees, so strings and
 docstrings do not count.  Imports count because ``cli`` reaches its two
 checks through ``globals()``.  The exports that only the tests use are
-listed with the reason each is kept.
+listed with the reason each is kept.  A module-level function or class
+that is not exported must be used the same way, where an attribute read
+(``module.name``) counts too.
 """
 
 import ast
@@ -24,17 +26,26 @@ TESTS_ONLY = {
 }
 
 
-def _names_in_use() -> set:
-    """The names the modules other than ``__init__`` use in code or import."""
+def _trees():
+    """(file name, syntax tree) of each module of the package."""
+    for path in sorted(SRC.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _names_in_use(attributes=False) -> set:
+    """The names the modules other than ``__init__`` use in code or import, and
+    with ``attributes`` the attribute names they read."""
     used = set()
-    for path in SRC.glob("*.py"):
-        if path.name == "__init__.py":
+    for name, tree in _trees():
+        if name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.alias):
                 used.add(node.asname or node.name)
+            elif attributes and isinstance(node, ast.Attribute):
+                used.add(node.attr)
     return used
 
 
@@ -45,3 +56,14 @@ def test_every_export_is_used_by_the_package_or_listed_as_tests_only():
 def test_the_tests_only_list_names_unused_exports():
     assert TESTS_ONLY.keys() <= set(margcouple.__all__)
     assert sorted(TESTS_ONLY.keys() & _names_in_use()) == []
+
+
+def test_every_unexported_definition_is_used_by_the_package():
+    used = _names_in_use(attributes=True) | set(margcouple.__all__)
+    unused = [
+        f"{name}: {node.name}"
+        for name, tree in _trees()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
+    ]
+    assert unused == []

@@ -346,7 +346,7 @@ _ROW = IntervalSet.single(0, 1)
 @pytest.mark.parametrize(
     "call, text",
     [
-        (lambda eps: RefineResult(instances.worked_grid(), eps), "refinement delta must be positive"),
+        (lambda eps: RefineResult(instances.worked_grid(), eps, {}), "refinement delta must be positive"),
         (lambda eps: refine_grid(_REF, instances.worked_targets(), eps), "eps0 must be positive"),
         (lambda eps: certify_openness(_REF, instances.worked_targets(), eps, 1, Seed(1)),
          "eps must be positive"),
@@ -442,7 +442,7 @@ def test_check_values_on_endpoints_and_empty_sets():
     x = SpaceDesc(tuple(Atom(f"x{i}", F(i, 2)) for i in range(7)))
     y = SpaceDesc(tuple(Atom(f"y{i}", F(i, 2)) for i in range(7)))
     ref = Measure(ProductSpace(x, y), {k: F(1, 49) for k in ProductSpace(x, y).keys})
-    empty = IntervalSet()
+    empty = IntervalSet(())
     pair = IntervalSet(((F(0), F(1)), (F(1), F(2))))  # abutting: 1 is no member
     whole = IntervalSet.single(F(0), F(3))
     for co, ci, ro, ri in [
@@ -500,6 +500,14 @@ def test_certify_guards(reference, targets):
         with pytest.raises(ParameterError) as exc:
             certify_openness(half, *args, Seed(1))
         assert str(exc.value) == text
+    # a line reference is certify's reference, not refine_grid's; its mass is checked first
+    line = reference.push_proj(1)
+    with pytest.raises(ParameterError) as exc:
+        certify_openness(line, targets, F(1, 5), 3, Seed(1))
+    assert str(exc.value) == "reference must be a product measure"
+    with pytest.raises(MassMismatchError) as exc:
+        certify_openness(line.scale(F(1, 2)), targets, F(1, 5), 3, Seed(1))
+    assert str(exc.value) == "reference must be a probability, has mass 1/2"
 
 
 def test_certify_detects_broken_combination_rule(reference, targets, monkeypatch):

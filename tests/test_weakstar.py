@@ -46,11 +46,11 @@ def test_validation(center):
 def test_mixed_geometry_is_refused(line, center):
     # a line centre takes interval sets only, a product centre box sets only
     with pytest.raises(ParameterError) as exc:
-        Neighborhood(center, (IntervalSet.single(0, 1), BoxSet()), F(1, 10))
+        Neighborhood(center, (IntervalSet.single(0, 1), BoxSet(())), F(1, 10))
     assert str(exc.value) == "a line measure evaluates interval sets only"
     joint = Measure(ProductSpace(line, line), {("a", "b"): F(1)})
     with pytest.raises(ParameterError) as exc:
-        Neighborhood(joint, (BoxSet(), IntervalSet()), F(1, 10))
+        Neighborhood(joint, (BoxSet(()), IntervalSet(())), F(1, 10))
     assert str(exc.value) == "a product measure evaluates box sets only"
     # a candidate is checked against the sets' geometry too
     with pytest.raises(ParameterError) as exc:
