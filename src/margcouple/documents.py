@@ -13,11 +13,17 @@ rational belongs.
 
 Measure weights, the bulk of most documents, cost one small fixed step
 each.  A line measure writes an object keyed by atom id, a product measure
-a list of ``[[x, y], "p/q"]`` entries that :func:`_write` lays out from one
-format string per indent level.  Reading tests each entry with exact type
-checks and one ``_RATIONAL`` match, and builds a field's path only for its
-error; the weights then go through the strict ``Measure(space, weights)``,
-which rejects unknown atoms and negative weights.
+a list of ``[[x, y], "p/q"]`` entries.  The document tree holds the
+``Measure`` itself, and :func:`_write` lays its weights out directly: each
+atom's quoted id and the layout around it are built once per atom of the
+space, and each weight is then one string, with no list or dict per weight.
+The tests keep their own ``to_document``, which builds a document's plain
+JSON value with each weight written by :func:`format_rational`, as the
+reference ``dumps`` is checked against.  Reading tests each entry with
+exact type checks and one ``_RATIONAL`` match, and builds a field's path
+only for its error; the weights then go through the strict
+``Measure(space, weights)``, which rejects unknown atoms and negative
+weights.
 
 The record kinds (``product_space``, ``grid``, ``marginal_pair``,
 ``cert_report`` and its violations) are field tables given to
@@ -54,15 +60,19 @@ SCHEMA_VERSION = 1
 _INT_LIMIT = 2**63
 
 
+def _too_large() -> SchemaError:
+    """The error for a number str() refuses: one past the interpreter's int-string digit limit."""
+    return SchemaError(f"number too large to write (over {sys.get_int_max_str_digits()} digits)")
+
+
 def format_rational(x: Fraction) -> str:
     """x as "p/q", or "p" when q == 1; only a Fraction or an int is written."""
     if type(x) is not Fraction and type(x) is not int:  # a float or a bool would pass str()
         raise SchemaError(f"cannot write a {type(x).__name__} as a rational")
     try:
         return str(x)
-    except ValueError:  # beyond the interpreter's int-string digit limit
-        limit = sys.get_int_max_str_digits()
-        raise SchemaError(f"number too large to write (over {limit} digits)") from None
+    except ValueError:
+        raise _too_large() from None
 
 
 def _fraction(raw) -> Fraction | str:
@@ -216,18 +226,37 @@ def _parse_space(doc, path) -> SpaceDesc:
 # measures
 
 
-class _PairWeights(list):
-    """A product measure's [[x, y], "p/q"] entries, which _write lays out from one template."""
-
-
 def _measure_body(m: Measure) -> dict:
-    if isinstance(m.space, ProductSpace):
-        weights = _PairWeights(
-            [[[kx, ky], format_rational(w)] for (kx, ky), w in m.weights.items()]
-        )
-    else:
-        weights = {k: format_rational(w) for k, w in m.weights.items()}
-    return {"space": _tagged(m.space), "weights": weights}
+    return {"space": _tagged(m.space), "weights": m}  # _write lays the weights out from m
+
+
+def _weights(m: Measure, nl: str) -> str:
+    """m's weights as _write writes their JSON value; nl as for _write.
+
+    Each atom's quoted id and the layout around it are built once per atom
+    of the space.  A weight is then one string, its atoms' prefixes and its
+    plain ``str``; the layout that closes it is written by the join.  A
+    measure's weights are Fractions, so only the int-string digit limit can
+    stop them being written.
+    """
+    product = isinstance(m.space, ProductSpace)
+    if not m.weights:
+        return "[]" if product else "{}"
+    inner = nl + "  "
+    try:
+        if product:
+            i2, i3 = inner + "  ", inner + "    "
+            xs = {x: "[" + i2 + "[" + i3 + _quote(x) + "," + i3 for x in m.space.x.keys}
+            ys = {y: _quote(y) + i2 + "]," + i2 + '"' for y in m.space.y.keys}
+            items = [f"{xs[x]}{ys[y]}{w!s}" for (x, y), w in m.weights.items()]
+            end = '"' + inner + "]"
+        else:
+            items = [f'{_quote(k)}: "{w!s}' for k, w in m.weights.items()]
+            end = '"'
+    except ValueError:
+        raise _too_large() from None
+    body = inner + (end + "," + inner).join(items) + end + nl
+    return "[" + body + "]" if product else "{" + body + "}"
 
 
 def _parse_measure(doc, path) -> Measure:
@@ -576,10 +605,6 @@ _KINDS = {
 }
 
 
-def to_document(obj) -> dict:
-    return {"schema_version": SCHEMA_VERSION, **_tagged(obj)}
-
-
 def from_document(doc) -> object:
     if not isinstance(doc, dict):
         raise SchemaError("document: expected a JSON object")
@@ -598,24 +623,18 @@ def _write(value, nl: str) -> str:
     nl is a newline plus the indent of the line value starts on.  Each
     container is joined into one string, which keeps the peak memory below
     json's.  Only dict (str keys), list, str, int, bool and None are
-    written; any other type, a float included, raises TypeError.  A product
-    measure's weight list (``_PairWeights``) is laid out entry by entry from
-    one format string: its ids are quoted and filled in, and its masses,
-    written by :func:`format_rational`, need no escaping.
+    written, and a ``Measure``, which stands for its weights' JSON and is
+    laid out by :func:`_weights` with no container per weight; any other
+    type, a float included, raises TypeError.
     """
     t = type(value)
     if t is str:
         return _quote(value)
-    if t is list or t is _PairWeights:
+    if t is list:
         if not value:
             return "[]"
         inner = nl + "  "
-        if t is _PairWeights:
-            i2, i3 = inner + "  ", inner + "    "
-            entry = "[" + i2 + "[" + i3 + "%s," + i3 + "%s" + i2 + "]," + i2 + '"%s"' + inner + "]"
-            items = [entry % (_quote(x), _quote(y), w) for (x, y), w in value]
-        else:
-            items = [_quote(v) if type(v) is str else _write(v, inner) for v in value]
+        items = [_quote(v) if type(v) is str else _write(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if t is dict:
         if not value:
@@ -632,11 +651,13 @@ def _write(value, nl: str) -> str:
         return "null"
     if t is bool:
         return "true" if value else "false"
+    if t is Measure:
+        return _weights(value, nl)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def dumps(obj) -> str:
-    return _write(to_document(obj), "\n") + "\n"
+    return _write({"schema_version": SCHEMA_VERSION, **_tagged(obj)}, "\n") + "\n"
 
 
 def loads(text: str) -> object:

@@ -27,7 +27,9 @@ from margcouple import (
     Grid,
     IntervalSet,
     LemmaCheck,
+    MarginalPair,
     Measure,
+    PreimageReport,
     ProductSpace,
     SchemaError,
     Seed,
@@ -36,6 +38,7 @@ from margcouple import (
     certify_openness,
     check_band_bound,
     construct_preimage,
+    documents,
     marginal_pair,
     refine_grid,
 )
@@ -43,16 +46,34 @@ from margcouple.documents import (
     SCHEMA_VERSION,
     CheckDocument,
     SetsDocument,
+    _tagged,
     _write,
     dumps,
     format_rational,
     from_document,
     loads,
     parse_rational,
-    to_document,
 )
 
 F = Fraction
+
+
+def _plain(value):
+    """value with each Measure in it replaced by its weights' JSON, written by format_rational."""
+    if type(value) is Measure:
+        if isinstance(value.space, ProductSpace):
+            return [[[x, y], format_rational(w)] for (x, y), w in value.weights.items()]
+        return {k: format_rational(w) for k, w in value.weights.items()}
+    if type(value) is dict:
+        return {k: _plain(v) for k, v in value.items()}
+    if type(value) is list:
+        return [_plain(v) for v in value]
+    return value
+
+
+def to_document(obj) -> dict:
+    """obj's document as a plain, mutable JSON value: the reference dumps is checked against."""
+    return {"schema_version": SCHEMA_VERSION, **_plain(_tagged(obj))}
 
 
 # -- rational strings ------------------------------------------------------
@@ -333,6 +354,37 @@ def _json_indent(obj) -> str:
     return json.dumps(to_document(obj), indent=2, ensure_ascii=True) + "\n"
 
 
+@st.composite
+def marginal_pairs(draw):
+    """Two line measures of one mass, in either order; nu gathers mu's weights onto its own atoms."""
+    mu = draw(line_measures())
+    space = draw(line_spaces())
+    gathered = {}
+    for w in mu.weights.values():
+        k = draw(st.sampled_from(space.keys))
+        gathered[k] = gathered.get(k, 0) + w
+    return MarginalPair(*draw(st.permutations([mu, Measure(space, gathered)])))
+
+
+@st.composite
+def cert_reports(draw):
+    """A report whose violations each carry a line or product mu and nu, zero measures included."""
+    measures = line_measures() | product_measures()
+    trials = draw(st.integers(1, 2**63 - 1))
+    violation = st.builds(
+        Violation,
+        st.integers(0, trials - 1),
+        st.builds(Seed, st.integers(0, 2**64 - 1)),
+        json_text,
+        st.none() | st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1)),
+        st.none() | rationals,
+        measures,
+        measures,
+    )
+    violations = tuple(draw(st.lists(violation, min_size=1, max_size=2)))
+    return CertReport(trials, violations, draw(st.none() | rationals))
+
+
 @settings(max_examples=60, deadline=None)
 @given(line_measures() | product_measures())
 def test_measure_dumps_equals_json_indent_encoder(m):
@@ -347,6 +399,71 @@ def test_preimage_dumps_equals_json_indent_encoder(rep):
     text = dumps(rep)
     assert text == _json_indent(rep)
     assert loads(text) == rep
+
+
+@settings(max_examples=40, deadline=None)
+@given(marginal_pairs())
+def test_marginal_pair_dumps_equals_json_indent_encoder(pair):
+    text = dumps(pair)
+    assert text == _json_indent(pair)
+    assert loads(text) == pair
+
+
+@settings(max_examples=25, deadline=None)
+@given(cert_reports())
+def test_cert_report_dumps_equals_json_indent_encoder(report):
+    text = dumps(report)
+    assert text == _json_indent(report)
+    assert loads(text) == report
+
+
+def test_zero_measures_in_every_slot_equal_json_indent_encoder():
+    x = SpaceDesc((Atom('"\\', 0), Atom("\x00\n\u00e9\U0001f600", 1)))
+    y = SpaceDesc((Atom("\ud800", F(1, 3)),))
+    zx, zy, zxy = Measure.zero(x), Measure.zero(y), Measure.zero(ProductSpace(x, y))
+    located = Violation(0, Seed(3), "cell-drop", (0, 0), F(-1, 2), zx, zxy)
+    for obj in (
+        MarginalPair(zx, zy),
+        PreimageReport(zxy, zxy, zxy, {}, {}),
+        CertReport(2, (located, Violation(1, Seed(4), "gap", None, None, zxy, zy)), None),
+    ):
+        text = dumps(obj)
+        assert text == _json_indent(obj)
+        assert '"weights": {}' in text or '"weights": []' in text
+        assert '"weights": [\n' not in text and '"weights": {\n' not in text
+        assert loads(text) == obj
+
+
+def test_dumps_names_the_digit_limit_in_nested_measures():
+    # only the weights pass the int-string digit limit; the coordinates are small
+    big = F(1, 10**5000)
+    x = SpaceDesc((Atom("a", 0), Atom("b", 1)))
+    y = SpaceDesc((Atom("c", 0),))
+    joint = Measure(ProductSpace(x, y), {("b", "c"): big})
+    limit = sys.get_int_max_str_digits()
+    for obj in (
+        PreimageReport(joint, Measure.zero(joint.space), joint, {}, {}),
+        MarginalPair(Measure(x, {"a": big}), Measure(y, {"c": big})),
+    ):
+        with pytest.raises(SchemaError) as exc:
+            dumps(obj)
+        assert str(exc.value) == f"number too large to write (over {limit} digits)"
+        assert exc.value.__cause__ is None and exc.value.__suppress_context__
+
+
+def test_dumps_formats_each_coordinate_once_however_many_weights(monkeypatch):
+    # a measure's weights are written straight from the Measure, not one format_rational each
+    calls = []
+    real = documents.format_rational
+    monkeypatch.setattr(documents, "format_rational", lambda x: calls.append(x) or real(x))
+    x = SpaceDesc(tuple(Atom(f"x{i}", F(i, 7)) for i in range(6)))
+    y = SpaceDesc(tuple(Atom(f"y{j}", F(j, 5)) for j in range(4)))
+    joint = ProductSpace(x, y)
+    for space, coords in ((x, 6), (joint, 6 + 4)):
+        for n in (0, 1, len(space.keys) // 2, len(space.keys)):
+            calls.clear()
+            dumps(Measure(space, {k: F(1, n) for k in space.keys[:n]}))
+            assert len(calls) == coords
 
 
 def test_measure_dumps_examples_equal_json_indent_encoder():

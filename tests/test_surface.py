@@ -1,15 +1,18 @@
 """The public surface: every exported name is one the package itself uses.
 
-A name counts as used when a module other than ``__init__`` names it in
-code or imports it, read from the modules' syntax trees, so strings and
-docstrings do not count.  Imports count because ``cli`` reaches its two
-checks through ``globals()``.  The exports that only the tests use are
-listed with the reason each is kept.  A module-level function or class
-that is not exported must be used the same way, where an attribute read
+A name counts as used when a module other than ``__init__`` reads it from
+module scope in code or imports it, so strings and docstrings do not
+count.  Scopes are resolved by ``symtable``: a name that a function binds
+itself, as a parameter or a local, is not a use of a module-level name it
+hides.  Imports count because ``cli`` reaches its two checks through
+``globals()``.  The exports that only the tests use are listed with the
+reason each is kept.  A module-level function or class that is not
+exported must be used the same way, where an attribute read
 (``module.name``) counts too.
 """
 
 import ast
+import symtable
 from pathlib import Path
 
 import margcouple
@@ -26,23 +29,35 @@ TESTS_ONLY = {
 }
 
 
-def _trees():
-    """(file name, syntax tree) of each module of the package."""
+def _sources():
+    """(file name, source text) of each module of the package."""
     for path in sorted(SRC.glob("*.py")):
-        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+        yield path.name, path.read_text(encoding="utf-8")
+
+
+def _module_reads(table) -> set:
+    """The names read in table's scope, or a scope nested in it, that resolve to module scope."""
+    module = table.get_type() == "module"
+    reads = {
+        sym.get_name()
+        for sym in table.get_symbols()
+        if sym.is_referenced() and (module or sym.is_global())
+    }
+    for child in table.get_children():
+        reads |= _module_reads(child)
+    return reads
 
 
 def _names_in_use(attributes=False) -> set:
-    """The names the modules other than ``__init__`` use in code or import, and
-    with ``attributes`` the attribute names they read."""
+    """The module-level names the modules other than ``__init__`` read in code or
+    import, and with ``attributes`` the attribute names they read."""
     used = set()
-    for name, tree in _trees():
+    for name, text in _sources():
         if name == "__init__.py":
             continue
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.alias):
+        used |= _module_reads(symtable.symtable(text, name, "exec"))
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.alias):
                 used.add(node.asname or node.name)
             elif attributes and isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -62,8 +77,8 @@ def test_every_unexported_definition_is_used_by_the_package():
     used = _names_in_use(attributes=True) | set(margcouple.__all__)
     unused = [
         f"{name}: {node.name}"
-        for name, tree in _trees()
-        for node in tree.body
+        for name, text in _sources()
+        for node in ast.parse(text).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
     ]
     assert unused == []
