@@ -20,10 +20,11 @@ space, and each weight is then one string, with no list or dict per weight.
 The tests keep their own ``to_document``, which builds a document's plain
 JSON value with each weight written by :func:`format_rational`, as the
 reference ``dumps`` is checked against.  Reading tests each entry with
-exact type checks and one ``_RATIONAL`` match, and builds a field's path
-only for its error; the weights then go through the strict
-``Measure(space, weights)``, which rejects unknown atoms and negative
-weights.
+exact type checks and builds a field's path only for its error.  Each
+distinct weight string is parsed once per measure, with one ``_RATIONAL``
+match; a repeat of it reuses that ``Fraction``.  The weights then go
+through the strict ``Measure(space, weights)``, which rejects unknown
+atoms and negative weights.
 
 The record kinds (``product_space``, ``grid``, ``marginal_pair``,
 ``cert_report`` and its violations) are field tables given to
@@ -263,7 +264,11 @@ def _parse_measure(doc, path) -> Measure:
     space = _sub(doc, "space", path, "space", "product_space")
     raw = _field(doc, "weights", path)
     weights = {}
-    # one pass of exact type checks; a field's path is built only for its error
+    # one pass of exact type checks; a field's path is built only for its error.
+    # Each distinct weight string is parsed once: parsed maps it to its Fraction
+    # after its first parse succeeds (only a string parses).  Any other value
+    # goes to _fraction, which names it.
+    parsed = {}
     if isinstance(space, ProductSpace):
         if not isinstance(raw, list):
             raise SchemaError(f"{path}.weights: expected a list of [[x, y], mass] pairs")
@@ -278,16 +283,25 @@ def _parse_measure(doc, path) -> Measure:
             key = (pair[0], pair[1])
             if key in weights:
                 raise SchemaError(f"{path}.weights[{i}]: repeated weight for atom {pair!r}")
-            w = weights[key] = _fraction(entry[1])
-            if type(w) is str:
-                raise SchemaError(f"{path}.weights[{i}]: {w}")
+            v = entry[1]
+            w = parsed.get(v) if type(v) is str else None
+            if w is None:
+                w = _fraction(v)
+                if type(w) is str:
+                    raise SchemaError(f"{path}.weights[{i}]: {w}")
+                parsed[v] = w
+            weights[key] = w
     else:
         if not isinstance(raw, dict):
             raise SchemaError(f"{path}.weights: expected an object keyed by atom id")
         for k, v in raw.items():
-            w = weights[k] = _fraction(v)
-            if type(w) is str:
-                raise SchemaError(f"{path}.weights.{k}: {w}")
+            w = parsed.get(v) if type(v) is str else None
+            if w is None:
+                w = _fraction(v)
+                if type(w) is str:
+                    raise SchemaError(f"{path}.weights.{k}: {w}")
+                parsed[v] = w
+            weights[k] = w
     return _build(path, Measure, space, weights)
 
 

@@ -322,6 +322,16 @@ def product_measures(draw):
     return Measure(space, {k: abs(draw(rationals)) for k in keys})
 
 
+@st.composite
+def few_valued_measures(draw):
+    """A line or product measure whose weights take at most three distinct values."""
+    x = draw(line_spaces())
+    space = ProductSpace(x, draw(line_spaces())) if draw(st.booleans()) else x
+    values = draw(st.lists(rationals.map(abs), min_size=1, max_size=3))
+    keys = draw(st.lists(st.sampled_from(space.keys), unique=True))
+    return Measure(space, {k: draw(st.sampled_from(values)) for k in keys})
+
+
 def _renamed(space: SpaceDesc, ids: list) -> SpaceDesc:
     return SpaceDesc(tuple(Atom(i, a.coord) for i, a in zip(ids, space.atoms)))
 
@@ -385,12 +395,14 @@ def cert_reports(draw):
     return CertReport(trials, violations, draw(st.none() | rationals))
 
 
-@settings(max_examples=60, deadline=None)
-@given(line_measures() | product_measures())
+@settings(max_examples=90, deadline=None)
+@given(line_measures() | product_measures() | few_valued_measures())
 def test_measure_dumps_equals_json_indent_encoder(m):
     text = dumps(m)
     assert text == _json_indent(m)
-    assert loads(text) == m
+    back = loads(text)
+    assert back == m
+    assert dumps(back) == text
 
 
 @settings(max_examples=25, deadline=None)
@@ -620,6 +632,46 @@ MEASURE_FAULTS = {
     "product-space-fault-first": (
         _PRODUCT.replace('"coord": "1"', '"coord": "x"', 1), '[[["b"], "1/2"]]',
         "measure.space.x.atoms[1].coord: expected a rational string like '1/10', got 'x'"),
+    # a weight string given twice is parsed once, and the faults above keep
+    # their order: the first malformed entry in the document, the first
+    # negative weight in atom order, and a weight that is not a string named
+    # as itself though an equal string came before it
+    "repeated-bad-rational": (
+        _PRODUCT.replace('"coord": "1"}', '"coord": "1"}, {"id": "e", "coord": "2"}', 1),
+        '[[["a", "c"], "1/4"], [["a", "d"], "1/4"], [["b", "c"], "x/2"], '
+        '[["b", "d"], "1/4"], [["e", "c"], "1/4"], [["e", "d"], "x/2"]]',
+        "measure.weights[2]: expected a rational string like '1/10', got 'x/2'"),
+    "line-repeated-zero-denominator": (
+        _LINE, '{"b": "1/0", "a": "1/0"}', "measure.weights.b: zero denominator in '1/0'"),
+    "repeated-negative": (
+        _PRODUCT, '[[["b", "d"], "-1/8"], [["a", "d"], "1/8"], [["b", "c"], "-1/8"]]',
+        "measure: negative weight -1/8 at atom ('b', 'c')"),
+    "line-repeated-negative": (
+        _LINE, '{"b": "-1/8", "a": "-1/8"}', "measure: negative weight -1/8 at atom 'a'"),
+    "list-after-equal-string": (
+        _PRODUCT, '[[["a", "c"], "1/2"], [["b", "d"], ["1/2"]]]',
+        "measure.weights[1]: expected a rational string like '1/10', got ['1/2']"),
+    "line-list-after-equal-string": (
+        _LINE, '{"a": "1/2", "b": ["1/2"]}',
+        "measure.weights.b: expected a rational string like '1/10', got ['1/2']"),
+    "dict-after-equal-string": (
+        _PRODUCT, '[[["a", "c"], "1/2"], [["b", "d"], {"1/2": "1/2"}]]',
+        "measure.weights[1]: expected a rational string like '1/10', got {{'1/2': '1/2'}}"),
+    "line-dict-after-equal-string": (
+        _LINE, '{"a": "1/2", "b": {"1/2": "1/2"}}',
+        "measure.weights.b: expected a rational string like '1/10', got {{'1/2': '1/2'}}"),
+    "float-after-equal-string": (
+        _PRODUCT, '[[["a", "c"], "1/2"], [["b", "d"], 0.5]]',
+        "measure.weights[1]: expected a rational string like '1/10', got 0.5"),
+    "line-float-after-equal-string": (
+        _LINE, '{"a": "1/2", "b": 0.5}',
+        "measure.weights.b: expected a rational string like '1/10', got 0.5"),
+    "bool-after-equal-string": (
+        _PRODUCT, '[[["a", "c"], "1"], [["b", "d"], true]]',
+        "measure.weights[1]: expected a rational string like '1/10', got True"),
+    "line-bool-after-equal-string": (
+        _LINE, '{"a": "0", "b": false}',
+        "measure.weights.b: expected a rational string like '1/10', got False"),
 }
 
 
@@ -641,6 +693,40 @@ def test_measure_documents_accept_what_they_name():
         m = loads(text + ', "weights": ' + weights + "}")
         assert m.mass() in (1, F(1, 2))
         assert list(m.weights) == sorted(m.weights, key=m.space.position)
+
+
+def test_repeated_weight_strings_keep_their_own_values():
+    # unreduced spellings of one value, and zeros, each given more than once
+    spellings = ["1/2", "2/4", "+1/2", "0", "1/2", "1/3", "2/4", "-0/5", "0", "1"]
+    line = SpaceDesc(tuple(Atom(f"x{i}", F(i)) for i in range(10)))
+    joint = ProductSpace(SpaceDesc(line.atoms[:5]), SpaceDesc(line.atoms[5:7]))
+    for space in (line, joint):
+        doc = to_document(Measure.zero(space))
+        if isinstance(space, ProductSpace):
+            doc["weights"] = [[list(k), s] for k, s in zip(space.keys, spellings)]
+        else:
+            doc["weights"] = dict(zip(space.keys, spellings))
+        m = loads(json.dumps(doc))
+        assert m.weights == {k: F(s) for k, s in zip(space.keys, spellings) if F(s)}
+        assert all(type(w) is Fraction for w in m.weights.values())
+
+
+def test_loads_parses_each_distinct_weight_string_once(monkeypatch):
+    # a weight string seen before in the same measure reuses its Fraction
+    calls = []
+    real = documents._fraction
+    monkeypatch.setattr(documents, "_fraction", lambda raw: calls.append(raw) or real(raw))
+    x = SpaceDesc(tuple(Atom(f"x{i}", F(i, 7)) for i in range(6)))
+    y = SpaceDesc(tuple(Atom(f"y{j}", F(j, 5)) for j in range(4)))
+    joint = ProductSpace(x, y)
+    for space, coords in ((x, 6), (joint, 6 + 4)):
+        for n in (0, 1, len(space.keys) // 2, len(space.keys)):
+            for distinct in (1, 3):
+                weights = {k: F(i % distinct + 1, 9) for i, k in enumerate(space.keys[:n])}
+                text = dumps(Measure(space, weights))
+                calls.clear()
+                loads(text)
+                assert len(calls) == coords + min(n, distinct)
 
 
 def test_dumps_does_not_use_json_dumps(monkeypatch):
