@@ -3,15 +3,20 @@
 Importing :mod:`dataclasses` pulls in :mod:`inspect`, and its decorator
 compiles six methods per class from generated source; together that was
 most of ``import margcouple``, which every run of the command line pays
-before any work.  :func:`record` gives the package's value classes the
-behaviour they used, from one ``exec`` of three methods per class and
-three methods shared by all.  What it keeps:
+before any work.  :func:`record` generates no code at all: each class
+writes its own ``__init__``, and the decorator reads the field names off
+that ``__init__``'s code object and attaches methods made from functions
+compiled with this module.  What it keeps:
 
-* ``__init__`` taking every annotated field, in order, positionally or by
-  keyword.  No field has a default, so a missing, extra or repeated
-  argument is the interpreter's own ``TypeError``.  ``__post_init__`` runs
-  last, when the class has one, and may set fields with
-  ``object.__setattr__``.
+* The fields are the parameters of the class's own ``__init__``, in order,
+  after ``self``.  Every one is required and taken by position or keyword,
+  so a missing, extra or repeated argument is the interpreter's own
+  ``TypeError``.  ``__init__`` checks and normalises its arguments and
+  stores each field with :data:`setfield`, which is ``object.__setattr__``.
+  :func:`record` refuses, with a ``TypeError`` naming the class, a class
+  without its own ``__init__`` and an ``__init__`` with a default,
+  ``*args``, ``**kwargs``, a keyword-only or positional-only parameter, or
+  no field at all.
 * Freezing: assigning or deleting any attribute raises
   :class:`FrozenInstanceError`, an ``AttributeError``.  ``functools.cached_property``
   still works, since it writes the instance ``__dict__`` directly.
@@ -23,13 +28,21 @@ three methods shared by all.  What it keeps:
 * The field names, in order, as the class attribute ``_fields``, which only
   the repr reads; documents declare their own fields, in document order.
 
-The generated functions carry the class's module name and qualified name,
-so they look like methods written in the class body to anything that walks
-the package.  Nothing else of dataclasses is kept: no ordering, no
+``__eq__`` and ``__hash__`` carry the class's module name and qualified
+name, so they look like methods written in the class body to anything that
+walks the package.  Nothing else of dataclasses is kept: no ordering, no
 ``__match_args__``, no generated docstring, no ``replace`` or ``asdict``,
 no recursive-repr guard (records never contain themselves) and no field
 inheritance (no record subclasses another).
 """
+
+from operator import attrgetter
+
+_STARRED = 0x04 | 0x08  # the code flags CO_VARARGS | CO_VARKEYWORDS: *args, **kwargs
+
+# how a record's __init__ stores its fields past the frozen __setattr__: one
+# global name, so each store is one lookup, not two (object, then __setattr__)
+setfield = object.__setattr__
 
 
 class FrozenInstanceError(AttributeError):
@@ -50,27 +63,38 @@ def _repr(self):
 
 
 def record(cls):
-    """Make ``cls`` a frozen record of its annotated fields; see the module docstring."""
-    names = tuple(cls.__annotations__)
-    ns = {"__name__": cls.__module__, "_set": object.__setattr__}
-    body = [f"    _set(self, {name!r}, {name})\n" for name in names]
-    if hasattr(cls, "__post_init__"):
-        body.append("    self.__post_init__()\n")
-    mine = "".join(f"self.{name}," for name in names)
-    theirs = "".join(f"other.{name}," for name in names)
-    exec(
-        f"def __init__(self, {', '.join(names)}):\n{''.join(body)}"
-        "def __eq__(self, other):\n"
-        "    if other.__class__ is self.__class__:\n"
-        f"        return ({mine}) == ({theirs})\n"
-        "    return NotImplemented\n"
-        "def __hash__(self):\n"
-        f"    return hash(({mine}))\n",
-        ns,
-    )
-    for method in ("__init__", "__eq__", "__hash__"):
-        ns[method].__qualname__ = f"{cls.__qualname__}.{method}"
-        setattr(cls, method, ns[method])
+    """Make ``cls`` a frozen record of its ``__init__``'s fields; see the module docstring."""
+    init = vars(cls).get("__init__")
+    code = getattr(init, "__code__", None)
+    if (
+        code is None
+        or init.__defaults__
+        or code.co_flags & _STARRED
+        or code.co_kwonlyargcount
+        or code.co_posonlyargcount
+        or code.co_argcount < 2
+    ):
+        raise TypeError(
+            f"record {cls.__qualname__} needs its own __init__ taking each field "
+            "as a required positional-or-keyword parameter"
+        )
+    names = code.co_varnames[1 : code.co_argcount]
+    fields = attrgetter(*names)
+    # the tuple of fields, a 1-tuple for one field, so hash(r) == hash(field tuple)
+    key = fields if len(names) > 1 else lambda r: (fields(r),)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    for method in (__eq__, __hash__):
+        method.__module__ = cls.__module__
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
     cls._fields = names
     cls.__repr__ = _repr
     cls.__setattr__ = _frozen_setattr

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import record
+from ._record import record, setfield
 from .errors import (
     HypothesisError,
     InternalConsistencyError,
@@ -53,14 +53,11 @@ from .space import ProductSpace
 
 @record
 class MarginalPair:
-    mu: Measure
-    nu: Measure
-
-    def __post_init__(self):
-        if self.mu.mass() != self.nu.mass():
-            raise MassMismatchError(
-                f"marginals carry masses {self.mu.mass()} and {self.nu.mass()}"
-            )
+    def __init__(self, mu: Measure, nu: Measure):
+        if mu.mass() != nu.mass():
+            raise MassMismatchError(f"marginals carry masses {mu.mass()} and {nu.mass()}")
+        setfield(self, "mu", mu)
+        setfield(self, "nu", nu)
 
 
 def marginal_pair(joint: Measure) -> MarginalPair:
@@ -72,22 +69,29 @@ def marginal_pair(joint: Measure) -> MarginalPair:
 class CellAlloc:
     """Mass granted to a cell: reference mass rescaled per axis, minimum kept."""
 
-    col_scaled: Fraction
-    row_scaled: Fraction
-    kept: Fraction
+    def __init__(self, col_scaled: Fraction, row_scaled: Fraction, kept: Fraction):
+        setfield(self, "col_scaled", col_scaled)
+        setfield(self, "row_scaled", row_scaled)
+        setfield(self, "kept", kept)
 
 
 @record
 class PreimageReport:
-    coupling: Measure
-    grid_part: Measure
-    remainder_coupling: Measure
-    cell_allocs: dict  # CellIndex -> CellAlloc
-    cell_drops: dict  # CellIndex -> new cell mass minus reference cell mass
-
-    def __post_init__(self):
-        if not _splits(self.coupling, self.grid_part, self.remainder_coupling):
+    def __init__(
+        self,
+        coupling: Measure,
+        grid_part: Measure,
+        remainder_coupling: Measure,
+        cell_allocs: dict,  # CellIndex -> CellAlloc
+        cell_drops: dict,  # CellIndex -> new cell mass minus reference cell mass
+    ):
+        if not _splits(coupling, grid_part, remainder_coupling):
             raise InternalConsistencyError("coupling must split into grid part plus remainder")
+        setfield(self, "coupling", coupling)
+        setfield(self, "grid_part", grid_part)
+        setfield(self, "remainder_coupling", remainder_coupling)
+        setfield(self, "cell_allocs", cell_allocs)
+        setfield(self, "cell_drops", cell_drops)
 
 
 def _splits(total: Measure, part: Measure, rest: Measure) -> bool:

@@ -39,7 +39,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote  # json's C string encoder
 
-from ._record import record
+from ._record import record, setfield
 from .couple import CellAlloc, MarginalPair, PreimageReport
 from .errors import Error, SchemaError
 from .measure import Measure
@@ -351,13 +351,12 @@ def _parse_product_set(entry, path) -> BoxSet:
 class SetsDocument:
     """An ordered list of open sets, all of one geometry."""
 
-    sets: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "sets", tuple(self.sets))
-        kinds = {type(s) for s in self.sets}
+    def __init__(self, sets: tuple):
+        sets = tuple(sets)
+        kinds = {type(s) for s in sets}
         if not kinds <= {IntervalSet} and not kinds <= {BoxSet}:
             raise SchemaError("sets document must hold one geometry only")
+        setfield(self, "sets", sets)
 
     @property
     def geometry(self) -> str:
@@ -508,12 +507,11 @@ def _trials_cover(rep: CertReport, path) -> None:
 class CheckDocument:
     """Outcome of a containment check, tagged with the rule it ran."""
 
-    lemma: int
-    result: LemmaCheck
-
-    def __post_init__(self):
-        if self.lemma not in (4, 5):
-            raise SchemaError(f"unknown check rule {self.lemma!r}")
+    def __init__(self, lemma: int, result: LemmaCheck):
+        if lemma not in (4, 5):
+            raise SchemaError(f"unknown check rule {lemma!r}")
+        setfield(self, "lemma", lemma)
+        setfield(self, "result", result)
 
 
 def _check_body(doc: CheckDocument) -> dict:

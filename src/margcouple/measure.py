@@ -77,7 +77,7 @@ from functools import cached_property
 from itertools import accumulate
 from math import lcm
 
-from ._record import record
+from ._record import record, setfield
 from .errors import (
     MassMismatchError,
     NegativeWeightError,
@@ -223,11 +223,9 @@ def _check_geometry(space: Space, open_set: OpenSet) -> None:
 class Measure:
     """A nonnegative finitely supported measure on a ground space."""
 
-    space: Space
-    weights: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _normalized(self.space, self.weights))
+    def __init__(self, space: Space, weights: dict):
+        setfield(self, "space", space)
+        setfield(self, "weights", _normalized(space, weights))
 
     @classmethod
     def _trusted(cls, space: Space, weights: dict) -> "Measure":
@@ -237,8 +235,8 @@ class Measure:
         ``space``, every weight a positive ``Fraction``, keys in atom order.
         """
         m = object.__new__(cls)
-        object.__setattr__(m, "space", space)
-        object.__setattr__(m, "weights", weights)
+        setfield(m, "space", space)
+        setfield(m, "weights", weights)
         return m
 
     @classmethod
@@ -400,19 +398,17 @@ class _Family:
 class MetaMeasure:
     """A finitely supported measure on measures over one common base space."""
 
-    space: Space
-    components: tuple
-
-    def __post_init__(self):
+    def __init__(self, space: Space, components: tuple):
         comps = []
-        for coeff, m in self.components:
+        for coeff, m in components:
             c = as_rational(coeff)
             if c < 0:
                 raise NegativeWeightError(m, c)
-            if m.space != self.space:
+            if m.space != space:
                 raise ParameterError("meta-measure components must share the base space")
             comps.append((c, m))
-        object.__setattr__(self, "components", tuple(comps))
+        setfield(self, "space", space)
+        setfield(self, "components", tuple(comps))
 
 
 def barycenter(meta: MetaMeasure) -> Measure:

@@ -34,7 +34,7 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import product
 
-from ._record import record
+from ._record import record, setfield
 from .errors import ParameterError
 from .measure import Measure, _Axis, _slots
 from .space import (
@@ -57,14 +57,11 @@ class Grid:
     Each axis's pieces are compiled once, into the table of :func:`_piece_slots`.
     """
 
-    cols: tuple[IntervalSet, ...]
-    rows: tuple[IntervalSet, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "cols", tuple(self.cols))
-        object.__setattr__(self, "rows", tuple(self.rows))
-        object.__setattr__(self, "_col_slots", _piece_slots(self.cols, "column"))
-        object.__setattr__(self, "_row_slots", _piece_slots(self.rows, "row"))
+    def __init__(self, cols: tuple[IntervalSet, ...], rows: tuple[IntervalSet, ...]):
+        setfield(self, "cols", tuple(cols))
+        setfield(self, "rows", tuple(rows))
+        setfield(self, "_col_slots", _piece_slots(self.cols, "column"))
+        setfield(self, "_row_slots", _piece_slots(self.rows, "row"))
 
     def cell(self, q: int, s: int) -> BoxSet:
         return BoxSet(
@@ -119,12 +116,11 @@ def _piece_slots(pieces: Sequence[IntervalSet], label: str) -> tuple[_Axis, list
 
 @record
 class RefineResult:
-    grid: Grid
-    delta: Fraction
-    owner: dict  # cell index -> target index or None
-
-    def __post_init__(self):
-        object.__setattr__(self, "delta", as_positive(self.delta, "refinement delta"))
+    def __init__(self, grid: Grid, delta: Fraction, owner: dict):
+        # owner: cell index -> target index or None
+        setfield(self, "grid", grid)
+        setfield(self, "delta", as_positive(delta, "refinement delta"))
+        setfield(self, "owner", owner)
 
 
 def _axes(boxes: Sequence[Box]) -> tuple[_Axis, _Axis]:

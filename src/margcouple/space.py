@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import pairwise
 
-from ._record import record
+from ._record import record, setfield
 from .errors import InvalidIntervalError, ParameterError
 
 Interval = tuple[Fraction, Fraction]
@@ -69,30 +69,27 @@ def _interval(raw) -> Interval:
 class Atom:
     """A named point of a ground space."""
 
-    id: str
-    coord: Fraction
-
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise ParameterError(f"atom id must be a non-empty string, got {self.id!r}")
-        object.__setattr__(self, "coord", as_rational(self.coord))
+    def __init__(self, id: str, coord: Fraction):
+        if not isinstance(id, str) or not id:
+            raise ParameterError(f"atom id must be a non-empty string, got {id!r}")
+        setfield(self, "id", id)
+        setfield(self, "coord", as_rational(coord))
 
 
 @record
 class SpaceDesc:
     """An ordered finite list of atoms on the line; ids unique, coords free."""
 
-    atoms: tuple[Atom, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        if not self.atoms:
+    def __init__(self, atoms: tuple[Atom, ...]):
+        atoms = tuple(atoms)
+        if not atoms:
             raise ParameterError("a space needs at least one atom")
         seen = set()
-        for atom in self.atoms:
+        for atom in atoms:
             if atom.id in seen:
                 raise ParameterError(f"duplicate atom id {atom.id!r}")
             seen.add(atom.id)
+        setfield(self, "atoms", atoms)
 
     @cached_property
     def keys(self) -> tuple[str, ...]:
@@ -131,8 +128,9 @@ ProductKey = tuple[str, str]
 class ProductSpace:
     """The product of two line spaces; atoms are all pairs, x-major order."""
 
-    x: SpaceDesc
-    y: SpaceDesc
+    def __init__(self, x: SpaceDesc, y: SpaceDesc):
+        setfield(self, "x", x)
+        setfield(self, "y", y)
 
     @cached_property
     def keys(self) -> tuple[ProductKey, ...]:
@@ -177,14 +175,12 @@ class IntervalSet:
     from unsorted or overlapping raw pairs.
     """
 
-    intervals: tuple[Interval, ...]
-
-    def __post_init__(self):
-        ivs = tuple(_interval(iv) for iv in self.intervals)
+    def __init__(self, intervals: tuple[Interval, ...]):
+        ivs = tuple(_interval(iv) for iv in intervals)
         for (_, hi), (lo, _) in pairwise(ivs):
             if hi > lo:
                 raise ParameterError(f"intervals overlap or are unsorted near ({lo}, ...)")
-        object.__setattr__(self, "intervals", ivs)
+        setfield(self, "intervals", ivs)
 
     @classmethod
     def single(cls, lo, hi) -> "IntervalSet":
@@ -244,12 +240,9 @@ def intervalsets_disjoint(a: IntervalSet, b: IntervalSet) -> bool:
 class Box:
     """An open axis-aligned rectangle: col x row, both open intervals."""
 
-    col: Interval
-    row: Interval
-
-    def __post_init__(self):
-        object.__setattr__(self, "col", _interval(self.col))
-        object.__setattr__(self, "row", _interval(self.row))
+    def __init__(self, col: Interval, row: Interval):
+        setfield(self, "col", _interval(col))
+        setfield(self, "row", _interval(row))
 
     def contains(self, point) -> bool:
         px, py = point
@@ -260,12 +253,11 @@ class Box:
 class BoxSet:
     """A finite union of open boxes; constituents may overlap each other."""
 
-    boxes: tuple[Box, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "boxes", tuple(self.boxes))
-        if not all(isinstance(b, Box) for b in self.boxes):
+    def __init__(self, boxes: tuple[Box, ...]):
+        boxes = tuple(boxes)
+        if not all(isinstance(b, Box) for b in boxes):
             raise ParameterError("BoxSet takes Box values")
+        setfield(self, "boxes", boxes)
 
     @property
     def is_empty(self) -> bool:

@@ -18,7 +18,7 @@ import random
 from collections.abc import Sequence
 from fractions import Fraction
 
-from ._record import record
+from ._record import record, setfield
 from .couple import construct_preimage
 from .errors import (
     Error,
@@ -54,15 +54,10 @@ def mix64(x: int) -> int:
 class Seed:
     """A 64-bit seed; derivation is xor with an index, then mix64."""
 
-    value: int
-
-    def __post_init__(self):
-        if (
-            isinstance(self.value, bool)
-            or not isinstance(self.value, int)
-            or not 0 <= self.value < (1 << 64)
-        ):
-            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.value!r}")
+    def __init__(self, value: int):
+        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < (1 << 64):
+            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {value!r}")
+        setfield(self, "value", value)
 
     def derive(self, index: int) -> "Seed":
         return Seed(mix64(self.value ^ (index & _MASK64)))
@@ -316,9 +311,10 @@ def sample_in_neighborhood(center: Measure, sets: Sequence, delta, seed: Seed) -
 class LemmaCheck:
     """Outcome of a containment validator: lhs, its proof-side majorant, verdict."""
 
-    lhs: Fraction
-    bound: Fraction
-    ok: bool
+    def __init__(self, lhs: Fraction, bound: Fraction, ok: bool):
+        setfield(self, "lhs", lhs)
+        setfield(self, "bound", bound)
+        setfield(self, "ok", ok)
 
 
 def _patterns(joint: Measure, cols: Sequence[IntervalSet], rows: Sequence[IntervalSet]):
@@ -392,20 +388,31 @@ def check_box_diff_bound(
 
 @record
 class Violation:
-    trial: int
-    seed: Seed
-    reason: str
-    cell: tuple | None
-    gap: Fraction | None
-    mu: Measure | None
-    nu: Measure | None
+    def __init__(
+        self,
+        trial: int,
+        seed: Seed,
+        reason: str,
+        cell: tuple | None,
+        gap: Fraction | None,
+        mu: Measure | None,
+        nu: Measure | None,
+    ):
+        setfield(self, "trial", trial)
+        setfield(self, "seed", seed)
+        setfield(self, "reason", reason)
+        setfield(self, "cell", cell)
+        setfield(self, "gap", gap)
+        setfield(self, "mu", mu)
+        setfield(self, "nu", nu)
 
 
 @record
 class CertReport:
-    trials: int
-    violations: tuple
-    min_observed_gap: Fraction | None
+    def __init__(self, trials: int, violations: tuple, min_observed_gap: Fraction | None):
+        setfield(self, "trials", trials)
+        setfield(self, "violations", violations)
+        setfield(self, "min_observed_gap", min_observed_gap)
 
     @property
     def passed(self) -> bool:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from ._record import record
+from ._record import record, setfield
 from .errors import ParameterError
 from .measure import Measure, _check_geometry, _Family
 from .space import as_positive
@@ -32,17 +32,16 @@ from .space import as_positive
 
 @record
 class Neighborhood:
-    center: Measure
-    sets: tuple
-    epsilon: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "sets", tuple(self.sets))
-        object.__setattr__(self, "epsilon", as_positive(self.epsilon, "neighborhood tolerance"))
-        if not self.sets:
+    def __init__(self, center: Measure, sets: tuple, epsilon: Fraction):
+        sets = tuple(sets)
+        epsilon = as_positive(epsilon, "neighborhood tolerance")
+        if not sets:
             raise ParameterError("neighborhood needs at least one set")
-        for s in self.sets:
-            _check_geometry(self.center.space, s)
+        for s in sets:
+            _check_geometry(center.space, s)
+        setfield(self, "center", center)
+        setfield(self, "sets", sets)
+        setfield(self, "epsilon", epsilon)
 
     @cached_property
     def _compiled(self) -> tuple[_Family, tuple[Fraction, ...]]:

@@ -1,11 +1,14 @@
 """The value classes' record semantics: construction, equality, hash, repr, freezing.
 
-Every public value class is a frozen record of its fields.  These tests pin
-what callers, error messages and documents see of that: positional and
-keyword construction, equality and hash over the field tuple (never equal
-across classes), the repr text ``Name(field=value, ...)`` that error
-messages embed, refusal to assign or delete a field, and the ``TypeError``
-of a missing or extra argument: every field is required.
+Every public value class is a frozen record of its fields, which are the
+parameters of its own ``__init__``.  These tests pin what callers, error
+messages and documents see of that: positional and keyword construction,
+the fields construction normalises and the error texts of what it refuses,
+equality and hash over the field tuple (never equal across classes), the
+repr text ``Name(field=value, ...)`` that error messages embed, refusal to
+assign or delete a field, and the ``TypeError`` of a missing or extra
+argument: every field is required, and ``record`` refuses an ``__init__``
+that would make one optional.
 """
 
 from fractions import Fraction
@@ -38,6 +41,7 @@ from margcouple import (
     SpaceDesc,
     Violation,
 )
+from margcouple._record import record
 from margcouple.documents import CheckDocument, SetsDocument
 
 F = Fraction
@@ -259,7 +263,7 @@ def test_repr_names_every_field(cls):
     assert repr(cls(*_ARGS[cls][0])) == _REPRS[cls]
 
 
-def test_post_init_normalises_fields():
+def test_construction_normalises_fields():
     assert Atom("a", "1/2").coord == F(1, 2)
     assert SpaceDesc([A]).atoms == (A,)
     assert IntervalSet([(0, 1)]).intervals == ((F(0), F(1)),)
@@ -304,7 +308,7 @@ def test_missing_or_extra_argument_is_a_type_error(cls):
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_no_field_has_a_class_level_value(cls):
-    # the generated __init__ would ignore it, so a default there only misleads
+    # __init__ stores every field, so a class-level value there only misleads
     assert sorted(set(_FIELDS[cls]) & vars(cls).keys()) == []
 
 
@@ -345,6 +349,7 @@ def test_no_field_has_a_class_level_value(cls):
     ],
 )
 def test_post_init_error_texts(build, error, text):
+    """What construction refuses, word for word; the name keeps the cases' ids."""
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == text
@@ -359,3 +364,30 @@ def test_negative_meta_coefficient_names_the_measure_by_its_repr():
         "coord=Fraction(0, 1)), Atom(id='b', coord=Fraction(1, 1)))), "
         "weights={'a': Fraction(1, 2), 'b': Fraction(1, 2)})"
     )
+
+
+class _Base:
+    def __init__(self, a):
+        pass
+
+
+@pytest.mark.parametrize(
+    "base, init",
+    [
+        (object, lambda self, a, b=1: None),
+        (object, lambda self, a, *rest: None),
+        (object, lambda self, a, **rest: None),
+        (object, lambda self, a, *, b: None),
+        (object, lambda self, a, /, b: None),
+        (object, lambda self: None),
+        (object, None),
+        (_Base, None),
+    ],
+    ids=["default", "args", "kwargs", "keyword-only", "positional-only", "no-field", "no-init",
+         "inherited-init"],
+)
+def test_record_refuses_an_init_without_required_fields(base, init):
+    # every field is a required parameter of the class's own __init__
+    cls = type("Odd", (base,), {} if init is None else {"__init__": init})
+    with pytest.raises(TypeError, match=r"^record Odd needs its own __init__"):
+        record(cls)

@@ -148,7 +148,7 @@ def test_certify_bins_each_coupling_once(trials, monkeypatch):
     marginals = (reference.push_proj(1), reference.push_proj(2))
     counts: Counter = Counter()
     hoods: list = []
-    evaluate, bin_cells, hood_init = Measure.eval, Grid._bin, Neighborhood.__post_init__
+    evaluate, bin_cells, hood_init = Measure.eval, Grid._bin, Neighborhood.__init__
 
     def counting_eval(self, open_set):
         counts["marginal evals"] += any(self is m for m in marginals)
@@ -158,14 +158,14 @@ def test_certify_bins_each_coupling_once(trials, monkeypatch):
         counts["bins"] += 1
         return bin_cells(self, m)
 
-    def recording_init(self):
-        hood_init(self)
+    def recording_init(self, *args):
+        hood_init(self, *args)
         if self.center is reference:
             hoods.append(self.sets)
 
     monkeypatch.setattr(Measure, "eval", counting_eval)
     monkeypatch.setattr(Grid, "_bin", counting_bin)
-    monkeypatch.setattr(Neighborhood, "__post_init__", recording_init)
+    monkeypatch.setattr(Neighborhood, "__init__", recording_init)
     report = certify_openness(reference, targets, F(1, 5), trials, Seed(11))
     assert report.passed and report.trials == trials
     grid = refine_grid(reference, targets, F(1, 5)).grid
