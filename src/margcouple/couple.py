@@ -7,31 +7,34 @@ on every grid cell falls short of the reference by strictly less than the
 admissible tolerance, provided the marginals were taken that close to the
 reference marginals on the grid's columns and rows.
 
-The construction is in two layers.  Inside each cell the reference mass is
-rescaled through the column and row mass ratios; the smaller of the two
-rescalings is kept and realized as a product of normalized restrictions, so
-it has the right partial masses on both axes.  Whatever marginal mass the
-cells did not absorb is coupled in one block by :func:`..measure.couple_mass`
-and added on top; the final marginals then match by construction.
+The construction is in two layers.  Inside each cell (q, s) the reference
+mass is rescaled through the column and row mass ratios, and the smaller of
+the two rescalings, kept, is realized as kept times the product of mu's
+restriction to column q and nu's restriction to row s, each normalized.
+That product is mu x nu times kept / (mu(col q) nu(row s)) on the cell, so
+the grid part is one :func:`..measure.tensor` of mu and nu, reweighted per
+kept cell and dropped elsewhere; its x-major order is the product's atom
+order.  On an atom of column q it takes kept_q / mu(col q) of the atom's
+weight, kept_q being the mass column q's cells kept, and likewise on rows.
+What the cells leave of each marginal, the rest of each atom's weight, is
+coupled in one block by :func:`..measure.couple_mass` and added on top; the
+final marginals then match by construction.  No atom is overdrawn: a cell
+keeps at most mu(col q) times its share of the reference column, and the
+cells of a column are disjoint parts of it, so together they keep at most
+mu(col q); likewise on rows.
 
 Cell masses, of the reference and of the new coupling alike, come from one
 binning pass of :meth:`..refine.Grid.cell_masses` each: column pieces are
 pairwise disjoint and so are row pieces, so every atom falls in at most one
 cell, which the grid's piece tables name from the atom's two slots.  Each
 measure keeps its bin, so a certify run bins the reference once and each
-coupling once, and its cell gap reads the bin kept here.  The new
-marginals are split into their column and row parts on the same tables,
-one pass over each support, which also sums each piece's mass.  The
-reference marginals' column and row masses are taken by ``eval`` on the
-reference's cached ``push_proj`` once per reference and grid, and each
-massive cell's two ratios, cell/column and cell/row, are kept on the
-reference under ``("pieces", grid)``: every trial scales its cells by the
-same ratios.  The grid part is written in atom order by walking
-supp mu x supp nu, x-major, never sorted.  Each part's unit mass, which
-:func:`..measure.tensor` checks in every cell the part serves, is summed
-once.  What the cells leave of each marginal is read off the allocations:
-every part has mass 1, so the grid part's marginal on a piece is the
-piece's part times the mass its cells kept.
+coupling once, and its cell gap reads the bin kept here.  Each support atom
+of the new marginals is placed in its piece on the same tables, one pass
+over each support that also sums each piece's mass.  The reference
+marginals' column and row masses are taken by ``eval`` on the reference's
+cached ``push_proj`` once per reference and grid, and each massive cell's
+two ratios, cell/column and cell/row, are kept on the reference under
+``("pieces", grid)``: every trial scales its cells by the same ratios.
 """
 
 from __future__ import annotations
@@ -39,16 +42,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import record, setfield
-from .errors import (
-    HypothesisError,
-    InternalConsistencyError,
-    MassMismatchError,
-    NegativeWeightError,
-    ParameterError,
-)
-from .measure import Measure, _classify, _fsum, couple_mass, tensor
+from .errors import InternalConsistencyError, MassMismatchError, ParameterError
+from .measure import Measure, _classify, _grouped, couple_mass, tensor
 from .refine import CellIndex, Grid
-from .space import ProductSpace
+from .space import ProductSpace, SpaceDesc
 
 
 @record
@@ -119,33 +116,28 @@ def _splits(total: Measure, part: Measure, rest: Measure) -> bool:
     return True
 
 
-def _normalized_parts(m: Measure, slots: tuple, n: int) -> tuple[list, list]:
-    """m's mass on each of n pieces, and m restricted to each, scaled to mass 1 (None if massless).
+def _pieces(m: Measure, slots: tuple, n: int) -> tuple[dict, list]:
+    """The piece index of each support atom of m (-1: none), and m's mass on each of n pieces.
 
     ``slots`` is a grid axis's table of the piece holding each slot (see
     :func:`..refine._piece_slots`); each support atom of m is placed once.
     """
     piece_of = _classify(m.space, m.weights, *slots)
-    binned: list[dict] = [{} for _ in range(n)]
-    for k, w in m.weights.items():
-        i = piece_of[k]
-        if i >= 0:
-            binned[i][k] = w
-    masses = [_fsum(p.values()) for p in binned]
-    return masses, [
-        Measure._trusted(m.space, {k: w / c for k, w in p.items()}) if p else None
-        for p, c in zip(binned, masses)
-    ]
+    masses = _grouped(piece_of.values(), m.weights.values())
+    return piece_of, [masses.get(i, Fraction(0)) for i in range(n)]
 
 
-def _taken(m: Measure, parts, kept) -> Measure:
-    """The grid part's marginal on m's axis, without a pass over the grid part.
-
-    A cell holds kept × (column part ⊗ row part) and every part has mass 1,
-    so each piece contributes its part times the mass its cells kept.
-    """
-    taken = {key: k * w for part, k in zip(parts, kept) if k for key, w in part.weights.items()}
-    return Measure._trusted(m.space, {key: taken[key] for key in m.weights if key in taken})
+def _rest(m: Measure, piece_of: dict, masses: list, kept: list) -> Measure:
+    """What the grid part leaves of m: an atom of piece i keeps 1 - kept_i/mass_i of its weight."""
+    left = {i: 1 - k / c for i, (k, c) in enumerate(zip(kept, masses)) if k}
+    weights = {}
+    for key, w in m.weights.items():
+        f = left.get(piece_of[key])
+        if f is None:
+            weights[key] = w
+        elif f:
+            weights[key] = w * f
+    return Measure._trusted(m.space, weights)
 
 
 def _reference_ratios(reference: Measure, grid: Grid) -> dict:
@@ -182,61 +174,45 @@ def construct_preimage(
     """
     if not isinstance(reference.space, ProductSpace):
         raise ParameterError("reference must be a product measure")
+    for m, label in ((mu, "mu"), (nu, "nu")):
+        if not isinstance(m.space, SpaceDesc):
+            raise ParameterError(f"{label} must be a line measure")
     for m, label in ((reference, "reference"), (mu, "mu"), (nu, "nu")):
         if m.mass() != 1:
             raise MassMismatchError(f"{label} must be a probability, has mass {m.mass()}")
 
     ratios = reference._cached(("pieces", grid), lambda: _reference_ratios(reference, grid))
-    new_cols, col_parts = _normalized_parts(mu, grid._col_slots, len(grid.cols))
-    new_rows, row_parts = _normalized_parts(nu, grid._row_slots, len(grid.rows))
+    x_piece, new_cols = _pieces(mu, grid._col_slots, len(grid.cols))
+    y_piece, new_rows = _pieces(nu, grid._row_slots, len(grid.rows))
 
     allocs: dict[CellIndex, CellAlloc] = {}
-    cells: dict = {}  # kept cell -> its weights in the grid part, x-major
+    factor: dict[CellIndex, tuple] = {}  # kept cell -> kept / (mu(col q) nu(row s)), as n, d
     col_kept = [Fraction(0)] * len(grid.cols)
     row_kept = [Fraction(0)] * len(grid.rows)
     for (q, s), ratio in ratios.items():
         if ratio is None:
             allocs[(q, s)] = CellAlloc(Fraction(0), Fraction(0), Fraction(0))
             continue
-        # a massless new column or row scales to 0, so a cell with kept > 0 has both parts
+        # a massless new column or row scales to 0, so a cell with kept > 0 has mass on both
         col_scaled, row_scaled = new_cols[q] * ratio[0], new_rows[s] * ratio[1]
         kept = min(col_scaled, row_scaled)
         allocs[(q, s)] = CellAlloc(col_scaled, row_scaled, kept)
-        if kept == 0:
-            continue
-        kn, kd = kept.numerator, kept.denominator
-        scaled = {
-            key: Fraction(kn * w.numerator, kd * w.denominator)
-            for key, w in tensor(col_parts[q], row_parts[s]).weights.items()
-        }
-        cells[q, s] = iter(scaled.items())
-        col_kept[q] += kept
-        row_kept[s] += kept
-    # The grid part walks supp mu x supp nu x-major, the product's atom order.  Columns
-    # are pairwise disjoint and so are rows, so an x atom of column q meets, row atom by
-    # row atom, the kept cells of column q, and each cell lists its keys in that same
-    # order, as its tensor does: the cell's next item is the pair's key and weight.
-    x_piece = {k: q for q, p in enumerate(col_parts) if p for k in p.weights}
-    y_piece = {k: s for s, p in enumerate(row_parts) if p for k in p.weights}
-    runs = {
-        q: [cells[q, y_piece[ky]] for ky in nu.weights if (q, y_piece.get(ky)) in cells]
-        for q in {q for q, _ in cells}
-    }
-    weights: dict = {}
-    for kx in mu.weights:
-        for items in runs.get(x_piece.get(kx), ()):
-            key, w = next(items)
-            weights[key] = w
-    grid_part = Measure._trusted(ProductSpace(mu.space, nu.space), weights)
+        if kept:
+            factor[q, s] = (kept / (new_cols[q] * new_rows[s])).as_integer_ratio()
+            col_kept[q] += kept
+            row_kept[s] += kept
+    # kept x (mu|col q / mu(col q)) x (nu|row s / nu(row s)) is mu x nu times factor on the
+    # cell; each weight is built from integers as one Fraction, cheaper than a Fraction product
+    product = tensor(mu, nu)
+    weights = {}
+    for (kx, ky), w in product.weights.items():
+        f = factor.get((x_piece[kx], y_piece[ky]))
+        if f is not None:
+            weights[kx, ky] = Fraction(w.numerator * f[0], w.denominator * f[1])
+    grid_part = Measure._trusted(product.space, weights)
 
-    try:
-        mu_rest = mu - _taken(mu, col_parts, col_kept)
-        nu_rest = nu - _taken(nu, row_parts, row_kept)
-    except NegativeWeightError as exc:
-        raise HypothesisError(
-            f"cell couplings overdraw a marginal: {exc}"
-        ) from exc
-
+    mu_rest = _rest(mu, x_piece, new_cols, col_kept)
+    nu_rest = _rest(nu, y_piece, new_rows, row_kept)
     remainder = couple_mass(mu_rest, nu_rest)
     coupling = grid_part + remainder
     ref_cell_mass = grid.cell_masses(reference)

@@ -16,10 +16,11 @@ The public constructor ``Measure(space, weights)`` always validates.
 Results the library builds from measures that are already valid skip that
 pass through the private ``Measure._trusted``, which takes positive
 ``Fraction`` weights keyed by atoms and already in atom order:
-``restrict``, ``scale``, ``push_proj``, ``+``, :func:`tensor`,
-:func:`couple_mass`, and the grid part of ``construct_preimage`` with its
-marginals.  Each keeps the order by construction (the grid part walks
-supp mu x supp nu, x-major) and orders keys only where it cannot:
+``zero``, ``restrict``, ``scale``, ``push_proj``, ``+``, :func:`tensor`,
+:func:`couple_mass`, and ``construct_preimage``'s grid part and the rests
+of its marginals.  Each keeps the order by construction (the grid part
+filters its tensor's x-major weights, each rest its marginal's) and orders
+keys only where it cannot:
 ``push_proj(2)`` and a sum whose right operand brings new atoms, which rank
 their keys in one batch ``space.positions`` pass, never one ``position``
 call per key.  ``-``, :func:`barycenter` and everything parsed from a

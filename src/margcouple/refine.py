@@ -220,7 +220,8 @@ def refine_grid(reference: Measure, targets: Sequence[BoxSet], eps0) -> RefineRe
     eps0 = as_positive(eps0, "eps0")
     if not isinstance(reference.space, ProductSpace):
         raise ParameterError("refine_grid needs a product measure")
-    targets = [t if isinstance(t, BoxSet) else BoxSet(tuple(t)) for t in targets]
+    if not all(isinstance(t, BoxSet) for t in targets):
+        raise ParameterError("targets must be box sets")
     boxes = [b for t in targets for b in t.boxes]
     x, y = _axes(boxes)
     spans = [_spans(t.boxes, x, y) for t in targets]

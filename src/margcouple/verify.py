@@ -27,7 +27,7 @@ from .errors import (
     MassMismatchError,
     ParameterError,
 )
-from .measure import Measure, MetaMeasure, _bits, _fsum, _slots, barycenter
+from .measure import Measure, MetaMeasure, _bits, _check_geometry, _fsum, _slots, barycenter
 from .refine import Grid, refine_grid
 from .space import (
     Atom,
@@ -235,6 +235,8 @@ def sample_in_neighborhood(center: Measure, sets: Sequence, delta, seed: Seed) -
     if center.mass() != 1:
         raise MassMismatchError("sampler perturbs probability measures")
     sets = list(sets)
+    for s in sets:
+        _check_geometry(center.space, s)
     rng = random.Random(seed.value)
     ws = _Workspace(center, sets)
 

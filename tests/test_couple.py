@@ -140,6 +140,11 @@ def test_probability_inputs_enforced(reference, grid, perturbed):
     assert str(exc.value) == "reference must be a probability, has mass 1/2"
     with pytest.raises(ParameterError):
         construct_preimage(mu, grid, mu, nu)
+    # a product mu or nu is named as such, before any mass is checked
+    for args, label in (((reference.scale(F(1, 2)), nu), "mu"), ((mu, reference), "nu")):
+        with pytest.raises(ParameterError) as exc:
+            construct_preimage(reference, grid, *args)
+        assert str(exc.value) == f"{label} must be a line measure"
 
 
 def test_identity_when_marginals_match(reference, grid):
@@ -223,6 +228,12 @@ def test_remainder_marginals_are_what_the_cells_leave(seed):
     assert left.nu == nu - rep.grid_part.push_proj(2)
     pair = marginal_pair(rep.coupling)
     assert pair.mu == mu and pair.nu == nu
+    # the cells of a column are disjoint parts of it and keep at most its new mass; so on rows
+    kept = {ix: a.kept for ix, a in rep.cell_allocs.items()}
+    for q, col in enumerate(grid.cols):
+        assert sum(kept[q, s] for s in range(len(grid.rows))) <= mu.eval(col)
+    for s, row in enumerate(grid.rows):
+        assert sum(kept[q, s] for q in range(len(grid.cols))) <= nu.eval(row)
 
 
 def test_remainder_cases_reach_the_edges():

@@ -332,6 +332,11 @@ def test_refine_grid_rejects_overlapping_targets(reference):
     with pytest.raises(ParameterError) as exc:
         refine_grid(reference.push_proj(1), [BoxSet((box,))], F(1, 5))
     assert str(exc.value) == "refine_grid needs a product measure"
+    # an interval set is no target, whether alone or beside a box set
+    for targets in ([IntervalSet.single(-1, 1)], [BoxSet((box,)), IntervalSet.single(5, 6)]):
+        with pytest.raises(ParameterError) as exc:
+            refine_grid(reference, targets, F(1, 5))
+        assert str(exc.value) == "targets must be box sets"
 
 
 def test_refine_grid_unsupported_target_owns_nothing(reference):

@@ -1,8 +1,9 @@
 """Values a certify run computes once, and the exact work its trials repeat.
 
 A measure keeps its mass, its marginals, its compiled family and masses on
-a tuple of sets and its cell masses on a grid; ``_normalized_parts`` sums
-each piece's mass in its binning pass; the sampler's workspace tests each
+a tuple of sets and its cell masses on a grid; ``construct_preimage`` sums
+each piece's mass in the pass that places each marginal atom in its piece,
+and takes one tensor of the marginals; the sampler's workspace tests each
 centre atom against the sets once per run and each placed atom once.  A
 certify run takes the reference's piece masses once and bins each coupling
 once.  The counts below are taken with monkeypatched counters, never with
@@ -39,7 +40,7 @@ from margcouple import (
     tensor,
     verify,
 )
-from margcouple.couple import _normalized_parts
+from margcouple.couple import _pieces
 from margcouple.measure import _Family, _fsum
 
 F = Fraction
@@ -198,7 +199,8 @@ def test_construction_takes_no_position_per_key(monkeypatch):
     assert calls["position"] == 0
 
 
-def test_each_part_mass_is_summed_once(monkeypatch):
+def test_one_tensor_of_the_marginals_and_one_mass_each(monkeypatch):
+    """The grid part reweights one ``tensor(mu, nu)``; each input's mass is summed once."""
     rng = random.Random(20)
     reference = instances.sparse_reference(rng, 20, F(3, 10))
     pair = marginal_pair(reference)
@@ -216,14 +218,14 @@ def test_each_part_mass_is_summed_once(monkeypatch):
     used: list = []
 
     def recording_tensor(a, b):
-        used.extend((a, b))
+        used.append((a, b))
         return tensor(a, b)
 
     monkeypatch.setattr(couple, "tensor", recording_tensor)
-    construct_preimage(reference, instances.block_grid(20, 5), mu, nu)
-    uses = Counter(id(p) for p in used)
-    assert max(uses.values()) > 1  # a part serves several cells
-    assert {summed[i] for i in uses} == {1}
+    report = construct_preimage(reference, instances.block_grid(20, 5), mu, nu)
+    assert len(used) == 1 and used[0][0] is mu and used[0][1] is nu
+    assert sum(1 for a in report.cell_allocs.values() if a.kept) > 1
+    assert [summed[id(m)] for m in (reference, mu, nu)] == [1, 1, 1]
 
 
 def _placed(center: Measure, result: Measure) -> int:
@@ -273,16 +275,15 @@ def _pieces_and_line_measure(rng: random.Random):
 
 @settings(max_examples=80, deadline=None)
 @given(seeds)
-def test_normalized_parts_masses_equal_eval(seed):
+def test_pieces_place_each_atom_and_sum_each_mass(seed):
     rng = random.Random(seed)
     pieces, m = _pieces_and_line_measure(rng)
-    masses, parts = _normalized_parts(m, Grid(pieces, ())._col_slots, len(pieces))
+    piece_of, masses = _pieces(m, Grid(pieces, ())._col_slots, len(pieces))
     assert masses == [m.eval(p) for p in pieces]
-    for piece, mass, part in zip(pieces, masses, parts):
-        if mass == 0:
-            assert part is None
-        else:
-            assert part == m.restrict(piece).scale(1 / mass)
+    coord = m.space.coord_of
+    holding = [[i for i, p in enumerate(pieces) if p.contains(coord(k))] for k in m.weights]
+    assert list(piece_of.values()) == [held[0] if held else -1 for held in holding]
+    assert list(piece_of) == list(m.weights)
 
 
 def _placement_pool(rng: random.Random, center: Measure, sets) -> list:

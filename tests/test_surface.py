@@ -8,10 +8,13 @@ hides.  Imports count because ``cli`` reaches its two checks through
 ``globals()``.  The exports that only the tests use are listed with the
 reason each is kept.  A module-level function or class that is not
 exported must be used the same way, where an attribute read
-(``module.name``) counts too.
+(``module.name``) counts too.  Every cross-reference in a docstring names
+something that exists, so a docstring cannot outlive what it names.
 """
 
 import ast
+import importlib
+import re
 import symtable
 from pathlib import Path
 
@@ -82,3 +85,56 @@ def test_every_unexported_definition_is_used_by_the_package():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
     ]
     assert unused == []
+
+
+ROLE = re.compile(r":(func|meth|class|attr|data|mod):`([^`]+)`")
+
+
+def _docstrings():
+    """(module name, qualified name of the enclosing class or None, docstring) of each docstring."""
+    for name, text in _sources():
+        module = "margcouple" if name == "__init__.py" else f"margcouple.{name[:-3]}"
+        todo = [(ast.parse(text), None)]
+        while todo:
+            node, cls = todo.pop()
+            if isinstance(node, ast.ClassDef):  # a class encloses its own docstring
+                cls = f"{cls}.{node.name}" if cls else node.name
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                doc = ast.get_docstring(node)
+                if doc:
+                    yield module, cls, doc
+            todo.extend((child, cls) for child in ast.iter_child_nodes(node))
+
+
+def _found(scope, dotted: str) -> bool:
+    for part in dotted.split("."):
+        scope = getattr(scope, part, _found)
+        if scope is _found:
+            return False
+    return True
+
+
+def _resolves(module: str, cls, role: str, target: str) -> bool:
+    """A target resolves in its module (``..module.name`` from the package), else in the
+    enclosing class; a ``:mod:`` target is an importable module (``.name`` in the package)."""
+    if role == "mod":
+        try:
+            importlib.import_module(f"margcouple{target}" if target.startswith(".") else target)
+        except ImportError:
+            return False
+        return True
+    if target.startswith(".."):
+        module, _, target = target[2:].partition(".")
+        return _found(importlib.import_module(f"margcouple.{module}"), target)
+    scope = importlib.import_module(module)
+    return _found(scope, target) or (cls is not None and _found(scope, f"{cls}.{target}"))
+
+
+def test_every_docstring_cross_reference_resolves():
+    refs = [
+        (module, cls, role, target)
+        for module, cls, doc in _docstrings()
+        for role, target in ROLE.findall(doc)
+    ]
+    assert len(refs) > 50  # the pattern still matches the docstrings' roles
+    assert [ref for ref in refs if not _resolves(*ref)] == []

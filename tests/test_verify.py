@@ -271,6 +271,14 @@ def test_sampler_guards():
         sample_in_neighborhood(mu0, sets, 0, Seed(1))
     with pytest.raises(MassMismatchError):
         sample_in_neighborhood(mu0.scale(F(1, 2)), sets, F(1, 10), Seed(1))
+    # each set's geometry is checked against the centre's, in Neighborhood's words
+    box = BoxSet((Box((0, 1), (0, 1)),))
+    with pytest.raises(ParameterError) as exc:
+        sample_in_neighborhood(mu0, [*sets, box], F(1, 10), Seed(1))
+    assert str(exc.value) == "a line measure evaluates interval sets only"
+    with pytest.raises(ParameterError) as exc:
+        sample_in_neighborhood(instances.worked_reference(), sets, F(1, 10), Seed(1))
+    assert str(exc.value) == "a product measure evaluates box sets only"
 
 
 # -- bound checks ----------------------------------------------------------
@@ -508,6 +516,10 @@ def test_certify_guards(reference, targets):
     with pytest.raises(MassMismatchError) as exc:
         certify_openness(line.scale(F(1, 2)), targets, F(1, 5), 3, Seed(1))
     assert str(exc.value) == "reference must be a probability, has mass 1/2"
+    # refine_grid refuses a target that is not a box set
+    with pytest.raises(ParameterError) as exc:
+        certify_openness(reference, [IntervalSet.single(-1, 1)], F(1, 5), 3, Seed(1))
+    assert str(exc.value) == "targets must be box sets"
 
 
 def test_certify_detects_broken_combination_rule(reference, targets, monkeypatch):
