@@ -123,8 +123,9 @@ def _pieces(m: Measure, slots: tuple, n: int) -> tuple[dict, list]:
     :func:`..refine._piece_slots`); each support atom of m is placed once.
     """
     piece_of = _classify(m.space, m.weights, *slots)
-    masses = _grouped(piece_of.values(), m.weights.values())
-    return piece_of, [masses.get(i, Fraction(0)) for i in range(n)]
+    den, nums = m._common
+    sums = _grouped(piece_of.values(), nums)
+    return piece_of, [Fraction(sums.get(i, 0), den) for i in range(n)]
 
 
 def _rest(m: Measure, piece_of: dict, masses: list, kept: list) -> Measure:

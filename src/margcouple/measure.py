@@ -28,13 +28,16 @@ document still go through the checks.  :func:`tensor` and :func:`couple_mass`
 share one product loop, one ``Fraction`` wx·wy/c per weight (c = 1 in
 :func:`tensor`, the common mass in :func:`couple_mass`).
 
-Sums of many weights add numerators as ints per denominator and are
-normalised once, by :func:`_total`, instead of paying one ``gcd`` per added
-``Fraction``.  :func:`_fsum` takes one sum (``mass``); :func:`_grouped`
-adds each weight into its group's buckets inside the grouping pass, for
-``push_proj`` and ``Measure._patterns`` and so for
-:meth:`..refine.Grid.cell_masses`.  The result is the same ``Fraction``,
-since a ``Fraction`` is normalised whichever route builds it.
+Sums of many weights add ints over one common denominator and are
+normalised once, instead of paying one ``gcd`` per added ``Fraction``.  A
+measure's private ``_common`` is the lcm D of its distinct denominators
+and each weight's numerator over D, in ``weights`` order; ``mass`` sums
+those ints, and :func:`_grouped` sums them per group inside the grouping
+pass, for ``push_proj``, ``construct_preimage``'s piece masses and
+``Measure._patterns``, and so for :meth:`..refine.Grid.cell_masses`, a
+family's set masses and the checks of :mod:`.verify`.  Each result is
+one ``Fraction(sum, D)``: the same ``Fraction``, since a ``Fraction`` is
+normalised whichever route builds it.
 Open-set geometry has one exact integer form, :class:`_Axis`: an axis's
 distinct interval endpoints on one common denominator D cut it into slots,
 a coordinate n/d finds its slot from divmod(n·D, d) by one integer
@@ -58,15 +61,16 @@ they are the independent routes the fast ones are checked against.
 
 A measure's ``weights`` are never mutated after construction, by the
 library or by its callers, so values that depend only on them are computed
-once and kept on the instance: ``mass()``, each ``push_proj(axis)`` (the
-same ``Measure`` on every call) and, through the private ``_cached``, a
-neighbourhood's compiled family and centre masses keyed by its tuple of
-sets, the sampler's set indices of the centre's atoms,
-:meth:`..refine.Grid.cell_masses` keyed by the grid and, keyed by
-``("pieces", grid)``, the cell ratios ``construct_preimage`` takes from
-the reference's piece masses.  Within a ``certify`` run the reference's
-marginals, piece masses and cell masses, every centre's set masses and
-every family of sets are therefore built once.
+once and kept on the instance: the common form ``_common``, ``mass()``,
+each ``push_proj(axis)`` (the same ``Measure`` on every call) and, through
+the private ``_cached``, a neighbourhood's compiled family and centre
+masses keyed by its tuple of sets, the sampler's set indices of the
+centre's atoms, :meth:`..refine.Grid.cell_masses` keyed by the grid and,
+keyed by ``("pieces", grid)``, the cell ratios ``construct_preimage``
+takes from the reference's piece masses.  Within a ``certify`` run the
+reference's marginals, piece masses and cell masses, every centre's set
+masses and every family of sets are therefore built once, and each
+trial's coupling is put over its common denominator once.
 """
 
 from __future__ import annotations
@@ -95,39 +99,15 @@ from .space import (
 )
 
 
-def _total(buckets: Mapping) -> Fraction:
-    """The sum of n/d over the buckets {d: n}, normalised once: one lcm, then one gcd."""
-    if len(buckets) == 1:
-        [(den, num)] = buckets.items()
-        return Fraction(num, den)
-    den = lcm(*buckets)  # 1 for no buckets
-    return Fraction(sum(n * (den // d) for d, n in buckets.items()), den)
+def _grouped(groups: Iterable, nums: Iterable[int]) -> dict:
+    """Group -> the int sum of its numerators; the i-th numerator joins the i-th group.
 
-
-def _fsum(values: Iterable[Fraction]) -> Fraction:
-    """The exact sum: one int sum per denominator, then :func:`_total`."""
-    buckets: dict = {}
-    for v in values:
-        n, d = v.as_integer_ratio()
-        buckets[d] = buckets.get(d, 0) + n
-    return _total(buckets)
-
-
-def _grouped(groups: Iterable, weights: Iterable[Fraction]) -> dict:
-    """Group -> the exact sum of its weights; the i-th weight joins the i-th group.
-
-    Each group adds its numerators per denominator as it goes and is
-    normalised once, by :func:`_total`; groups come in order of first appearance.
+    Groups come in order of first appearance.
     """
     sums: dict = {}
-    for g, w in zip(groups, weights):
-        n, d = w.as_integer_ratio()
-        buckets = sums.get(g)
-        if buckets is None:
-            sums[g] = {d: n}
-        else:
-            buckets[d] = buckets.get(d, 0) + n
-    return {g: _total(buckets) for g, buckets in sums.items()}
+    for g, n in zip(groups, nums):
+        sums[g] = sums.get(g, 0) + n
+    return sums
 
 
 def _in_atom_order(space: Space, weights: dict) -> dict:
@@ -245,8 +225,23 @@ class Measure:
         return cls._trusted(space, {})
 
     @cached_property
+    def _common(self) -> tuple[int, list[int]]:
+        """The weights over one common denominator D: D and each numerator, in ``weights`` order.
+
+        D is the lcm of the distinct denominators (1 for no weights), and
+        D // d is taken once per distinct d.
+        """
+        ratios = [w.as_integer_ratio() for w in self.weights.values()]
+        scale = dict.fromkeys(d for _, d in ratios)
+        den = lcm(*scale)
+        for d in scale:
+            scale[d] = den // d
+        return den, [n * scale[d] for n, d in ratios]
+
+    @cached_property
     def _mass(self) -> Fraction:
-        return _fsum(self.weights.values())
+        den, nums = self._common
+        return Fraction(sum(nums), den)
 
     @cached_property
     def _memo(self) -> dict:
@@ -283,13 +278,16 @@ class Measure:
         _check_geometry(self.space, open_set)
         return self.sum_where(open_set.contains)
 
-    def _patterns(self, x_slots: tuple, y_slots: tuple) -> dict:
-        """The exact mass per ``(x value, y value)`` pattern of two slot tables.
+    def _patterns(self, x_slots: tuple, y_slots: tuple) -> tuple[int, dict]:
+        """The mass per ``(x value, y value)`` pattern of two slot tables, over one denominator.
+
+        Returns the common denominator D of :attr:`_common` and, per pattern,
+        the int numerator of its mass over D.
 
         Each table is an :class:`_Axis` and a value per slot: a compiled
         family's masks, or a grid's piece indices.  Each distinct support
         coordinate of an axis is placed once among its axis's slots, and
-        weights are summed per pattern.  A line measure's atoms lie in
+        numerators are summed per pattern.  A line measure's atoms lie in
         every row: y value -1.
         """
         if isinstance(self.space, ProductSpace):
@@ -300,7 +298,8 @@ class Measure:
         else:
             x_mask = _classify(self.space, self.weights, *x_slots)
             patterns = ((x_mask[k], -1) for k in self.weights)
-        return _grouped(patterns, self.weights.values())
+        den, nums = self._common
+        return den, _grouped(patterns, nums)
 
     def restrict(self, open_set: OpenSet) -> "Measure":
         _check_geometry(self.space, open_set)
@@ -317,7 +316,9 @@ class Measure:
         return self._cached(axis, lambda: self._project(axis))
 
     def _project(self, axis: int) -> "Measure":
-        sums = _grouped((key[axis - 1] for key in self.weights), self.weights.values())
+        den, nums = self._common
+        grouped = _grouped((key[axis - 1] for key in self.weights), nums)
+        sums = {k: Fraction(n, den) for k, n in grouped.items()}
         # the support is x-major, so first appearance is atom order on axis 1 only
         if axis == 1:
             return Measure._trusted(self.space.x, sums)
@@ -383,16 +384,17 @@ class _Family:
 
     def masses(self, m: Measure) -> list[Fraction]:
         """Each set's mass under ``m``: the patterns one of its boxes hits, summed once each."""
-        per_set: list = [[] for _ in self.hits]
-        for (mx, my), w in m._patterns(self.x_slots, self.y_slots).items():
+        den, sums = m._patterns(self.x_slots, self.y_slots)
+        per_set = [0] * len(self.hits)
+        for (mx, my), n in sums.items():
             held = self.held.get((mx, my))
             if held is None:
                 held = self.held[mx, my] = [
                     i for i, h in enumerate(self.hits) if any(mx & c and my & r for c, r in h)
                 ]
             for i in held:
-                per_set[i].append(w)
-        return [_fsum(ws) for ws in per_set]
+                per_set[i] += n
+        return [Fraction(n, den) for n in per_set]
 
 
 @record

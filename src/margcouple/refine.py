@@ -88,9 +88,9 @@ class Grid:
         return m._cached(self, lambda: self._bin(m))
 
     def _bin(self, m: Measure) -> dict[CellIndex, Fraction]:
-        masses = m._patterns(self._col_slots, self._row_slots)
+        den, sums = m._patterns(self._col_slots, self._row_slots)
         return {
-            ix: masses.get(ix, Fraction(0))
+            ix: Fraction(sums.get(ix, 0), den)
             for ix in product(range(len(self.cols)), range(len(self.rows)))
         }
 

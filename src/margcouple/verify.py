@@ -27,7 +27,7 @@ from .errors import (
     MassMismatchError,
     ParameterError,
 )
-from .measure import Measure, MetaMeasure, _bits, _check_geometry, _fsum, _slots, barycenter
+from .measure import Measure, MetaMeasure, _bits, _check_geometry, _grouped, _slots, barycenter
 from .refine import Grid, refine_grid
 from .space import (
     Atom,
@@ -325,10 +325,12 @@ def _patterns(joint: Measure, cols: Sequence[IntervalSet], rows: Sequence[Interv
         raise ParameterError("a containment check takes a product measure")
     col_bit = _bits(iv for s in cols for iv in s.intervals)
     row_bit = _bits(iv for s in rows for iv in s.intervals)
-    masses = joint._patterns(_slots(col_bit), _slots(row_bit))
+    den, sums = joint._patterns(_slots(col_bit), _slots(row_bit))
     col_bits = [sum(col_bit[iv] for iv in s.intervals) for s in cols]
     row_bits = [sum(row_bit[iv] for iv in s.intervals) for s in rows]
-    return col_bits, row_bits, lambda pred: _fsum(w for p, w in masses.items() if pred(*p))
+    return col_bits, row_bits, lambda pred: Fraction(
+        sum(n for p, n in sums.items() if pred(*p)), den
+    )
 
 
 def check_band_bound(
@@ -421,6 +423,25 @@ class CertReport:
         return not self.violations
 
 
+def _has_marginals(coupling: Measure, mu: Measure, nu: Measure) -> bool:
+    """Whether ``coupling.push_proj(1) == mu`` and ``coupling.push_proj(2) == nu``, in integers.
+
+    Each projection stays a sum s of numerators over the coupling's common
+    denominator D_c.  It matches a marginal whose weights are n over D_m
+    when both lie on the same axis space, have the same support, and
+    s·D_m == n·D_c on every atom.
+    """
+    den, nums = coupling._common
+    for i, (space, m) in enumerate(((coupling.space.x, mu), (coupling.space.y, nu))):
+        sums = _grouped((key[i] for key in coupling.weights), nums)
+        m_den, m_nums = m._common
+        if space != m.space or sums.keys() != m.weights.keys() or any(
+            sums[k] * m_den != n * den for k, n in zip(m.weights, m_nums)
+        ):
+            return False
+    return True
+
+
 def certify_trial(
     reference: Measure,
     grid: Grid,
@@ -451,7 +472,7 @@ def certify_trial(
 
     violations: list[Violation] = []
     coupling = report.coupling
-    if coupling.push_proj(1) != mu or coupling.push_proj(2) != nu:
+    if not _has_marginals(coupling, mu, nu):
         violations.append(bad("marginal-mismatch"))
     ref_cells = grid.cell_masses(reference)
     drops = {ix: m - ref_cells[ix] for ix, m in grid.cell_masses(coupling).items()}

@@ -3,6 +3,7 @@
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from math import isqrt, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -31,7 +32,8 @@ from margcouple import (
     tensor,
     verify,
 )
-from margcouple.measure import _Axis, _classify, _Family, _fsum, _slots
+from margcouple.couple import _pieces
+from margcouple.measure import _Axis, _classify, _Family, _slots
 
 F = Fraction
 
@@ -421,45 +423,55 @@ def test_tensor_marginals_property(data):
     assert pair.mu == mu and pair.nu == nu
 
 
-# -- one-normalisation sums --------------------------------------------------
+# -- sums over one common denominator ---------------------------------------
 
 # Fermat numbers 2**(2**j) + 1 are pairwise coprime, so sums over them keep
 # a denominator of thousands of bits
 COPRIME_DENOMS = tuple(2 ** (2**j) + 1 for j in range(8, 13))
 denominators = st.one_of(st.integers(1, 30), st.sampled_from(COPRIME_DENOMS))
-signed = st.builds(F, st.integers(-(10**30), 10**30), denominators)
 nonnegative = st.builds(F, st.integers(0, 10**30), denominators)
+
+
+def _primes_from(start: int, count: int) -> tuple[int, ...]:
+    """The first count odd primes at or above an odd start, by trial division."""
+    found: list = []
+    n = start
+    while len(found) < count:
+        if all(n % p for p in range(3, isqrt(n) + 1, 2)):
+            found.append(n)
+        n += 2
+    return tuple(found)
+
+
+# one distinct 21-bit prime per atom: the common denominator is their product,
+# the largest an lcm of that many denominators can be
+PRIMES_21_BITS = _primes_from(2**20 + 1, 25)
 
 
 def _plain(ws) -> Fraction:
     return sum(ws, F(0))
 
 
-@given(st.lists(signed, max_size=30))
+def _line_measure(weights) -> Measure:
+    """A measure on a line with one atom per weight, in order, and one atom left bare."""
+    weights = list(weights)
+    line = SpaceDesc(tuple(Atom(f"a{i}", i) for i in range(len(weights) + 1)))
+    return Measure(line, {f"a{i}": w for i, w in enumerate(weights)})
+
+
+@given(st.lists(nonnegative, max_size=30))
 def test_fsum_is_the_fraction_sum(vs):
-    out = _fsum(vs)
+    """``mass`` sums the numerators over one common denominator: the plain ``Fraction`` sum."""
+    out = _line_measure(vs).mass()
     assert type(out) is Fraction and out == _plain(vs)
 
 
-@given(st.lists(st.integers(-(10**6), 10**6), max_size=30), st.sampled_from((7, 2**127 - 1)))
+@given(st.lists(st.integers(0, 10**6), max_size=30), st.sampled_from((7, 2**127 - 1)))
 def test_fsum_over_one_shared_denominator(nums, d):
-    vs = [F(n, d) for n in nums]
-    assert _fsum(vs) == F(sum(nums), d)
-
-
-def test_fsum_edge_cases():
-    big = F(1, COPRIME_DENOMS[0])
-    for vs, total in (
-        ([], F(0)),
-        ([F(0), F(0)], F(0)),
-        ([F(2, 3)], F(2, 3)),
-        ([F(1, 3), F(-1, 3)], F(0)),
-        ([F(1, 6), F(1, 3), F(1, 2)], F(1)),
-        ([big, -big, F(-5, 7)], F(-5, 7)),
-        ([F(1, d) for d in COPRIME_DENOMS], _plain(F(1, d) for d in COPRIME_DENOMS)),
-    ):
-        out = _fsum(vs)
-        assert type(out) is Fraction and out == total
+    m = _line_measure(F(n, d) for n in nums)
+    assert m.mass() == F(sum(nums), d)
+    if any(n % d for n in nums):  # some weight keeps d, and d is prime
+        assert m._common[0] == d
 
 
 @given(st.data())
@@ -537,26 +549,72 @@ def test_sum_lists_keys_in_atom_order_with_plain_weights(data, case):
         assert list(total.push_proj(axis).weights) == [k for k in line.keys if k in atoms]
 
 
-def _one_value_measure(rng: random.Random, space: ProductSpace, draw_weight) -> Measure:
-    """Each x atom and y atom in at most one support pair: each projection group has one value."""
-    xs, ys = list(space.x.keys), list(space.y.keys)
-    rng.shuffle(ys)
-    return Measure(space, {(kx, ky): draw_weight() for kx, ky in zip(xs, ys)})
+def test_common_form_worked_cases():
+    line = SpaceDesc(tuple(Atom(f"a{i}", i) for i in range(len(COPRIME_DENOMS))))
+    big = COPRIME_DENOMS[0]
+    for weights, den, total in (
+        ({}, 1, F(0)),  # lcm() is 1
+        ({"a0": F(2, 3)}, 3, F(2, 3)),
+        ({"a0": F(1, 6), "a1": F(1, 3), "a2": F(1, 2)}, 6, F(1)),  # a sum that reduces
+        ({"a0": F(1, 4), "a1": F(3, 4)}, 4, F(1)),
+        ({"a0": F(1, big), "a1": F(5, 7)}, 7 * big, F(1, big) + F(5, 7)),
+        (
+            {f"a{i}": F(1, d) for i, d in enumerate(COPRIME_DENOMS)},
+            prod(COPRIME_DENOMS),
+            _plain(F(1, d) for d in COPRIME_DENOMS),
+        ),
+    ):
+        m = Measure(line, weights)
+        nums = [w.numerator * (den // w.denominator) for w in m.weights.values()]
+        assert m._common == (den, nums)
+        assert type(m.mass()) is Fraction and m.mass() == total
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.data(), st.sampled_from(["one value", "repeated denominators", "coprime denominators"]))
+_COMMON_FORM_CASES = [
+    "one value",
+    "repeated denominator",
+    "coprime denominators",
+    "distinct primes",
+    "zero measure",
+    "single weight",
+]
+
+
+def _case_weights(rng: random.Random, keys: list, case: str, draw) -> dict:
+    """Weights on keys for one case of the common-form property; ``draw`` gives a positive one."""
+    if case == "zero measure":
+        return {}
+    if case == "single weight":
+        return {rng.choice(keys): draw()}
+    if case == "one value":
+        return {k: draw() for k in keys}
+    if case == "distinct primes":
+        return {k: F(rng.randint(1, 10**9), p) for k, p in zip(keys, PRIMES_21_BITS)}
+    dens = COPRIME_DENOMS if case == "coprime denominators" else (rng.randint(1, 30),)
+    return {k: F(rng.randint(0, 10**9), rng.choice(dens)) for k in keys}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(_COMMON_FORM_CASES))
 def test_group_sums_equal_plain_fraction_sums(data, case):
+    """``mass``, ``push_proj``, ``cell_masses``, ``_Family.masses`` and ``_pieces``
+    sum numerators over the common denominator; each equals the plain ``Fraction`` sum."""
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     space = _scrambled_product(rng)
-    if case == "one value":
-        m = _one_value_measure(rng, space, lambda: data.draw(nonnegative.filter(bool)))
-    else:
-        dens = COPRIME_DENOMS
-        if case == "repeated denominators":
-            dens = (data.draw(st.integers(1, 30)),)
-        m = Measure(space, {k: F(rng.randint(0, 10**9), rng.choice(dens)) for k in space.keys})
-    coord_x, coord_y = space.x.coord_of, space.y.coord_of
+    draw = lambda: data.draw(nonnegative.filter(bool))  # noqa: E731
+    keys = list(space.keys)
+    if case == "one value":  # each x atom and y atom in at most one pair: one value per group
+        ys = list(space.y.keys)
+        rng.shuffle(ys)
+        keys = list(zip(space.x.keys, ys))
+    m = Measure(space, _case_weights(rng, keys, case, draw))
+    line = Measure(space.x, _case_weights(rng, list(space.x.keys), case, draw))
+    for measure in (m, line):
+        den, nums = measure._common
+        assert den == lcm(*(w.denominator for w in measure.weights.values()))
+        assert [F(n, den) for n in nums] == list(measure.weights.values())
+        mass = measure.mass()
+        assert type(mass) is Fraction and mass == _plain(measure.weights.values())
     for axis in (1, 2):
         groups: dict = {}
         for key, w in m.weights.items():
@@ -564,21 +622,31 @@ def test_group_sums_equal_plain_fraction_sums(data, case):
         got = m.push_proj(axis).weights
         assert got == {k: _plain(ws) for k, ws in groups.items()}
         assert all(type(w) is Fraction for w in got.values())
+
     grid = instances.random_grid(rng)
-
-    def piece(pieces, c):
-        return next((i for i, p in enumerate(pieces) if p.contains(c)), -1)
-
-    groups = {}
-    for (kx, ky), w in m.weights.items():
-        cell = (piece(grid.cols, coord_x(kx)), piece(grid.rows, coord_y(ky)))
-        groups.setdefault(cell, []).append(w)
-    patterns = m._patterns(grid._col_slots, grid._row_slots)
-    assert patterns == {p: _plain(ws) for p, ws in groups.items()}
-    assert all(type(w) is Fraction for w in patterns.values())
-    assert grid.cell_masses(m) == {
-        ix: _plain(groups.get(ix, ())) for ix, _ in grid.cells()
+    coord, coord_x = space.coord_of, space.x.coord_of
+    cells = grid.cell_masses(m)
+    assert cells == {
+        ix: _plain(w for k, w in m.weights.items() if cell.contains(coord(k)))
+        for ix, cell in grid.cells()
     }
+    assert all(type(v) is Fraction for v in cells.values())
+    boxes = [
+        BoxSet(tuple(instances.random_box(rng) for _ in range(rng.randint(1, 2))))
+        for _ in range(rng.randint(1, 4))
+    ]
+    for measure, sets in ((m, boxes), (line, grid.cols)):
+        got = _Family(sets).masses(measure)
+        c = measure.space.coord_of
+        assert got == [
+            _plain(w for k, w in measure.weights.items() if s.contains(c(k))) for s in sets
+        ]
+        assert all(type(v) is Fraction for v in got)
+    _, pieces = _pieces(line, grid._col_slots, len(grid.cols))
+    assert pieces == [
+        _plain(w for k, w in line.weights.items() if p.contains(coord_x(k))) for p in grid.cols
+    ]
+    assert all(type(v) is Fraction for v in pieces)
 
 
 def test_group_sums_worked_cases():
@@ -686,4 +754,4 @@ def _names(code) -> set:
 )
 def test_cross_checks_keep_plain_fraction_sums(fn):
     names = _names(fn.__code__)
-    assert not {"_fsum", "_patterns", "_Family"} & names
+    assert not {"_common", "_grouped", "_patterns", "_Family"} & names

@@ -41,7 +41,8 @@ from margcouple import (
     verify,
 )
 from margcouple.couple import _pieces
-from margcouple.measure import _Family, _fsum
+from margcouple import measure as measure_module
+from margcouple.measure import _Family
 
 F = Fraction
 
@@ -207,10 +208,11 @@ def test_one_tensor_of_the_marginals_and_one_mass_each(monkeypatch):
     mu = instances.perturbed_probability(rng, pair.mu)
     nu = instances.perturbed_probability(rng, pair.nu)
     summed: Counter = Counter()
+    mass = Measure.__dict__["_mass"].func
 
     def counting_mass(self):
         summed[id(self)] += 1
-        return _fsum(self.weights.values())
+        return mass(self)
 
     prop = cached_property(counting_mass)
     prop.__set_name__(Measure, "_mass")
@@ -226,6 +228,47 @@ def test_one_tensor_of_the_marginals_and_one_mass_each(monkeypatch):
     assert len(used) == 1 and used[0][0] is mu and used[0][1] is nu
     assert sum(1 for a in report.cell_allocs.values() if a.kept) > 1
     assert [summed[id(m)] for m in (reference, mu, nu)] == [1, 1, 1]
+
+
+def test_a_trial_builds_its_couplings_common_form_once(monkeypatch):
+    """The cell bin, both marginal checks and the target gap group one common form."""
+    rng = random.Random(7)
+    reference = instances.sparse_reference(rng, 12, F(1, 2))
+    targets = instances.tile_targets(rng, 12, 7)
+    refinement = refine_grid(reference, targets, F(1, 5))
+    hood = Neighborhood(reference, tuple(targets), F(1, 5))
+    built: list = []  # the measures whose common form was built, one entry per build
+    grouped: list = []  # the numerator lists grouped, one entry per grouping
+    common, group = Measure.__dict__["_common"].func, measure_module._grouped
+
+    def counting_common(self):
+        built.append(self)
+        return common(self)
+
+    def counting_group(groups, nums):
+        grouped.append(nums)
+        return group(groups, nums)
+
+    prop = cached_property(counting_common)
+    prop.__set_name__(Measure, "_common")
+    monkeypatch.setattr(Measure, "_common", prop)
+    monkeypatch.setattr(measure_module, "_grouped", counting_group)
+    monkeypatch.setattr(verify, "_grouped", counting_group)
+    reports: list = []
+
+    def recording(*args):
+        reports.append(construct_preimage(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(verify, "construct_preimage", recording)
+    for t in range(3):
+        violations, gaps = verify.certify_trial(
+            reference, refinement.grid, hood, refinement.delta, t, Seed(11).derive(t)
+        )
+        assert violations == [] and len(gaps) == 2
+        coupling = reports[-1].coupling
+        assert sum(m is coupling for m in built) == 1
+        assert sum(nums is coupling._common[1] for nums in grouped) == 4
 
 
 def _placed(center: Measure, result: Measure) -> int:
@@ -330,8 +373,9 @@ def test_workspace_membership_equals_a_fresh_scan(seed, geometry):
 def test_cached_values_equal_fresh_sums(seed):
     rng = random.Random(seed)
     joint = instances.random_joint(rng, instances.random_product(rng))
-    assert joint.mass() == _fsum(joint.weights.values()) == sum(joint.weights.values(), F(0))
+    assert joint.mass() == sum(joint.weights.values(), F(0))
     assert joint.mass() is joint.mass()
+    assert joint._common is joint._common
     for axis, space in ((1, joint.space.x), (2, joint.space.y)):
         sums: dict = {}
         for key, w in joint.weights.items():

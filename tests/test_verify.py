@@ -589,6 +589,49 @@ _CONSTRUCTIONS = {
 }
 
 
+def _marginals_hold(coupling: Measure, mu: Measure, nu: Measure) -> bool:
+    """The trial's integer marginal check, held against ``push_proj`` equality."""
+    got = verify._has_marginals(coupling, mu, nu)
+    assert got == (coupling.push_proj(1) == mu and coupling.push_proj(2) == nu)
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(_CONSTRUCTIONS)))
+def test_marginal_check_fails_on_each_kind_of_mismatch(seed, construction):
+    """Each construction's coupling has its marginals; a wrong weight, a missing atom, an
+    extra atom or a foreign axis space on either side is a mismatch."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 8)
+    reference = instances.sparse_reference(rng, n, F(1, 2))
+    grid = instances.block_grid(n, rng.randint(1, 3))
+    pair = marginal_pair(reference)
+    mu, nu = (instances.perturbed_probability(rng, m) for m in (pair.mu, pair.nu))
+    try:
+        coupling = _CONSTRUCTIONS[construction](reference, grid, mu, nu).coupling
+    except HypothesisError:  # the broken rule overdrew; on the reference's marginals it cannot
+        mu, nu = pair.mu, pair.nu
+        coupling = _CONSTRUCTIONS[construction](reference, grid, mu, nu).coupling
+    assert _marginals_hold(coupling, mu, nu)
+    for i in (0, 1):
+        m = (mu, nu)[i]
+        k = rng.choice(list(m.weights))
+
+        def swap(other):  # the pair (mu, nu) with other in place of m
+            return (other, nu) if i == 0 else (mu, other)
+
+        wrong = Measure(m.space, {**m.weights, k: 2 * m.weights[k]})
+        missing = Measure(m.space, {a: w for a, w in m.weights.items() if a != k})
+        # the coupling without the atoms projecting onto k, against the full marginal
+        thinned = Measure(coupling.space, {a: w for a, w in coupling.weights.items() if a[i] != k})
+        moved = SpaceDesc(tuple(Atom(a.id, a.coord + 1) for a in m.space.atoms))
+        foreign = Measure(moved, dict(m.weights))
+        assert not _marginals_hold(coupling, *swap(wrong))
+        assert not _marginals_hold(coupling, *swap(missing))
+        assert not _marginals_hold(thinned, mu, nu)
+        assert not _marginals_hold(coupling, *swap(foreign))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(_CONSTRUCTIONS)), st.booleans())
 def test_trial_cell_gap_is_the_cell_neighbourhood_gap(seed, construction, tiled):
