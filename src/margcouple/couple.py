@@ -23,6 +23,17 @@ keeps at most mu(col q) times its share of the reference column, and the
 cells of a column are disjoint parts of it, so together they keep at most
 mu(col q); likewise on rows.
 
+On narrow marginals (see :mod:`.measure`) every one of these measures is
+built over one denominator in ints: the grid part is the tensor's
+numerators times one int multiplier per kept cell, over the lcm of the
+kept factors' denominators, each rest its marginal's times one multiplier
+per piece, and the coupling their int sum.  :class:`PreimageReport` then
+tests the split with one int comparison per atom, and no ``Fraction``
+weight is made unless something reads one; a document writes each weight
+from its numerator and denominator.  Wider marginals take the
+``Fraction`` route, one ``Fraction`` per weight, which the tests hold the
+int route to.
+
 Cell masses, of the reference and of the new coupling alike, come from one
 binning pass of :meth:`..refine.Grid.cell_masses` each: column pieces are
 pairwise disjoint and so are row pieces, so every atom falls in at most one
@@ -39,11 +50,13 @@ two ratios, cell/column and cell/row, are kept on the reference under
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
+from math import lcm
 
 from ._record import record, setfield
 from .errors import InternalConsistencyError, MassMismatchError, ParameterError
-from .measure import Measure, _classify, _grouped, couple_mass, tensor
+from .measure import Measure, _classify, _grouped, _lcm, couple_mass, tensor
 from .refine import CellIndex, Grid
 from .space import ProductSpace, SpaceDesc
 
@@ -94,13 +107,26 @@ class PreimageReport:
 def _splits(total: Measure, part: Measure, rest: Measure) -> bool:
     """Whether ``total == part + rest``, tested in integers without building the sum.
 
-    No weight is zero, so the supports must match as sets first.  A key
-    held by one part only must carry that part's weight, compared as
-    normalised numerator and denominator; for a key held by both, c = g + r
-    is cn·gd·rd == (gn·rd + rn·gd)·cd.
+    No weight is zero, so every key of the total must carry the sum of the
+    parts' weights there, and no part may hold a key the total lacks.  When
+    all three were built over one denominator (``Measure._over``), each
+    form is scaled to the lcm L of the three denominators and the test is
+    one int comparison per key.  Otherwise a key held by one part only must
+    carry that part's weight, compared as normalised numerator and
+    denominator; for a key held by both, c = g + r is cn·gd·rd == (gn·rd +
+    rn·gd)·cd.
     """
     if not total.space == part.space == rest.space:
         return False
+    if total._is_over and part._is_over and rest._is_over:
+        (dt, nt), (dp, np_), (dr, nr) = total._common, part._common, rest._common
+        den = lcm(dt, dp, dr)
+        mt, mp, mr = den // dt, den // dp, den // dr
+        parts, rests = dict(zip(part._keys, np_)), dict(zip(rest._keys, nr))
+        for k, n in zip(total._keys, nt):
+            if n * mt != parts.pop(k, 0) * mp + rests.pop(k, 0) * mr:
+                return False
+        return not parts and not rests
     if total.weights.keys() != part.weights.keys() | rest.weights.keys():
         return False
     for k, c in total.weights.items():
@@ -120,25 +146,54 @@ def _pieces(m: Measure, slots: tuple, n: int) -> tuple[dict, list]:
     """The piece index of each support atom of m (-1: none), and m's mass on each of n pieces.
 
     ``slots`` is a grid axis's table of the piece holding each slot (see
-    :func:`..refine._piece_slots`); each support atom of m is placed once.
+    :func:`..refine._piece_slots`); each support atom of m is placed once,
+    in atom order.
     """
-    piece_of = _classify(m.space, m.weights, *slots)
+    piece_of = _classify(m.space, m._keys, *slots)
     den, nums = m._common
     sums = _grouped(piece_of.values(), nums)
     return piece_of, [Fraction(sums.get(i, 0), den) for i in range(n)]
 
 
-def _rest(m: Measure, piece_of: dict, masses: list, kept: list) -> Measure:
-    """What the grid part leaves of m: an atom of piece i keeps 1 - kept_i/mass_i of its weight."""
-    left = {i: 1 - k / c for i, (k, c) in enumerate(zip(kept, masses)) if k}
-    weights = {}
-    for key, w in m.weights.items():
-        f = left.get(piece_of[key])
-        if f is None:
-            weights[key] = w
-        elif f:
-            weights[key] = w * f
-    return Measure._trusted(m.space, weights)
+def _reweighted(m: Measure, groups: Iterable, factors: dict, narrow: bool) -> Measure:
+    """m with each weight times its atom's group's factor; ``groups`` lists them in atom order.
+
+    An atom whose group has no factor, or a factor of 0, is dropped.  On the
+    int route (``narrow``) a factor p/q becomes the int p·(L/q), L the lcm
+    of the factors' denominators, and the result lies over D·L for m's
+    common denominator D.  Otherwise each weight is built from integers as
+    one ``Fraction``, and a factor of 1 keeps the weight as it is.
+    """
+    ratios = {g: f.as_integer_ratio() for g, f in factors.items() if f}
+    if not narrow:
+        weights = {}
+        for (key, w), g in zip(m.weights.items(), groups):
+            f = ratios.get(g)
+            if f == (1, 1):
+                weights[key] = w
+            elif f is not None:
+                weights[key] = Fraction(w.numerator * f[0], w.denominator * f[1])
+        return Measure._trusted(m.space, weights)
+    scale = _lcm({q for _, q in ratios.values()})
+    mult = {g: p * (scale // q) for g, (p, q) in ratios.items()}
+    den, nums = m._common
+    keys, out = [], []
+    for key, n, g in zip(m._keys, nums, groups):
+        f = mult.get(g)
+        if f is not None:
+            keys.append(key)
+            out.append(n * f)
+    return Measure._over(m.space, keys, out, den * scale)
+
+
+def _left(masses: list, kept: list) -> dict:
+    """Piece -> 1 - kept/mass, the share of each atom's weight that the grid part leaves.
+
+    An atom in no piece (-1) keeps all of its weight.
+    """
+    left = {i: 1 - k / c if k else 1 for i, (k, c) in enumerate(zip(kept, masses))}
+    left[-1] = 1
+    return left
 
 
 def _reference_ratios(reference: Measure, grid: Grid) -> dict:
@@ -187,7 +242,7 @@ def construct_preimage(
     y_piece, new_rows = _pieces(nu, grid._row_slots, len(grid.rows))
 
     allocs: dict[CellIndex, CellAlloc] = {}
-    factor: dict[CellIndex, tuple] = {}  # kept cell -> kept / (mu(col q) nu(row s)), as n, d
+    factor: dict[CellIndex, Fraction] = {}  # kept cell -> kept / (mu(col q) nu(row s))
     col_kept = [Fraction(0)] * len(grid.cols)
     row_kept = [Fraction(0)] * len(grid.rows)
     for (q, s), ratio in ratios.items():
@@ -199,21 +254,16 @@ def construct_preimage(
         kept = min(col_scaled, row_scaled)
         allocs[(q, s)] = CellAlloc(col_scaled, row_scaled, kept)
         if kept:
-            factor[q, s] = (kept / (new_cols[q] * new_rows[s])).as_integer_ratio()
+            factor[q, s] = kept / (new_cols[q] * new_rows[s])
             col_kept[q] += kept
             row_kept[s] += kept
-    # kept x (mu|col q / mu(col q)) x (nu|row s / nu(row s)) is mu x nu times factor on the
-    # cell; each weight is built from integers as one Fraction, cheaper than a Fraction product
+    # kept x (mu|col q / mu(col q)) x (nu|row s / nu(row s)) is mu x nu times factor on the cell
     product = tensor(mu, nu)
-    weights = {}
-    for (kx, ky), w in product.weights.items():
-        f = factor.get((x_piece[kx], y_piece[ky]))
-        if f is not None:
-            weights[kx, ky] = Fraction(w.numerator * f[0], w.denominator * f[1])
-    grid_part = Measure._trusted(product.space, weights)
-
-    mu_rest = _rest(mu, x_piece, new_cols, col_kept)
-    nu_rest = _rest(nu, y_piece, new_rows, row_kept)
+    narrow = product._is_over  # tensor picked the int route for mu and nu; the rests follow it
+    cells = ((x_piece[kx], y_piece[ky]) for kx, ky in product._keys)
+    grid_part = _reweighted(product, cells, factor, narrow)
+    mu_rest = _reweighted(mu, x_piece.values(), _left(new_cols, col_kept), narrow)
+    nu_rest = _reweighted(nu, y_piece.values(), _left(new_rows, row_kept), narrow)
     remainder = couple_mass(mu_rest, nu_rest)
     coupling = grid_part + remainder
     ref_cell_mass = grid.cell_masses(reference)

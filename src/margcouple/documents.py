@@ -36,8 +36,10 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote  # json's C string encoder
+from math import gcd
 
 from ._record import record, setfield
 from .couple import CellAlloc, MarginalPair, PreimageReport
@@ -231,31 +233,48 @@ def _measure_body(m: Measure) -> dict:
     return {"space": _tagged(m.space), "weights": m}  # _write lays the weights out from m
 
 
+def _weighted(m: Measure) -> Iterable[tuple]:
+    """Each atom of m with its weight, or with the text ``str(Fraction)`` gives it, in atom order.
+
+    Made weights are given as they are.  A measure built over one
+    denominator whose weights nothing has read gives each numerator n over
+    its D as the text n/g over D/g, g = gcd(n, D), with no Fraction made.
+    """
+    if "weights" in vars(m):
+        return m.weights.items()
+    den, nums = m._common
+    texts = []
+    for n in nums:
+        g = gcd(n, den)
+        texts.append(f"{n // g}/{den // g}" if g != den else str(n // g))
+    return zip(m._keys, texts)
+
+
 def _weights(m: Measure, nl: str) -> str:
     """m's weights as _write writes their JSON value; nl as for _write.
 
     Each atom's quoted id and the layout around it are built once per atom
     of the space.  A weight is then one string, its atoms' prefixes and its
-    plain ``str``; the layout that closes it is written by the join.  A
-    measure's weights are Fractions, so only the int-string digit limit can
-    stop them being written.
+    plain ``str`` (see :func:`_weighted`); the layout that closes it is
+    written by the join.  A measure's weights are exact rationals, so only
+    the int-string digit limit can stop them being written.
     """
     product = isinstance(m.space, ProductSpace)
-    if not m.weights:
-        return "[]" if product else "{}"
     inner = nl + "  "
     try:
         if product:
             i2, i3 = inner + "  ", inner + "    "
             xs = {x: "[" + i2 + "[" + i3 + _quote(x) + "," + i3 for x in m.space.x.keys}
             ys = {y: _quote(y) + i2 + "]," + i2 + '"' for y in m.space.y.keys}
-            items = [f"{xs[x]}{ys[y]}{w!s}" for (x, y), w in m.weights.items()]
+            items = [f"{xs[x]}{ys[y]}{w!s}" for (x, y), w in _weighted(m)]
             end = '"' + inner + "]"
         else:
-            items = [f'{_quote(k)}: "{w!s}' for k, w in m.weights.items()]
+            items = [f'{_quote(k)}: "{w!s}' for k, w in _weighted(m)]
             end = '"'
     except ValueError:
         raise _too_large() from None
+    if not items:
+        return "[]" if product else "{}"
     body = inner + (end + "," + inner).join(items) + end + nl
     return "[" + body + "]" if product else "{" + body + "}"
 

@@ -14,26 +14,49 @@ only, matching the open-set semantics of :mod:`.space`.
 
 The public constructor ``Measure(space, weights)`` always validates.
 Results the library builds from measures that are already valid skip that
-pass through the private ``Measure._trusted``, which takes positive
-``Fraction`` weights keyed by atoms and already in atom order:
-``zero``, ``restrict``, ``scale``, ``push_proj``, ``+``, :func:`tensor`,
-:func:`couple_mass`, and ``construct_preimage``'s grid part and the rests
-of its marginals.  Each keeps the order by construction (the grid part
-filters its tensor's x-major weights, each rest its marginal's) and orders
-keys only where it cannot:
-``push_proj(2)`` and a sum whose right operand brings new atoms, which rank
-their keys in one batch ``space.positions`` pass, never one ``position``
-call per key.  ``-``, :func:`barycenter` and everything parsed from a
-document still go through the checks.  :func:`tensor` and :func:`couple_mass`
-share one product loop, one ``Fraction`` wx·wy/c per weight (c = 1 in
-:func:`tensor`, the common mass in :func:`couple_mass`).
+pass through one of two private constructors.  ``Measure._trusted`` takes
+positive ``Fraction`` weights keyed by atoms and already in atom order:
+``restrict``, ``scale``, ``push_proj`` and the ``Fraction`` route below.
+``Measure._over`` takes the atoms in atom order, their positive int
+numerators and one denominator D, and keeps them as the measure's common
+form; its ``weights`` are made, one ``Fraction`` each, only when something
+reads them.  ``zero``, :func:`tensor` and :func:`couple_mass` (one product
+loop, numerator a·b·q over Dμ·Dν·p for weights a/Dμ and b/Dν and a mass
+c = p/q, c = 1 in :func:`tensor`, with no gcd), ``construct_preimage``'s
+grid part (one int multiplier per kept cell) and the rests of its
+marginals (one per piece), and a sum of two such measures (ints added
+over lcm(D₁, D₂)) are built so.  Each keeps the order by construction
+(the grid part filters its tensor's x-major atoms, each rest its
+marginal's) and orders keys only where it cannot: ``push_proj(2)`` and a
+sum whose right operand brings new atoms, which rank their keys in one
+batch ``space.positions`` pass, never one ``position`` call per key.
+``-``, :func:`barycenter` and everything parsed from a document still go
+through the checks.
+
+Sharing one D makes every numerator as large as D, so the int route runs
+only on narrow inputs.  :func:`tensor` checks its marginals on entry: a
+marginal is narrow while its common D has at most ``_WIDEST`` (4) times
+the bits of its largest denominator, and a measure built by ``_over`` is
+narrow.  Wider inputs take the ``Fraction`` route, one ``Fraction`` per
+weight built from integers, which is also the reference the tests hold
+the int route to.  What follows the check keeps its route:
+``construct_preimage`` builds its grid part and rests on the route its
+tensor took, and :func:`couple_mass` and a sum work in ints only when
+both operands were built by ``_over``, on ``Fraction`` weights otherwise.
 
 Sums of many weights add ints over one common denominator and are
 normalised once, instead of paying one ``gcd`` per added ``Fraction``.  A
-measure's private ``_common`` is the lcm D of its distinct denominators
-and each weight's numerator over D, in ``weights`` order; ``mass`` sums
-those ints, and :func:`_grouped` sums them per group inside the grouping
-pass, for ``push_proj``, ``construct_preimage``'s piece masses and
+measure's private ``_common`` is a common denominator D of its weights and
+each weight's numerator over D, in atom order; the private ``_keys`` is
+its support in the same order, read where only the atoms matter.  For a
+measure built by ``_over``, D is the one it was built over: a common
+multiple of the denominators, not always their lcm (on the tests'
+instances, 1.2–2.5 times the lcm's bits for a certify trial's coupling).
+For any other measure D is the lcm of the distinct denominators, folded
+by :func:`_lcm` in pairwise rounds, with D // d taken once per distinct
+d.  ``mass`` sums those ints,
+and :func:`_grouped` sums them per group inside the grouping pass, for
+``push_proj``, ``construct_preimage``'s piece masses and
 ``Measure._patterns``, and so for :meth:`..refine.Grid.cell_masses`, a
 family's set masses and the checks of :mod:`.verify`.  Each result is
 one ``Fraction(sum, D)``: the same ``Fraction``, since a ``Fraction`` is
@@ -70,7 +93,8 @@ keyed by ``("pieces", grid)``, the cell ratios ``construct_preimage``
 takes from the reference's piece masses.  Within a ``certify`` run the
 reference's marginals, piece masses and cell masses, every centre's set
 masses and every family of sets are therefore built once, and each
-trial's coupling is put over its common denominator once.
+trial's coupling, built over one denominator, is never put over one again
+and never makes its ``Fraction`` weights.
 """
 
 from __future__ import annotations
@@ -99,6 +123,18 @@ from .space import (
 )
 
 
+def _lcm(values: Iterable[int]) -> int:
+    """The lcm of positive ints (1 for none), folded in pairwise rounds.
+
+    ``math.lcm(*values)`` folds left, so each step multiplies an ever
+    larger lcm by one small value; pairing lcms of like size does less work.
+    """
+    vals = list(values)
+    while len(vals) > 1:
+        vals = [lcm(*vals[i : i + 2]) for i in range(0, len(vals), 2)]
+    return vals[0] if vals else 1
+
+
 def _grouped(groups: Iterable, nums: Iterable[int]) -> dict:
     """Group -> the int sum of its numerators; the i-th numerator joins the i-th group.
 
@@ -114,6 +150,17 @@ def _in_atom_order(space: Space, weights: dict) -> dict:
     """``weights`` re-keyed in the space's atom order, every rank from one ``positions`` pass."""
     rank = dict(zip(weights, space.positions(weights)))
     return {k: weights[k] for k in sorted(weights, key=rank.__getitem__)}
+
+
+def _merged(space: Space, left: Iterable[tuple], right: Iterable[tuple]) -> dict:
+    """The (key, value) pairs of two measures in atom order, values of a shared key added."""
+    acc = dict(left)
+    n = len(acc)
+    for k, w in right:
+        acc[k] = acc[k] + w if k in acc else w
+    if len(acc) > n:  # the right side brought atoms, appended out of order
+        acc = _in_atom_order(space, acc)
+    return acc
 
 
 def _normalized(space: Space, raw: Mapping) -> dict:
@@ -204,6 +251,8 @@ def _check_geometry(space: Space, open_set: OpenSet) -> None:
 class Measure:
     """A nonnegative finitely supported measure on a ground space."""
 
+    _is_over = False  # True on a measure built by _over
+
     def __init__(self, space: Space, weights: dict):
         setfield(self, "space", space)
         setfield(self, "weights", _normalized(space, weights))
@@ -221,19 +270,50 @@ class Measure:
         return m
 
     @classmethod
+    def _over(cls, space: Space, keys: Iterable, nums: list[int], den: int) -> "Measure":
+        """A measure whose weights are int numerators over one denominator, kept as ``_common``.
+
+        Only for results the library builds itself: ``keys`` are atoms of
+        ``space`` in atom order and ``nums`` their positive numerators over
+        ``den``.  ``weights`` is made from them only when something reads it.
+        """
+        m = object.__new__(cls)
+        setfield(m, "space", space)
+        setfield(m, "_keys", keys)
+        setfield(m, "_common", (den, nums))
+        setfield(m, "_is_over", True)
+        return m
+
+    def __getattr__(self, name: str):
+        """``weights`` of a measure built by :meth:`_over`, made on first read and kept."""
+        if name != "weights" or not self._is_over:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        den, nums = self._common
+        weights = {k: Fraction(n, den) for k, n in zip(self._keys, nums)}
+        setfield(self, "weights", weights)
+        return weights
+
+    @classmethod
     def zero(cls, space: Space) -> "Measure":
-        return cls._trusted(space, {})
+        return cls._over(space, (), [], 1)
+
+    @cached_property
+    def _keys(self) -> Iterable:
+        """The support in atom order: :meth:`_over` stores it, other measures read ``weights``."""
+        return self.weights.keys()
 
     @cached_property
     def _common(self) -> tuple[int, list[int]]:
-        """The weights over one common denominator D: D and each numerator, in ``weights`` order.
+        """The weights over one common denominator D: D and each numerator, in atom order.
 
-        D is the lcm of the distinct denominators (1 for no weights), and
-        D // d is taken once per distinct d.
+        Here D is the lcm of the distinct denominators (1 for no weights),
+        folded by :func:`_lcm`, and D // d is taken once per distinct d.  A
+        measure built by :meth:`_over` stores its own D, a common multiple
+        of its denominators but not always their lcm.
         """
         ratios = [w.as_integer_ratio() for w in self.weights.values()]
         scale = dict.fromkeys(d for _, d in ratios)
-        den = lcm(*scale)
+        den = _lcm(scale)
         for d in scale:
             scale[d] = den // d
         return den, [n * scale[d] for n, d in ratios]
@@ -290,14 +370,15 @@ class Measure:
         numerators are summed per pattern.  A line measure's atoms lie in
         every row: y value -1.
         """
+        keys = self._keys
         if isinstance(self.space, ProductSpace):
-            x_mask = _classify(self.space.x, {kx for kx, _ in self.weights}, *x_slots)
-            y_mask = _classify(self.space.y, {ky for _, ky in self.weights}, *y_slots)
+            x_mask = _classify(self.space.x, {kx for kx, _ in keys}, *x_slots)
+            y_mask = _classify(self.space.y, {ky for _, ky in keys}, *y_slots)
             # a generator: a list would keep one pattern tuple per atom alive at once
-            patterns = ((x_mask[kx], y_mask[ky]) for kx, ky in self.weights)
+            patterns = ((x_mask[kx], y_mask[ky]) for kx, ky in keys)
         else:
-            x_mask = _classify(self.space, self.weights, *x_slots)
-            patterns = ((x_mask[k], -1) for k in self.weights)
+            x_mask = _classify(self.space, keys, *x_slots)
+            patterns = ((x_mask[k], -1) for k in keys)
         den, nums = self._common
         return den, _grouped(patterns, nums)
 
@@ -317,7 +398,7 @@ class Measure:
 
     def _project(self, axis: int) -> "Measure":
         den, nums = self._common
-        grouped = _grouped((key[axis - 1] for key in self.weights), nums)
+        grouped = _grouped((key[axis - 1] for key in self._keys), nums)
         sums = {k: Fraction(n, den) for k, n in grouped.items()}
         # the support is x-major, so first appearance is atom order on axis 1 only
         if axis == 1:
@@ -333,14 +414,22 @@ class Measure:
         return Measure._trusted(self.space, {k: c * w for k, w in self.weights.items()})
 
     def __add__(self, other: "Measure") -> "Measure":
+        """The sum; in ints over lcm(D1, D2) when both were built by :meth:`_over`."""
         if self.space != other.space:
             raise ParameterError("cannot add measures on different spaces")
-        acc = dict(self.weights)
-        for k, w in other.weights.items():
-            acc[k] = acc[k] + w if k in acc else w
-        if len(acc) > len(self.weights):  # other brought atoms, appended out of order
-            acc = _in_atom_order(self.space, acc)
-        return Measure._trusted(self.space, acc)
+        if not (self._is_over and other._is_over):
+            return Measure._trusted(
+                self.space, _merged(self.space, self.weights.items(), other.weights.items())
+            )
+        (d1, n1), (d2, n2) = self._common, other._common
+        den = lcm(d1, d2)
+        m1, m2 = den // d1, den // d2
+        acc = _merged(
+            self.space,
+            zip(self._keys, n1 if m1 == 1 else [n * m1 for n in n1]),
+            zip(other._keys, n2 if m2 == 1 else [n * m2 for n in n2]),
+        )
+        return Measure._over(self.space, acc.keys(), list(acc.values()), den)
 
     def __sub__(self, other: "Measure") -> "Measure":
         """The difference; raises ``NegativeWeightError`` where other outweighs self."""
@@ -423,7 +512,40 @@ def barycenter(meta: MetaMeasure) -> Measure:
     return Measure(meta.space, acc)
 
 
+# a marginal takes the int route while its common denominator D has at most
+# this many times the bits of its largest denominator.  Past it, writing the
+# coupling costs more than building it saves: ``couple`` (build and dumps) on
+# the tests' prime-pair marginals breaks even near 13 at 40 atoms per axis and
+# near 4 to 5 at 150, where each written weight's gcd runs on ints as large as D
+_WIDEST = 4
+
+
+def _narrow(m: Measure) -> bool:
+    """Whether m's common denominator is narrow enough for the int route; see ``_WIDEST``.
+
+    A measure built by :meth:`Measure._over` came from that route and stays on it.
+    """
+    if m._is_over:
+        return True
+    top = max((w.denominator for w in m.weights.values()), default=1)
+    return m._common[0].bit_length() <= _WIDEST * top.bit_length()
+
+
 def _product(mu: Measure, nu: Measure, c: int | Fraction) -> Measure:
+    """The weights wx * wy / c on the product space, over one denominator with no gcd.
+
+    For weights a/Dμ and b/Dν and c = p/q, D = Dμ·Dν·p and each numerator is a·b·q.
+    """
+    (dx, xs), (dy, ys) = mu._common, nu._common
+    p, q = c.as_integer_ratio()
+    if q != 1:
+        ys = [b * q for b in ys]
+    keys = [(kx, ky) for kx in mu._keys for ky in nu._keys]
+    nums = [a * b for a in xs for b in ys]
+    return Measure._over(ProductSpace(mu.space, nu.space), keys, nums, dx * dy * p)
+
+
+def _fraction_product(mu: Measure, nu: Measure, c: int | Fraction) -> Measure:
     """The weights wx * wy / c on the product space, each built as one Fraction.
 
     For c != 1 each row reduces wx / c once, so the products' gcds run on
@@ -444,14 +566,17 @@ def tensor(mu: Measure, nu: Measure) -> Measure:
         raise MassMismatchError("tensor takes probability measures")
     if not isinstance(mu.space, SpaceDesc) or not isinstance(nu.space, SpaceDesc):
         raise ParameterError("tensor takes line measures")
-    return _product(mu, nu, 1)
+    return (_product if _narrow(mu) and _narrow(nu) else _fraction_product)(mu, nu, 1)
 
 
 def couple_mass(mu: Measure, nu: Measure) -> Measure:
     """A canonical coupling of two equal-mass measures.
 
     For common mass c > 0 this is c times the product of the normalized
-    inputs; for c = 0 it is the zero measure on the product space.
+    inputs; for c = 0 it is the zero measure on the product space.  Like a
+    sum, it builds over one denominator only when both inputs were built
+    so (``Measure._over``): ``construct_preimage``'s rests are, on its int
+    route.
     """
     c = mu.mass()
     if c != nu.mass():
@@ -460,4 +585,4 @@ def couple_mass(mu: Measure, nu: Measure) -> Measure:
         raise ParameterError("couple_mass takes line measures")
     if c == 0:
         return Measure.zero(ProductSpace(mu.space, nu.space))
-    return _product(mu, nu, c)
+    return (_product if mu._is_over and nu._is_over else _fraction_product)(mu, nu, c)

@@ -428,15 +428,16 @@ def _has_marginals(coupling: Measure, mu: Measure, nu: Measure) -> bool:
 
     Each projection stays a sum s of numerators over the coupling's common
     denominator D_c.  It matches a marginal whose weights are n over D_m
-    when both lie on the same axis space, have the same support, and
-    s·D_m == n·D_c on every atom.
+    when both lie on the same axis space, have supports of one size, and
+    s·D_m == n·D_c on every atom of the marginal: every n is positive, so
+    an atom the projection lacks fails the test.
     """
     den, nums = coupling._common
     for i, (space, m) in enumerate(((coupling.space.x, mu), (coupling.space.y, nu))):
-        sums = _grouped((key[i] for key in coupling.weights), nums)
+        sums = _grouped((key[i] for key in coupling._keys), nums)
         m_den, m_nums = m._common
-        if space != m.space or sums.keys() != m.weights.keys() or any(
-            sums[k] * m_den != n * den for k, n in zip(m.weights, m_nums)
+        if space != m.space or len(sums) != len(m_nums) or any(
+            sums.get(k, 0) * m_den != n * den for k, n in zip(m._keys, m_nums)
         ):
             return False
     return True

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 from margcouple import (
     Atom,
@@ -262,6 +263,38 @@ def tile_targets(rng: random.Random, n: int, count: int) -> list[BoxSet]:
     tiles = [Box((c[a], c[a + 1]), (c[b], c[b + 1])) for a in range(4) for b in range(4)]
     rng.shuffle(tiles)
     return [BoxSet(tuple(tiles[2 * t : 2 * t + 2])) for t in range(count)]
+
+
+def primes_from(start: int, count: int) -> tuple[int, ...]:
+    """The first count odd primes at or above an odd start, by trial division."""
+    found: list = []
+    n = start
+    while len(found) < count:
+        if all(n % p for p in range(3, isqrt(n) + 1, 2)):
+            found.append(n)
+        n += 2
+    return tuple(found)
+
+
+def prime_pair_marginal(rng: random.Random, space: SpaceDesc, pairs: int) -> Measure:
+    """A probability on the n atoms of space whose first 2·pairs atoms pair up over 21-bit primes.
+
+    Pair j puts 2a/(n·p) and 2(p - a)/(n·p) on two atoms, for its own prime
+    p and a random 0 < a < p, so each prime is in two weights and the pair
+    sums to 2/n; every other atom has 1/n.  The common denominator, about
+    n·p₁⋯p_pairs, then has about (21·pairs + log₂ n)/(21 + log₂ n) times the
+    bits of the largest denominator: many pairs make a wide measure.
+    """
+    keys = list(space.keys)
+    n = len(keys)
+    if not 0 <= 2 * pairs <= n:
+        raise ValueError(f"{pairs} pairs do not fit on {n} atoms")
+    weights = {k: F(1, n) for k in keys}
+    for j, p in enumerate(primes_from(2**20 + 1, pairs)):
+        a = rng.randrange(1, p)
+        weights[keys[2 * j]] = F(2 * a, n * p)
+        weights[keys[2 * j + 1]] = F(2 * (p - a), n * p)
+    return Measure(space, weights)
 
 
 def perturbed_probability(rng: random.Random, m: Measure) -> Measure:

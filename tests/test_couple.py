@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import instances
 from margcouple import (
@@ -20,8 +21,11 @@ from margcouple import (
     ProductSpace,
     SpaceDesc,
     construct_preimage,
+    couple_mass,
     marginal_pair,
+    measure,
     refine_grid,
+    tensor,
 )
 from margcouple.documents import dumps
 
@@ -116,18 +120,33 @@ SPLITS = {
 }
 
 
+def _over(m: Measure, scale: int) -> Measure:
+    """m built over one denominator: its common form with numerators and D times scale."""
+    den, nums = m._common
+    return Measure._over(m.space, list(m._keys), [n * scale for n in nums], den * scale)
+
+
 def test_report_split_guard(reference, grid, perturbed):
+    """Each edit, on made weights (scales None) and on three forms over one denominator.
+
+    The forms' denominators are the lcm times a scale, so the int test meets
+    common multiples that are not the lcm.
+    """
     rep = construct_preimage(reference, grid, *perturbed)
-    accepted = {}
-    for name, (split, _) in SPLITS.items():
-        parts = split(rep.coupling, rep.grid_part, rep.remainder_coupling)
-        try:
-            PreimageReport(*parts, rep.cell_allocs, rep.cell_drops)
-            accepted[name] = True
-        except InternalConsistencyError as exc:
-            assert str(exc) == "coupling must split into grid part plus remainder"
-            accepted[name] = False
-    assert accepted == {name: ok for name, (_, ok) in SPLITS.items()}
+    for scales in (None, (1, 1, 1), (1, 3, 5), (7, 1, 2)):
+        accepted = {}
+        for name, (split, _) in SPLITS.items():
+            parts = split(rep.coupling, rep.grid_part, rep.remainder_coupling)
+            parts = [Measure(m.space, dict(m.weights)) for m in parts]
+            if scales is not None:
+                parts = [_over(m, scale) for m, scale in zip(parts, scales)]
+            try:
+                PreimageReport(*parts, rep.cell_allocs, rep.cell_drops)
+                accepted[name] = True
+            except InternalConsistencyError as exc:
+                assert str(exc) == "coupling must split into grid part plus remainder"
+                accepted[name] = False
+        assert accepted == {name: ok for name, (_, ok) in SPLITS.items()}, scales
 
 
 def test_probability_inputs_enforced(reference, grid, perturbed):
@@ -280,3 +299,114 @@ def test_binned_preimage_matches_per_cell_oracle(seed):
         assert rep.remainder_coupling == oracle.remainder_coupling
         assert rep.cell_allocs == oracle.cell_allocs
         assert rep.cell_drops == oracle.cell_drops
+
+
+# -- the int route against the Fraction route -------------------------------
+
+ROUTE_CASES = ["random", "zero kept cells", "one-atom marginals", "prime pairs"]
+
+
+def _route_case(rng: random.Random, case: str):
+    """A reference, grid and marginals; "random" often leaves a piece massless."""
+    if case == "prime pairs":
+        n = rng.randint(2, 10)
+        ref = instances.sparse_reference(rng, n, F(rng.randint(2, 8), 10))
+        grid = instances.block_grid(n, rng.randint(1, n))
+        mu, nu = (
+            instances.prime_pair_marginal(rng, axis, rng.randint(0, n // 2))
+            for axis in (ref.space.x, ref.space.y)
+        )
+        return ref, grid, mu, nu
+    if case == "one-atom marginals":
+        ref = instances.random_joint(rng, instances.random_product(rng, max_atoms=1))
+        mu, nu = ref.push_proj(1), ref.push_proj(2)
+        return ref, instances.random_grid(rng), mu, nu
+    ref, grid, mu, nu = _remainder_case(rng.randrange(10**6))
+    if case == "zero kept cells":  # no cell holds reference mass, so none keeps any
+        far = (IntervalSet.single(100, 101),)
+        grid = Grid(far, far)
+    return ref, grid, mu, nu
+
+
+def _fresh(m: Measure) -> Measure:
+    return Measure(m.space, dict(m.weights))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(ROUTE_CASES))
+def test_int_route_equals_fraction_route(seed, case):
+    """The same coupling, parts, cells and document bytes whichever route builds them.
+
+    ``measure._WIDEST`` at 0 sends every input to the ``Fraction`` route, and
+    at 10**6 every input to the int route over one denominator.
+    """
+    ref, grid, mu, nu = _route_case(random.Random(seed), case)
+    reports, texts, tensors = {}, {}, {}
+    with pytest.MonkeyPatch.context() as mp:
+        for route, widest in (("fraction", 0), ("int", 10**6)):
+            mp.setattr(measure, "_WIDEST", widest)
+            a, b = _fresh(mu), _fresh(nu)
+            rep = reports[route] = construct_preimage(ref, grid, a, b)
+            # a massless remainder is the zero measure, an empty form on either route
+            assert rep.coupling._is_over == rep.grid_part._is_over == (route == "int")
+            if route == "int":
+                parts = (rep.coupling, rep.grid_part, rep.remainder_coupling)
+                assert not any("weights" in vars(m) for m in parts)
+            texts[route] = dumps(rep)  # before any comparison makes the int route's weights
+            # couple_mass follows its inputs: over one denominator when both are
+            scaled = (_over(a, 3), _over(b, 5)) if route == "int" else (a, b)
+            tensors[route] = dumps(tensor(a, b)), dumps(couple_mass(*scaled))
+    assert texts["int"] == texts["fraction"]
+    assert tensors["int"] == tensors["fraction"]
+    got, want = reports["int"], reports["fraction"]
+    assert got.coupling == want.coupling
+    assert got.grid_part == want.grid_part
+    assert got.remainder_coupling == want.remainder_coupling
+    assert got.cell_allocs == want.cell_allocs
+    assert got.cell_drops == want.cell_drops
+    for m in (got.coupling, got.grid_part, got.remainder_coupling):
+        den, nums = m._common
+        assert all(n > 0 for n in nums)
+        assert [F(n, den) for n in nums] == list(m.weights.values())
+
+
+def test_route_cases_reach_the_edges():
+    """The cases above hold unkept and massless cells, one-atom marginals and wide inputs."""
+    seen = set()
+    for seed in range(40):
+        for case in ROUTE_CASES:
+            ref, grid, mu, nu = _route_case(random.Random(seed), case)
+            rep = construct_preimage(ref, grid, mu, nu)
+            if not any(a.kept for a in rep.cell_allocs.values()):
+                seen.add("no kept cell")
+            if any(mu.eval(c) == 0 for c in grid.cols) or any(nu.eval(r) == 0 for r in grid.rows):
+                seen.add("massless piece")
+            if len(mu.weights) == 1 == len(nu.weights):
+                seen.add("one-atom marginals")
+            if not rep.remainder_coupling.weights:
+                seen.add("massless remainder")
+            seen.add("wide" if not rep.coupling._is_over else "narrow")
+    assert seen == {
+        "no kept cell",
+        "massless piece",
+        "one-atom marginals",
+        "massless remainder",
+        "wide",
+        "narrow",
+    }
+
+
+@pytest.mark.parametrize("pairs, narrow", [(0, True), (2, True), (5, False), (20, False)])
+def test_denominator_growth_picks_the_route(pairs, narrow):
+    """The int route runs while each marginal's common denominator has at most ``_WIDEST``
+    times the bits of its largest denominator; wider marginals keep the ``Fraction`` route."""
+    rng = random.Random(pairs)
+    ref = instances.sparse_reference(rng, 40, F(3, 10))
+    mu, nu = (instances.prime_pair_marginal(rng, a, pairs) for a in (ref.space.x, ref.space.y))
+    for m in (mu, nu):
+        top = max(w.denominator for w in m.weights.values())
+        ratio = m._common[0].bit_length() / top.bit_length()
+        assert (ratio <= measure._WIDEST) == narrow
+    rep = construct_preimage(ref, instances.block_grid(40, 8), mu, nu)
+    assert rep.coupling._is_over == rep.grid_part._is_over == narrow
+    assert tensor(mu, nu)._is_over == narrow

@@ -3,7 +3,7 @@
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -33,7 +33,7 @@ from margcouple import (
     verify,
 )
 from margcouple.couple import _pieces
-from margcouple.measure import _Axis, _classify, _Family, _slots
+from margcouple.measure import _Axis, _classify, _Family, _lcm, _slots
 
 F = Fraction
 
@@ -432,20 +432,30 @@ denominators = st.one_of(st.integers(1, 30), st.sampled_from(COPRIME_DENOMS))
 nonnegative = st.builds(F, st.integers(0, 10**30), denominators)
 
 
-def _primes_from(start: int, count: int) -> tuple[int, ...]:
-    """The first count odd primes at or above an odd start, by trial division."""
-    found: list = []
-    n = start
-    while len(found) < count:
-        if all(n % p for p in range(3, isqrt(n) + 1, 2)):
-            found.append(n)
-        n += 2
-    return tuple(found)
-
-
 # one distinct 21-bit prime per atom: the common denominator is their product,
 # the largest an lcm of that many denominators can be
-PRIMES_21_BITS = _primes_from(2**20 + 1, 25)
+PRIMES_21_BITS = instances.primes_from(2**20 + 1, 25)
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(1, 10**40), max_size=40),
+        st.integers(1, 10**40).map(lambda v: [v]),
+        st.tuples(st.integers(1, 10**12), st.integers(1, 9)).map(lambda t: [t[0]] * t[1]),
+        st.lists(st.sampled_from(COPRIME_DENOMS + PRIMES_21_BITS), max_size=30),
+    )
+)
+def test_pairwise_lcm_equals_math_lcm(values):
+    """The balanced-tree fold is ``math.lcm``: over no values, one, repeats and coprimes."""
+    assert _lcm(values) == lcm(*values)
+
+
+def test_pairwise_lcm_worked_cases():
+    assert _lcm([]) == 1
+    assert _lcm([12]) == 12
+    assert _lcm([6, 6, 6]) == 6
+    assert _lcm(iter([4, 6, 10])) == 60  # any iterable, an odd count of values
+    assert _lcm(PRIMES_21_BITS) == prod(PRIMES_21_BITS)
 
 
 def _plain(ws) -> Fraction:
@@ -685,6 +695,9 @@ def test_couple_mass_matches_plain_fraction_products(data):
         (kx, ky): wx * wy / c for kx, wx in mu.weights.items() for ky, wy in nu.weights.items()
     }
     assert couple_mass(mu, nu).weights == expected
+    # the same products in ints, over one denominator, when both inputs were built so
+    over = [Measure._over(m.space, list(m._keys), m._common[1], m._common[0]) for m in (mu, nu)]
+    assert couple_mass(*over).weights == expected
     if c:  # the same products at c = 1, through tensor
         mu1, nu1 = mu.scale(1 / c), nu.scale(1 / c)
         assert tensor(mu1, nu1).weights == {

@@ -230,8 +230,10 @@ def test_one_tensor_of_the_marginals_and_one_mass_each(monkeypatch):
     assert [summed[id(m)] for m in (reference, mu, nu)] == [1, 1, 1]
 
 
-def test_a_trial_builds_its_couplings_common_form_once(monkeypatch):
-    """The cell bin, both marginal checks and the target gap group one common form."""
+def test_a_trial_never_computes_its_couplings_common_form_or_weights(monkeypatch):
+    """The coupling is built over one denominator, so the cell bin, both marginal
+    checks and the target gap group the common form it was built with: a trial
+    computes that form zero times and never makes the coupling's ``weights``."""
     rng = random.Random(7)
     reference = instances.sparse_reference(rng, 12, F(1, 2))
     targets = instances.tile_targets(rng, 12, 7)
@@ -267,7 +269,8 @@ def test_a_trial_builds_its_couplings_common_form_once(monkeypatch):
         )
         assert violations == [] and len(gaps) == 2
         coupling = reports[-1].coupling
-        assert sum(m is coupling for m in built) == 1
+        assert sum(m is coupling for m in built) == 0
+        assert "weights" not in vars(coupling)
         assert sum(nums is coupling._common[1] for nums in grouped) == 4
 
 
